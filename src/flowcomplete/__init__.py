@@ -87,4 +87,4 @@ from .sim import (
     generate_pattern,
     run_experiment,
 )
-from .spectral import SpectralCore, build_core, partition_blocks, pseudo_inverse
+from .spectral import SpectralCore, build_core

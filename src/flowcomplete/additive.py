@@ -3,9 +3,10 @@
 Two equivalent routes are implemented and kept separate so each can check
 the other: the per-entry flow route weighs observations by the unit
 electrical current between ``u_i`` and ``v_j``, while the factor route
-solves the masked least-squares problem in closed form from the blocks of
-the Laplacian pseudoinverse.  Both are exactly unbiased under zero-mean
-noise, and the per-entry variance certificate is the effective resistance.
+solves the masked least-squares problem in closed form with one product
+with the Laplacian pseudoinverse (a grounded inverse per component).  Both
+are exactly unbiased under zero-mean noise, and the per-entry variance
+certificate is the effective resistance.
 """
 
 from __future__ import annotations
@@ -30,7 +31,15 @@ from .graph import (
     validate_path,
     vec_omega,
 )
-from .spectral import SpectralCore, build_core, partition_blocks
+from .spectral import SpectralCore, build_core
+
+
+def _grouped_sums(index: np.ndarray, size: int, values: np.ndarray) -> np.ndarray:
+    """Per-column sums of the rows of ``values`` grouped by ``index``."""
+    width = values.shape[1]
+    flat = index[:, None] * width + np.arange(width)
+    return np.bincount(flat.ravel(), weights=values.ravel(),
+                       minlength=size * width).reshape(size, width)
 
 
 @dataclass(frozen=True)
@@ -73,19 +82,17 @@ class EstimateReport:
 class EfeSolver:
     """Closed-form solver for one observation pattern, reusable across data.
 
-    Building the solver costs one eigendecomposition per connected
-    component; each subsequent estimate is a pair of matrix products, which
-    is what makes Monte-Carlo loops over fresh noise cheap.
+    Building the solver costs one grounded Laplacian inverse per connected
+    component; each subsequent estimate is one matrix-vector product, and
+    :meth:`observation_factors` solves many data sets with one matrix
+    product, which is what makes Monte-Carlo loops over fresh noise cheap.
     """
 
     def __init__(self, mask: ObservationMask):
         self.mask = mask
         self.graph: BipartiteGraph = build_graph(mask)
         self.core: SpectralCore = build_core(self.graph)
-        n, m = mask.n_rows, mask.n_cols
-        g11, g12, g21, g22 = partition_blocks(self.core.pinv, n, m)
-        self._signed = np.block([[g11, -g12], [-g21, g22]])
-        self._pattern = mask.to_dense()
+        n = mask.n_rows
         ids = np.array(self.core.components.component_id)
         self.identifiable = ids[:n, None] == ids[None, n:]
 
@@ -94,13 +101,33 @@ class EfeSolver:
         return resistance_matrix(self.core)
 
     def factors(self, data) -> tuple[np.ndarray, np.ndarray]:
-        """Minimum-norm least-squares factors (a, b) for the observed data."""
-        arr = np.asarray(data, dtype=float)
-        masked = np.where(self._pattern > 0, arr, 0.0)
-        row_sums = masked.sum(axis=1)
-        col_sums = masked.sum(axis=0)
-        stacked = self._signed @ np.concatenate([row_sums, col_sums])
-        return stacked[:self.mask.n_rows], stacked[self.mask.n_rows:]
+        """Minimum-norm least-squares factors (a, b) for the observed data.
+
+        ``data`` must have the mask's shape and be finite at every observed
+        cell (a ``ValueError`` names the first cell that is not); values at
+        unobserved cells are ignored.
+        """
+        observations = vec_omega(self.mask, data)
+        bad = np.flatnonzero(~np.isfinite(observations))
+        if bad.size:
+            raise ValueError(
+                f"data is not finite at observed cell {self.graph.edges[bad[0]]}")
+        a_hat, b_hat = self.observation_factors(observations[:, None])
+        return a_hat[:, 0], b_hat[:, 0]
+
+    def observation_factors(self, observations) -> tuple[np.ndarray, np.ndarray]:
+        """Factors for ``(n_edges, k)`` observations in canonical edge order.
+
+        Each column is one data set; the ``(n, k)`` and ``(m, k)`` factors
+        come from one product with the pseudoinverse.  Values are not
+        checked here.
+        """
+        n = self.mask.n_rows
+        sums = np.concatenate([
+            _grouped_sums(self.graph.edge_rows, n, observations),
+            -_grouped_sums(self.graph.edge_cols, self.mask.n_cols, observations)])
+        stacked = self.core.pinv @ sums  # [a; -b]
+        return stacked[:n], -stacked[n:]
 
     def estimates(self, data) -> np.ndarray:
         """Estimated matrix; ``nan`` on unidentifiable entries."""

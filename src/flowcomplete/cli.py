@@ -185,7 +185,7 @@ def _cmd_estimate_additive(args) -> int:
                            if report.variance_bounds is not None else None),
         "high_prob_bound": (matrix_to_jsonable(report.high_prob_bounds, keep)
                             if report.high_prob_bounds is not None else None),
-        "identifiable": [[bool(v) for v in row] for row in keep],
+        "identifiable": keep.tolist(),
     }
     write_json(args.out, payload)
     if not keep.any():
@@ -202,10 +202,10 @@ def _cmd_estimate_rank1(args, threads: int) -> int:
         "n_rows": mask.n_rows,
         "n_cols": mask.n_cols,
         "estimates": matrix_to_jsonable(report.estimates, keep),
-        "identifiable": [[bool(v) for v in row] for row in report.identifiable],
-        "degenerate": [[bool(v) for v in row] for row in report.degenerate],
-        "k": [[int(v) for v in row] for row in report.path_counts],
-        "max_len": [[int(v) for v in row] for row in report.max_lens],
+        "identifiable": report.identifiable.tolist(),
+        "degenerate": report.degenerate.tolist(),
+        "k": report.path_counts.tolist(),
+        "max_len": report.max_lens.tolist(),
     }
     if args.sigma is not None and args.delta is not None:
         finite = report.estimates[np.isfinite(report.estimates)]
@@ -295,7 +295,7 @@ def _cmd_panel(args, threads: int) -> int:
         "resistance_sum": matrix_to_jsonable(report.resistance_sum, keep),
         "high_prob_bound": (matrix_to_jsonable(report.high_prob_bounds, keep)
                             if report.high_prob_bounds is not None else None),
-        "identifiable": [[bool(v) for v in row] for row in keep],
+        "identifiable": keep.tolist(),
     }
     if args.did:
         did = []

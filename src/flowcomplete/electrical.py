@@ -72,12 +72,13 @@ def effective_resistance(core: SpectralCore, i: int, j: int) -> float:
 
 def resistance_matrix(core: SpectralCore) -> np.ndarray:
     """All-pairs effective resistances, ``inf`` across components."""
-    g11, g12, _, g22 = core.blocks
-    matrix = np.diag(g11)[:, None] + np.diag(g22)[None, :] - 2.0 * g12
+    n = core.n_left
+    diagonal = np.diagonal(core.pinv)
+    matrix = diagonal[:n, None] + diagonal[None, n:] - 2.0 * core.pinv[:n, n:]
     ids = np.array(core.components.component_id)
     cross = ids[:core.n_left, None] != ids[None, core.n_left:]
     matrix = np.where(cross, np.inf, matrix)
-    # quadratic form; tiny negatives are decomposition noise
+    # quadratic form; tiny negatives are rounding noise of the inverse
     return np.maximum(matrix, 0.0)
 
 

@@ -122,15 +122,8 @@ def resistance_csv_text(resistances: np.ndarray,
 def matrix_to_jsonable(matrix, keep=None):
     """Nested lists with ``None`` for non-finite or masked-out cells."""
     arr = np.asarray(matrix, dtype=float)
-    result = []
-    for i in range(arr.shape[0]):
-        row = []
-        for j in range(arr.shape[1]):
-            value = arr[i, j]
-            masked = keep is not None and not keep[i, j]
-            row.append(None if masked or not math.isfinite(value) else float(value))
-        result.append(row)
-    return result
+    shown = np.isfinite(arr) if keep is None else np.isfinite(arr) & keep
+    return np.where(shown, arr, None).tolist()
 
 
 def write_json(path, payload) -> None:

@@ -99,15 +99,22 @@ def rank1_entry(mask: ObservationMask, data, i: int, j: int,
 
     Raises :class:`NoPathError` when the path set is empty and
     :class:`DegenerateDenominatorError` when the averaged squared backward
-    product falls below ``DENOMINATOR_FLOOR``.
+    product falls below ``DENOMINATOR_FLOOR`` or a path product overflows.
     """
     if path_set.k == 0:
         raise NoPathError(f"no connecting path for entry {(i, j)}")
     if path_set.source != i or path_set.sink != j:
         raise ValueError("path set endpoints do not match the requested entry")
-    stats = [path_alpha_beta(path, data, mask) for path in path_set.paths]
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = [path_alpha_beta(path, data, mask) for path in path_set.paths]
     numerator = sum(s.alpha * s.beta for s in stats) / path_set.k
-    denominator = sum(s.beta ** 2 for s in stats) / path_set.k
+    try:
+        denominator = sum(s.beta ** 2 for s in stats) / path_set.k
+    except OverflowError:
+        denominator = math.inf
+    if not (math.isfinite(numerator) and math.isfinite(denominator)):
+        raise DegenerateDenominatorError(
+            f"path products overflow for entry {(i, j)}")
     if denominator < DENOMINATOR_FLOOR:
         raise DegenerateDenominatorError(
             f"denominator {denominator:.3e} below {DENOMINATOR_FLOOR} "

@@ -1,105 +1,65 @@
-"""Laplacian pseudoinverse via dense symmetric eigendecomposition.
+"""Laplacian pseudoinverse by a grounded inverse per connected component.
 
-The pseudoinverse is computed per connected component and assembled into a
-block structure over the full vertex set; this keeps the null space of each
-block exactly one-dimensional (the component's constant vector) and makes
-rank decisions unambiguous.  Dense decomposition is deliberate: target
-problem sizes are a few thousand vertices at most.
+The null space of a component's Laplacian block ``L_c`` is exactly the
+component's constant vector, so adding ``J / |c|`` (``J`` all ones) makes the
+block nonsingular without changing it elsewhere, and
+
+    L_c^+ = (L_c + J / |c|)^{-1} - J / |c|.
+
+No rank tolerance is involved.  Each grounded block is built from the edge
+index arrays and inverted densely (LU); the blocks are written into one
+``(n+m) x (n+m)`` pseudoinverse, the only vertex-by-vertex matrix kept.
+Dense inversion is deliberate: target problem sizes are a few thousand
+vertices at most.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .graph import BipartiteGraph, ComponentLabeling, connected_components, laplacian
-
-DEFAULT_RANK_TOLERANCE = 1e-9
-_SYMMETRY_TOLERANCE = 1e-12
-
-
-def _pinv_with_nullity(matrix: np.ndarray, rank_tolerance: float):
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    scale = np.max(np.abs(a)) if a.size else 0.0
-    if scale > 0 and np.max(np.abs(a - a.T)) > _SYMMETRY_TOLERANCE * scale:
-        raise ValueError("matrix is not symmetric")
-    eigenvalues, eigenvectors = np.linalg.eigh((a + a.T) / 2.0)
-    cutoff = rank_tolerance * np.max(np.abs(eigenvalues), initial=0.0)
-    keep = np.abs(eigenvalues) > cutoff
-    inverted = np.where(keep, 1.0, 0.0)
-    inverted[keep] = 1.0 / eigenvalues[keep]
-    pinv = (eigenvectors * inverted) @ eigenvectors.T
-    pinv = (pinv + pinv.T) / 2.0
-    return pinv, int(np.count_nonzero(~keep))
-
-
-def pseudo_inverse(matrix, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a symmetric matrix.
-
-    Eigenvalues with ``|lam| <= rank_tolerance * max|lam|`` are treated as
-    zero and dropped; the rest are reciprocated.
-    """
-    pinv, _ = _pinv_with_nullity(matrix, rank_tolerance)
-    return pinv
-
-
-def partition_blocks(pinv: np.ndarray, n_left: int, n_right: int):
-    """Split an ``(n+m) x (n+m)`` matrix into its four row/column blocks."""
-    pinv = np.asarray(pinv)
-    if pinv.shape != (n_left + n_right, n_left + n_right):
-        raise ValueError(
-            f"matrix shape {pinv.shape} does not match n+m = {n_left + n_right}")
-    g11 = pinv[:n_left, :n_left]
-    g12 = pinv[:n_left, n_left:]
-    g21 = pinv[n_left:, :n_left]
-    g22 = pinv[n_left:, n_left:]
-    return g11, g12, g21, g22
+from .graph import BipartiteGraph, ComponentLabeling, connected_components
 
 
 @dataclass(frozen=True)
 class SpectralCore:
-    """Laplacian, its pseudoinverse, and the component labeling they share."""
+    """Laplacian pseudoinverse and the component labeling it is built on."""
 
-    laplacian: np.ndarray
     pinv: np.ndarray
     n_left: int
     n_right: int
-    rank_tolerance: float
     components: ComponentLabeling
 
     @property
     def n_vertices(self) -> int:
         return self.n_left + self.n_right
 
-    @cached_property
-    def blocks(self):
-        return partition_blocks(self.pinv, self.n_left, self.n_right)
 
-
-def build_core(graph: BipartiteGraph,
-               rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> SpectralCore:
-    """Decompose the Laplacian of each component and assemble the result.
-
-    Guards the decomposition by checking that each component block has a
-    one-dimensional null space under ``rank_tolerance``; a mismatch means
-    the tolerance cannot separate the spectrum and is raised as an error.
-    """
-    lap = laplacian(graph)
+def build_core(graph: BipartiteGraph) -> SpectralCore:
+    """Invert the grounded Laplacian of each component and assemble the result."""
     labels = connected_components(graph)
-    pinv = np.zeros_like(lap)
+    ids = np.asarray(labels.component_id)
+    edge_ids = ids[graph.edge_rows]
+    local = np.empty(graph.n_vertices, dtype=np.intp)
+    pinv = np.zeros((graph.n_vertices, graph.n_vertices))
     for cid in range(labels.component_count):
-        vertices = np.array(labels.vertices_of(cid), dtype=np.intp)
-        block = lap[np.ix_(vertices, vertices)]
-        block_pinv, nullity = _pinv_with_nullity(block, rank_tolerance)
-        if nullity != 1:
-            raise ArithmeticError(
-                f"component {cid}: null-space dimension {nullity} != 1; "
-                "rank tolerance cannot separate the spectrum")
-        pinv[np.ix_(vertices, vertices)] = block_pinv
-    return SpectralCore(laplacian=lap, pinv=pinv, n_left=graph.n_left,
-                        n_right=graph.n_right, rank_tolerance=rank_tolerance,
+        vertices = np.flatnonzero(ids == cid)
+        size = vertices.size
+        if size == 1:  # an isolated vertex: L_c = [0], so L_c^+ = [0]
+            continue
+        local[vertices] = np.arange(size)
+        edges = edge_ids == cid
+        a = local[graph.edge_rows[edges]]
+        b = local[graph.n_left + graph.edge_cols[edges]]
+        grounded = np.full((size, size), 1.0 / size)
+        # observed cells are distinct and a != b, so no index pair repeats
+        grounded[a, b] -= 1.0
+        grounded[b, a] -= 1.0
+        grounded[np.diag_indices(size)] += np.bincount(
+            np.concatenate([a, b]), minlength=size)
+        block = np.linalg.inv(grounded)
+        block -= 1.0 / size
+        pinv[np.ix_(vertices, vertices)] = block
+    return SpectralCore(pinv=pinv, n_left=graph.n_left, n_right=graph.n_right,
                         components=labels)

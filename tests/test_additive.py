@@ -219,6 +219,32 @@ def test_efe_full_marks_cross_component_entries():
                           np.isinf(report.effective_resistances))
 
 
+def test_factors_reject_shape_mismatch():
+    solver = EfeSolver(FIG_PATH_MASK)
+    with pytest.raises(ValueError,
+                       match=r"data shape \(3, 4\) does not match mask \(3, 3\)"):
+        solver.factors(np.zeros((3, 4)))
+    with pytest.raises(ValueError, match="does not match mask"):
+        efe_full(FIG_PATH_MASK, np.zeros(9))
+
+
+def test_factors_reject_non_finite_observed_cell():
+    # two components: a NaN in one must not silently turn the other into NaN
+    mask = ObservationMask.from_dense(np.eye(2))
+    for bad in (math.nan, math.inf, -math.inf):
+        data = np.diag([4.0, bad])
+        with pytest.raises(ValueError,
+                           match=r"not finite at observed cell \(1, 1\)"):
+            efe_full(mask, data)
+        with pytest.raises(ValueError, match=r"\(1, 1\)"):
+            lse_factors(mask, data)
+    # unobserved cells are ignored, whatever they hold
+    data = np.array([[4.0, math.nan], [math.inf, 6.0]])
+    report = efe_full(mask, data)
+    assert report.estimates[0, 0] == pytest.approx(4.0)
+    assert report.estimates[1, 1] == pytest.approx(6.0)
+
+
 def test_efe_full_bound_matrices():
     mask = complete_mask(3, 3)
     report = efe_full(mask, np.zeros((3, 3)), sigma=0.5, delta=0.1)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from flowcomplete.io_utils import (
     format_float,
+    matrix_to_jsonable,
     read_grid_csv,
     read_mask_csv,
     write_grid_csv,
@@ -54,3 +56,30 @@ def test_grid_rejects_ragged_rows(tmp_path):
     path.write_text("1,2\n3\n")
     with pytest.raises(ValueError):
         read_grid_csv(path)
+
+
+def _jsonable_loop(matrix, keep=None):
+    """Cell-by-cell reference for ``matrix_to_jsonable``."""
+    arr = np.asarray(matrix, dtype=float)
+    result = []
+    for i in range(arr.shape[0]):
+        row = []
+        for j in range(arr.shape[1]):
+            value = arr[i, j]
+            masked = keep is not None and not keep[i, j]
+            row.append(None if masked or not math.isfinite(value) else float(value))
+        result.append(row)
+    return result
+
+
+def test_matrix_to_jsonable_matches_cell_loop():
+    rng = np.random.default_rng(8)
+    grid = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-300, 300, (7, 5))
+    grid[0, 0], grid[1, 2], grid[3, 4] = math.nan, math.inf, -math.inf
+    grid[6, 1], grid[2, 3] = -0.0, 1 / 3
+    keep = rng.random((7, 5)) < 0.7
+    keep[0, 0] = keep[1, 2] = keep[6, 1] = keep[2, 3] = True
+    for mask in (None, keep):
+        expected = json.dumps(_jsonable_loop(grid, mask), indent=2)
+        assert json.dumps(matrix_to_jsonable(grid, mask), indent=2) == expected
+    assert matrix_to_jsonable(grid)[1][2] is None

@@ -127,6 +127,23 @@ def test_rank1_full_noiseless_and_unidentifiable():
     assert report.path_counts[0, 0] == 2  # direct edge plus length-3 route
 
 
+def test_rank1_full_flags_overflow_per_entry():
+    # 200-edge chain u_0 - v_0 - u_1 - v_1 - ... - u_100, all factors 1e4:
+    # every observation is 1e8, and alpha * beta = 1e8 ** L overflows for
+    # path length L >= 39, which must only mark those entries degenerate
+    pairs = [(t, t) for t in range(100)] + [(t + 1, t) for t in range(100)]
+    mask = ObservationMask.from_pairs(101, 100, pairs)
+    model = RankOneModel(np.full(101, 1e4), np.full(100, 1e4))
+    with np.errstate(all="raise"):
+        report = rank1_full(mask, model.matrix())
+    assert report.identifiable.all()
+    assert np.array_equal(report.degenerate, report.max_lens >= 39)
+    assert np.isnan(report.estimates[report.degenerate]).all()
+    usable = ~report.degenerate
+    assert usable.sum() > 3000
+    assert np.allclose(report.estimates[usable], 1e8, rtol=1e-12, atol=0.0)
+
+
 def test_rank1_full_dense_submatrix_certificates():
     mask = dense_submatrix_mask(6, 6, block_rows=4, block_cols=3)
     model = RankOneModel(np.full(6, 2.0), np.full(6, 1.5))

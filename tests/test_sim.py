@@ -5,12 +5,14 @@ from scipy import stats
 from flowcomplete import (
     EfeSolver,
     ObservationMask,
+    PanelData,
     SimConfig,
     build_graph,
     connected_components,
     export_result,
     generate_pattern,
     run_experiment,
+    split_masks,
 )
 from flowcomplete.patterns import (
     extreme_sparsity_mask,
@@ -119,6 +121,57 @@ def test_run_experiment_deterministic_and_export(tmp_path):
     for name in ("mse.csv", "resistance.csv", "ratio.csv", "histogram.csv",
                  "metadata.json"):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+
+def _per_trial_mse(config):
+    """Trial-by-trial reference: estimate truth + noise, square the error."""
+    children = np.random.SeedSequence(config.seed).spawn(2 + config.trials)
+    effects_rng = np.random.default_rng(children[1])
+    realized = generate_pattern(config)
+    shape = (config.n_rows, config.n_cols)
+    if config.model == "additive":
+        solver = EfeSolver(ObservationMask.from_dense(realized.omega))
+        arms = [(solver, 1.0)]
+        identifiable = solver.identifiable
+        signal = truth = (effects_rng.standard_normal(shape[0])[:, None]
+                          + effects_rng.standard_normal(shape[1])[None, :])
+    else:
+        panel = PanelData(outcomes=np.zeros(shape), treatment=realized.treatment,
+                          observed=realized.omega.astype(np.int8))
+        control, treated = (EfeSolver(mask) for mask in split_masks(panel))
+        arms = [(control, -1.0), (treated, 1.0)]
+        identifiable = np.isfinite(control.resistances + treated.resistances)
+        control_truth = (effects_rng.standard_normal(shape[0])[:, None]
+                         + effects_rng.standard_normal(shape[1])[None, :])
+        truth = (effects_rng.standard_normal(shape[0])[:, None]
+                 + effects_rng.standard_normal(shape[1])[None, :])
+        signal = np.where(realized.treatment == 1, control_truth + truth,
+                          control_truth)
+    accum = np.zeros(shape)
+    for child in children[2:]:
+        rng = np.random.default_rng(child)
+        data = signal + rng.normal(0.0, config.noise_sigma, shape)
+        estimate = sum(sign * solver.estimates(data) for solver, sign in arms)
+        accum += np.where(identifiable, estimate - truth, 0.0) ** 2
+    return np.where(identifiable, accum / config.trials, np.nan)
+
+
+@pytest.mark.parametrize("trials", [5, 150])
+@pytest.mark.parametrize("pattern, model, extra", [
+    ("uniform_bernoulli", "additive", {"bernoulli_p": 0.25}),
+    ("staircase", "panel", {"groups": 3}),
+    ("staggered_exposure", "panel", {"groups": 3}),
+])
+def test_batched_loop_matches_per_trial_loop(pattern, model, extra, trials):
+    # 150 trials are two full chunks and a partial one
+    config = SimConfig(pattern=pattern, model=model, n_rows=9, n_cols=9,
+                       noise_sigma=0.3, trials=trials, seed=41, **extra)
+    result = run_experiment(config)
+    expected = _per_trial_mse(config)
+    assert np.array_equal(np.isnan(result.per_entry_mse), np.isnan(expected))
+    assert (~np.isnan(expected)).any()
+    assert np.allclose(result.per_entry_mse, expected, rtol=1e-10, atol=0.0,
+                       equal_nan=True)
 
 
 def test_histogram_counts_sum_to_identifiable():

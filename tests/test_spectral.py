@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowcomplete import (
@@ -7,16 +6,15 @@ from flowcomplete import (
     build_core,
     build_graph,
     laplacian,
-    partition_blocks,
-    pseudo_inverse,
+    resistance_matrix,
 )
 from helpers import complete_mask, random_connected_mask, random_mask
 
 
 def test_single_edge_pseudo_inverse():
-    lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    core = build_core(build_graph(ObservationMask.from_pairs(1, 1, [(0, 0)])))
     expected = np.array([[0.25, -0.25], [-0.25, 0.25]])
-    assert np.allclose(pseudo_inverse(lap), expected, atol=1e-12)
+    assert np.allclose(core.pinv, expected, atol=1e-12)
 
 
 def test_complete_2x2_quadratic_form():
@@ -27,31 +25,32 @@ def test_complete_2x2_quadratic_form():
 
 
 def test_pseudo_inverse_matches_svd_route():
-    # independent oracle: numpy's SVD-based pinv on the same Laplacian
+    # independent oracle: numpy's SVD-based pinv of the whole Laplacian, on
+    # connected and multi-component patterns, isolated vertices included
     rng = np.random.default_rng(3)
-    for _ in range(5):
-        mask = random_connected_mask(rng, 6, 5)
-        lap = laplacian(build_graph(mask))
-        assert np.allclose(pseudo_inverse(lap), np.linalg.pinv(lap), atol=1e-10)
+    masks = [random_connected_mask(rng, 6, 5) for _ in range(5)]
+    masks += [random_mask(rng, 9, 7, p) for p in (0.05, 0.15, 0.3)]
+    masks += [ObservationMask.from_dense(np.eye(3)),
+              ObservationMask.from_pairs(4, 3, [(0, 0), (2, 1), (2, 2)]),
+              ObservationMask.from_pairs(3, 2, [])]
+    for mask in masks:
+        graph = build_graph(mask)
+        pinv = build_core(graph).pinv
+        assert np.allclose(pinv, np.linalg.pinv(laplacian(graph)),
+                           rtol=0.0, atol=1e-10)
+    assert not build_core(build_graph(masks[-1])).pinv.any()
 
 
-def test_rejects_non_symmetric():
-    with pytest.raises(ValueError):
-        pseudo_inverse(np.array([[0.0, 1.0], [0.5, 0.0]]))
-
-
-def test_partition_blocks_single_edge():
-    core = build_core(build_graph(ObservationMask.from_pairs(1, 1, [(0, 0)])))
-    g11, g12, g21, g22 = core.blocks
-    assert np.allclose(g11, [[0.25]])
-    assert np.allclose(g12, [[-0.25]])
-    assert np.allclose(g21, [[-0.25]])
-    assert np.allclose(g22, [[0.25]])
-
-
-def test_partition_blocks_dimension_check():
-    with pytest.raises(ValueError):
-        partition_blocks(np.zeros((3, 3)), 2, 2)
+def _assert_penrose(lap, pinv, tol=1e-8):
+    """The four Moore-Penrose conditions, each within ``tol`` (relative)."""
+    lap_scale = np.max(np.abs(lap))
+    pinv_scale = min(np.max(np.abs(pinv)), 1.0)
+    assert np.max(np.abs(lap @ pinv @ lap - lap)) <= tol * lap_scale
+    assert np.max(np.abs(pinv @ lap @ pinv - pinv)) <= tol * pinv_scale
+    product = lap @ pinv
+    assert np.max(np.abs(product.T - product)) <= tol
+    product = pinv @ lap
+    assert np.max(np.abs(product.T - product)) <= tol
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -63,19 +62,15 @@ def test_penrose_conditions_and_blocks(seed):
     mask = random_connected_mask(rng, n, m)
     graph = build_graph(mask)
     core = build_core(graph)
-    lap, pinv = core.laplacian, core.pinv
-    scale = np.max(np.abs(lap))
-    assert np.max(np.abs(lap @ pinv @ lap - lap)) < 1e-8 * scale
-    assert np.max(np.abs(pinv @ lap @ pinv - pinv)) < 1e-8
-    assert np.max(np.abs((lap @ pinv).T - lap @ pinv)) < 1e-8
-    assert np.max(np.abs((pinv @ lap).T - pinv @ lap)) < 1e-8
+    pinv = core.pinv
+    _assert_penrose(laplacian(graph), pinv)
     assert np.max(np.abs(pinv - pinv.T)) < 1e-10 * max(np.max(np.abs(pinv)), 1.0)
     # connected graph: pinv annihilates the constant vector
     assert np.max(np.abs(pinv @ np.ones(core.n_vertices))) < 1e-8
-    g11, g12, g21, g22 = core.blocks
-    assert np.array_equal(g21, g12.T)
-    reassembled = np.block([[g11, g12], [g21, g22]])
-    assert np.array_equal(reassembled, pinv)
+    # resistances read the diagonal and the row-by-column block of pinv
+    d = np.diag(pinv)
+    expected = d[:n, None] + d[None, n:] - 2.0 * pinv[:n, n:]
+    assert np.allclose(resistance_matrix(core), expected, rtol=0.0, atol=1e-12)
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7), m=st.integers(1, 7))
@@ -84,9 +79,10 @@ def test_null_space_matches_component_count(seed, n, m):
     rng = np.random.default_rng(seed)
     mask = random_mask(rng, n, m, 0.3)
     graph = build_graph(mask)
-    core = build_core(graph)  # raises if any block nullity differs from 1
-    eigenvalues = np.linalg.eigvalsh(core.laplacian)
-    cutoff = core.rank_tolerance * np.max(np.abs(eigenvalues), initial=0.0)
+    core = build_core(graph)
+    lap = laplacian(graph)
+    eigenvalues = np.linalg.eigvalsh(lap)
+    cutoff = 1e-9 * np.max(np.abs(eigenvalues), initial=0.0)
     n_zero = int(np.count_nonzero(np.abs(eigenvalues) <= max(cutoff, 1e-12)))
     assert n_zero == core.components.component_count
     # pinv annihilates each component's indicator vector
@@ -94,18 +90,14 @@ def test_null_space_matches_component_count(seed, n, m):
         indicator = np.zeros(core.n_vertices)
         indicator[list(core.components.vertices_of(cid))] = 1.0
         assert np.max(np.abs(core.pinv @ indicator)) < 1e-8
+    _assert_penrose(lap, core.pinv)
 
 
 def test_desk_scale_connected_graph():
     # 200 vertices: all four Penrose conditions at 1e-8 relative
     rng = np.random.default_rng(11)
     mask = random_connected_mask(rng, 100, 100, extra=0.05)
-    core = build_core(build_graph(mask))
-    lap, pinv = core.laplacian, core.pinv
+    graph = build_graph(mask)
+    core = build_core(graph)
     assert core.components.component_count == 1
-    assert np.max(np.abs(lap @ pinv @ lap - lap)) < 1e-8 * np.max(np.abs(lap))
-    assert np.max(np.abs(pinv @ lap @ pinv - pinv)) < 1e-8 * np.max(np.abs(pinv))
-    product = lap @ pinv
-    assert np.max(np.abs(product.T - product)) < 1e-8
-    product = pinv @ lap
-    assert np.max(np.abs(product.T - product)) < 1e-8
+    _assert_penrose(laplacian(graph), core.pinv)
