@@ -64,10 +64,10 @@ from .panel import (
     PanelData,
     StaggeredExposureCertificate,
     did_estimate,
+    did_grid,
     estimate_effects,
     split_masks,
     staggered_exposure_certificate,
-    twfe_beta,
 )
 from .rank1 import (
     PathStatistics,

@@ -30,7 +30,7 @@ from .io_utils import (
     write_mask_csv,
 )
 from .maxflow import max_disjoint_paths, min_cut
-from .panel import NO_LENGTH_THREE_PATH, PanelData, did_estimate, estimate_effects
+from .panel import PanelData, did_grid, estimate_effects
 from .rank1 import rank1_error_bound, rank1_full
 from .sim import SimConfig, export_result, generate_pattern, run_experiment
 from .spectral import build_core
@@ -68,8 +68,8 @@ def _build_parser() -> _Parser:
                                 f"(python {sys.version.split()[0]}, "
                                 f"numpy {np.__version__})")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker thread cap (default: cores, or "
-                             "FLOWCOMPLETE_THREADS)")
+                        help="worker thread cap for estimate-rank1 (default: "
+                             "cores, or FLOWCOMPLETE_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     additive = sub.add_parser("estimate-additive",
@@ -272,7 +272,7 @@ def _cmd_paths(args) -> int:
     return _EXIT_OK
 
 
-def _cmd_panel(args, threads: int) -> int:
+def _cmd_panel(args) -> int:
     outcomes = read_grid_csv(args.outcomes)
     treatment = read_grid_csv(args.treatment)
     observed = read_grid_csv(args.observed) if args.observed else None
@@ -280,11 +280,12 @@ def _cmd_panel(args, threads: int) -> int:
         raise _UsageError("treatment grid must not contain empty cells")
     if observed is not None and np.isnan(observed).any():
         raise _UsageError("observed grid must not contain empty cells")
-    panel = PanelData(outcomes=np.nan_to_num(outcomes, nan=0.0),
-                      treatment=treatment.astype(int),
-                      observed=None if observed is None else observed.astype(int))
-    report = estimate_effects(panel, sigma=args.sigma, delta=args.delta,
-                              threads=threads)
+    if observed is not None:
+        observed = observed.astype(int)
+        outcomes = np.where(observed != 0, outcomes, 0.0)
+    panel = PanelData(outcomes=outcomes, treatment=treatment.astype(int),
+                      observed=observed)
+    report = estimate_effects(panel, sigma=args.sigma, delta=args.delta)
     keep = report.identifiable
     payload = {
         "n_units": panel.n_units,
@@ -298,17 +299,7 @@ def _cmd_panel(args, threads: int) -> int:
         "identifiable": keep.tolist(),
     }
     if args.did:
-        did = []
-        for i in range(panel.n_units):
-            row = []
-            for t in range(panel.n_periods):
-                if panel.observed[i, t] == 0:
-                    row.append(None)
-                    continue
-                value = did_estimate(panel, i, t)
-                row.append(None if value is NO_LENGTH_THREE_PATH else value)
-            did.append(row)
-        payload["did"] = did
+        payload["did"] = matrix_to_jsonable(did_grid(panel))
     write_json(args.out, payload)
     if not keep.any():
         print("no identifiable entries", file=sys.stderr)
@@ -400,7 +391,7 @@ def main(argv=None) -> int:
         if args.command == "paths":
             return _cmd_paths(args)
         if args.command == "panel":
-            return _cmd_panel(args, threads)
+            return _cmd_panel(args)
         if args.command == "simulate":
             return _cmd_simulate(args)
         if args.command == "generate-pattern":

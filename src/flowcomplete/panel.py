@@ -10,7 +10,6 @@ single length-3 donor path.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,11 @@ NO_LENGTH_THREE_PATH = NoLengthThreePath()
 
 @dataclass(frozen=True)
 class PanelData:
-    """Outcomes with binary treatment and observation indicators."""
+    """Outcomes with binary treatment and observation indicators.
+
+    Outcomes must be finite at every observed cell (a ``ValueError`` names
+    the first cell that is not); values at unobserved cells are ignored.
+    """
 
     outcomes: np.ndarray
     treatment: np.ndarray
@@ -54,6 +57,10 @@ class PanelData:
         consulted = treatment[observed != 0]
         if consulted.size and not np.isin(consulted, (0, 1)).all():
             raise ValueError("treatment must be binary where observed")
+        bad = np.argwhere((observed != 0) & ~np.isfinite(outcomes))
+        if bad.size:
+            raise ValueError("outcomes are not finite at observed cell "
+                             f"{tuple(bad[0].tolist())}")
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "treatment", treatment.astype(np.int8))
         object.__setattr__(self, "observed", observed.astype(np.int8))
@@ -90,16 +97,22 @@ class StaggeredExposureCertificate:
     degenerate: bool
 
 
+def _arms(panel: PanelData) -> tuple[np.ndarray, np.ndarray]:
+    """Dense boolean control and treatment arms of the observed cells."""
+    observed = panel.observed != 0
+    treated = observed & (panel.treatment == 1)
+    return observed & ~treated, treated
+
+
 def split_masks(panel: PanelData) -> tuple[ObservationMask, ObservationMask]:
     """Disjoint control and treatment patterns partitioning the observed cells."""
-    control = panel.observed * (1 - panel.treatment)
-    treated = panel.observed * panel.treatment
+    control, treated = _arms(panel)
     return ObservationMask.from_dense(control), ObservationMask.from_dense(treated)
 
 
 def estimate_effects(panel: PanelData, sigma: float | None = None,
-                     delta: float | None = None, bound_multiplier: float = 2.0,
-                     threads: int | None = None) -> CausalReport:
+                     delta: float | None = None,
+                     bound_multiplier: float = 2.0) -> CausalReport:
     """Per-entry treatment effects from the control and treatment graphs.
 
     An entry is identifiable exactly when its row and column are connected
@@ -108,15 +121,8 @@ def estimate_effects(panel: PanelData, sigma: float | None = None,
     the default multiplier 2 covers the two single-graph bounds combined.
     """
     control_mask, treated_mask = split_masks(panel)
-    if threads and threads >= 2:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            control_future = pool.submit(EfeSolver, control_mask)
-            treated_future = pool.submit(EfeSolver, treated_mask)
-            control_solver = control_future.result()
-            treated_solver = treated_future.result()
-    else:
-        control_solver = EfeSolver(control_mask)
-        treated_solver = EfeSolver(treated_mask)
+    control_solver = EfeSolver(control_mask)
+    treated_solver = EfeSolver(treated_mask)
     control_fit = control_solver.estimates(panel.outcomes)
     treated_fit = treated_solver.estimates(panel.outcomes)
     beta_hat = treated_fit - control_fit
@@ -138,6 +144,46 @@ def estimate_effects(panel: PanelData, sigma: float | None = None,
                         high_prob_bounds=high_prob)
 
 
+def _did_period(outcomes: np.ndarray, donor: np.ndarray, t: int,
+                units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """DiD contrasts at period ``t`` for target ``units`` outside the donor arm.
+
+    A target ``(i, t)`` takes the smallest donor period ``t'`` with
+    ``(i, t')`` in the donor arm and some unit in that arm at both ``t'``
+    and ``t``, then the smallest such unit ``j``.  As ``(i, t)`` is not in
+    the donor arm, ``t' != t`` and ``j != i`` hold without a check.
+    Returns the targets that have a donor and their contrasts
+    ``(y[i,t] - y[j,t]) - (y[i,t'] - y[j,t'])``.
+    """
+    shared = donor & donor[:, t, None]  # unit j in the arm at both t' and t
+    candidates = donor[units] & shared.any(axis=0)
+    found = candidates.any(axis=1)
+    units = units[found]
+    t_prime = candidates[found].argmax(axis=1)
+    j = shared.argmax(axis=0)[t_prime]
+    y = outcomes
+    return units, (y[units, t] - y[j, t]) - (y[units, t_prime] - y[j, t_prime])
+
+
+def did_grid(panel: PanelData) -> np.ndarray:
+    """Difference-in-differences estimate of every cell, as :func:`did_estimate`.
+
+    NaN where the cell is unobserved or has no length-3 donor path.  The
+    arms are split once and each period's donors are found for all of its
+    targets at a time, in O(N*T) memory.
+    """
+    control, treated = _arms(panel)
+    grid = np.full(panel.outcomes.shape, np.nan)
+    for t in range(panel.n_periods):
+        # a treated target takes its donors from the control arm and the reverse
+        for anchor, donor, sign in ((treated, control, 1.0),
+                                    (control, treated, -1.0)):
+            units, contrast = _did_period(panel.outcomes, donor, t,
+                                          np.flatnonzero(anchor[:, t]))
+            grid[units, t] = sign * contrast
+    return grid
+
+
 def did_estimate(panel: PanelData, i: int, t: int):
     """Difference-in-differences estimate of the effect at ``(i, t)``.
 
@@ -145,36 +191,21 @@ def did_estimate(panel: PanelData, i: int, t: int):
     predicted through a length-3 path ``u_i -> v_t' -> u_j -> v_t`` in that
     arm's graph, choosing the lexicographically smallest ``(t', j)`` donor.
     Returns :data:`NO_LENGTH_THREE_PATH` when no such donor exists; raises
-    :class:`TargetNotObservedError` when the target cell is unobserved.
+    :class:`TargetNotObservedError` when the target cell is unobserved and
+    a ``ValueError`` when it lies outside the panel.
     """
+    if not (0 <= i < panel.n_units and 0 <= t < panel.n_periods):
+        raise ValueError(f"cell {(i, t)} is outside the "
+                         f"{panel.n_units}x{panel.n_periods} panel")
     if panel.observed[i, t] == 0:
         raise TargetNotObservedError(f"cell {(i, t)} is not observed")
-    anchored_on_treated = panel.treatment[i, t] == 1
-    control, treated = split_masks(panel)
-    donor_mask = control if anchored_on_treated else treated
-    outcomes = panel.outcomes
-    for t_prime in range(panel.n_periods):
-        if t_prime == t:
-            continue
-        if not donor_mask.is_observed(i, t_prime):
-            continue
-        for j in range(panel.n_units):
-            if j == i:
-                continue
-            if donor_mask.is_observed(j, t_prime) and donor_mask.is_observed(j, t):
-                contrast = ((outcomes[i, t] - outcomes[j, t])
-                            - (outcomes[i, t_prime] - outcomes[j, t_prime]))
-                return float(contrast if anchored_on_treated else -contrast)
-    return NO_LENGTH_THREE_PATH
-
-
-def twfe_beta(panel: PanelData) -> np.ndarray:
-    """Effect matrix of the heterogeneous two-way fixed-effects regression.
-
-    Computed through the flow estimator, which coincides with the least
-    squares solution of the regression on every identifiable entry.
-    """
-    return estimate_effects(panel).beta_hat
+    control, treated = _arms(panel)
+    anchored_on_treated = treated[i, t]
+    donor = control if anchored_on_treated else treated
+    units, contrast = _did_period(panel.outcomes, donor, t, np.array([i]))
+    if not units.size:
+        return NO_LENGTH_THREE_PATH
+    return float(contrast[0] if anchored_on_treated else -contrast[0])
 
 
 def staggered_exposure_certificate(n_units: int, n_groups: int) -> StaggeredExposureCertificate:

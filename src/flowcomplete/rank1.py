@@ -168,14 +168,18 @@ def rank1_error_bound(k: int, max_len: int, sigma: float, m_inf: float,
 
     Evaluates ``C * sigma**L * (1 + m_inf**L) * sqrt(2**L *
     log(nm/delta)**(L+1) / K)``; the leading constant is caller-supplied.
+    A bound beyond the floating-point range is returned as ``inf``.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     log_term = math.log(n_rows * n_cols / delta)
-    return float(constant * sigma ** max_len * (1.0 + m_inf ** max_len)
-                 * math.sqrt(2.0 ** max_len * log_term ** (max_len + 1) / k))
+    try:
+        return float(constant * sigma ** max_len * (1.0 + m_inf ** max_len)
+                     * math.sqrt(2.0 ** max_len * log_term ** (max_len + 1) / k))
+    except OverflowError:  # a float power beyond the double range
+        return math.inf
 
 
 def hard_instance_rank1(mask: ObservationMask, i: int, j: int,

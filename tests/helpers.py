@@ -6,7 +6,13 @@ from itertools import combinations
 
 import numpy as np
 
-from flowcomplete import BipartiteGraph, ObservationMask
+from flowcomplete import (
+    NO_LENGTH_THREE_PATH,
+    BipartiteGraph,
+    ObservationMask,
+    PanelData,
+    split_masks,
+)
 
 
 def random_connected_mask(rng: np.random.Generator, n_rows: int, n_cols: int,
@@ -50,6 +56,49 @@ def random_additive(rng: np.random.Generator, n_rows: int, n_cols: int):
 
 def complete_mask(n_rows: int, n_cols: int) -> ObservationMask:
     return ObservationMask.from_dense(np.ones((n_rows, n_cols)))
+
+
+def chain_mask(n_cols: int) -> ObservationMask:
+    """Path graph u_0 - v_0 - u_1 - v_1 - ... - u_n_cols with 2 * n_cols edges."""
+    pairs = [(t, t) for t in range(n_cols)] + [(t + 1, t) for t in range(n_cols)]
+    return ObservationMask.from_pairs(n_cols + 1, n_cols, pairs)
+
+
+def did_loop(panel: PanelData, i: int, t: int):
+    """Difference-in-differences by scanning ``(t', j)`` over the split masks.
+
+    The per-cell reference for ``did_estimate``/``did_grid``: both arms are
+    built as masks and donors are tried in lexicographic order.
+    """
+    anchored_on_treated = panel.treatment[i, t] == 1
+    control, treated = split_masks(panel)
+    donor_mask = control if anchored_on_treated else treated
+    outcomes = panel.outcomes
+    for t_prime in range(panel.n_periods):
+        if t_prime == t:
+            continue
+        if not donor_mask.is_observed(i, t_prime):
+            continue
+        for j in range(panel.n_units):
+            if j == i:
+                continue
+            if donor_mask.is_observed(j, t_prime) and donor_mask.is_observed(j, t):
+                contrast = ((outcomes[i, t] - outcomes[j, t])
+                            - (outcomes[i, t_prime] - outcomes[j, t_prime]))
+                return float(contrast if anchored_on_treated else -contrast)
+    return NO_LENGTH_THREE_PATH
+
+
+def did_loop_grid(panel: PanelData) -> np.ndarray:
+    """:func:`did_loop` over every cell; NaN where unobserved or no donor."""
+    grid = np.full(panel.outcomes.shape, np.nan)
+    for i in range(panel.n_units):
+        for t in range(panel.n_periods):
+            if panel.observed[i, t] != 0:
+                value = did_loop(panel, i, t)
+                if value is not NO_LENGTH_THREE_PATH:
+                    grid[i, t] = value
+    return grid
 
 
 def brute_force_min_cut(graph: BipartiteGraph, i: int, j: int) -> int:

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from flowcomplete import PanelData
 from flowcomplete.cli import main
+from helpers import chain_mask, did_loop_grid
 
 
 def _write(path, text):
@@ -138,6 +140,29 @@ def test_estimate_rank1_end_to_end(tmp_path):
     assert payload["error_bound"][0][0] > 0
 
 
+def test_estimate_rank1_overflowing_bound_is_null(tmp_path):
+    # every observation is 1e8, so m_inf ~ 1e8 and m_inf ** L overflows for
+    # the paths of L >= 39 edges on the 40-edge chain
+    mask = chain_mask(20)
+    data = np.full((mask.n_rows, mask.n_cols), np.nan)
+    mask_lines = ["row,col"]
+    for i, j in mask.pairs_row_major:
+        data[i, j] = 1e8
+        mask_lines.append(f"{i + 1},{j + 1}")
+    data_path = tmp_path / "data.csv"
+    np.savetxt(data_path, data, fmt="%.17g", delimiter=",")
+    mask_path = _write(tmp_path / "mask.csv", "\n".join(mask_lines) + "\n")
+    out = tmp_path / "rank1.json"
+    assert main(["estimate-rank1", "--data", str(data_path), "--mask", mask_path,
+                 "--sigma", "0.05", "--delta", "0.05", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    bounds = np.array(payload["error_bound"], dtype=float)
+    max_len = np.array(payload["max_len"])
+    assert payload["error_bound_m_inf"] == pytest.approx(1e8)
+    assert np.isnan(bounds[max_len == 39]).all()
+    assert np.isfinite(bounds[max_len <= 37]).all()
+
+
 def test_panel_with_did(tmp_path):
     from flowcomplete.patterns import staggered_exposure_pattern
 
@@ -158,6 +183,25 @@ def test_panel_with_did(tmp_path):
     assert payload["beta_hat"][0][15] is not None
     assert payload["did"][0][15] is None
     assert payload["high_prob_bound"][0][15] > 0
+    # the whole grid equals the per-cell donor scan, bit for bit
+    want = did_loop_grid(PanelData(outcomes=outcomes, treatment=treatment))
+    got = np.array(payload["did"], dtype=float)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_panel_rejects_empty_observed_outcome(tmp_path, capsys):
+    outcomes = _write(tmp_path / "outcomes.csv", "1,2,3\n4,,6\n7,8,9\n")
+    treatment = _write(tmp_path / "treatment.csv", "0,0,0\n0,1,1\n0,1,1\n")
+    out = str(tmp_path / "panel.json")
+    assert main(["panel", "--outcomes", outcomes, "--treatment", treatment,
+                 "--out", out]) == 1
+    assert "observed cell (1, 1)" in capsys.readouterr().err
+    # the same empty cell is fine once it is declared unobserved
+    observed = _write(tmp_path / "observed.csv", "1,1,1\n1,0,1\n1,1,1\n")
+    assert main(["panel", "--outcomes", outcomes, "--treatment", treatment,
+                 "--observed", observed, "--did", "--out", out]) == 0
+    payload = json.loads((tmp_path / "panel.json").read_text())
+    assert payload["did"][1][1] is None
 
 
 def test_generate_pattern_round_trip_mask(tmp_path, capsys):

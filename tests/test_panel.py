@@ -1,8 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flowcomplete import (
     connected_components,
@@ -12,13 +13,14 @@ from flowcomplete import (
     build_core,
     build_graph,
     did_estimate,
+    did_grid,
     effective_resistance,
     estimate_effects,
     split_masks,
     staggered_exposure_certificate,
-    twfe_beta,
 )
 from flowcomplete.patterns import staggered_exposure_pattern
+from helpers import did_loop, did_loop_grid
 
 
 def _random_panel(rng, n_units, n_periods, sigma=0.0):
@@ -191,6 +193,40 @@ def test_did_unobserved_target_raises():
         did_estimate(panel, 0, 0)
 
 
+def test_did_rejects_cells_outside_the_panel():
+    panel = PanelData(outcomes=np.zeros((3, 2)), treatment=np.zeros((3, 2), int))
+    for i, t in ((-1, 0), (3, 0), (0, -1), (0, 2)):
+        with pytest.raises(ValueError, match=re.escape(f"cell {(i, t)}")):
+            did_estimate(panel, i, t)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_units=st.integers(1, 7),
+       n_periods=st.integers(1, 7),
+       p_treated=st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]),
+       p_observed=st.sampled_from([1.0, 0.8, 0.5]))
+@example(seed=0, n_units=1, n_periods=6, p_treated=0.5, p_observed=1.0)
+@example(seed=1, n_units=6, n_periods=1, p_treated=0.5, p_observed=1.0)
+@example(seed=2, n_units=5, n_periods=5, p_treated=0.0, p_observed=0.8)
+@example(seed=3, n_units=5, n_periods=5, p_treated=1.0, p_observed=0.8)
+@settings(max_examples=60, deadline=None)
+def test_did_grid_equals_cell_loop_bitwise(seed, n_units, n_periods,
+                                           p_treated, p_observed):
+    rng = np.random.default_rng(seed)
+    shape = (n_units, n_periods)
+    treatment = (rng.random(shape) < p_treated).astype(int)
+    observed = (rng.random(shape) < p_observed).astype(int)
+    outcomes = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    outcomes[observed == 0] = np.nan  # never read
+    panel = PanelData(outcomes=outcomes, treatment=treatment, observed=observed)
+    assert did_grid(panel).tobytes() == did_loop_grid(panel).tobytes()
+    for i, t in zip(*np.nonzero(observed)):
+        got, want = did_estimate(panel, i, t), did_loop(panel, i, t)
+        if want is NO_LENGTH_THREE_PATH:
+            assert got is NO_LENGTH_THREE_PATH
+        else:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=15, deadline=None)
 def test_twfe_equals_direct_least_squares(seed):
@@ -198,7 +234,7 @@ def test_twfe_equals_direct_least_squares(seed):
     n_units = int(rng.integers(5, 8))
     n_periods = int(rng.integers(5, 8))
     panel, _ = _random_panel(rng, n_units, n_periods, sigma=0.5)
-    flow_beta = twfe_beta(panel)
+    flow_beta = estimate_effects(panel).beta_hat
     oracle_beta = _twfe_lstsq_oracle(panel)
     keep = np.isfinite(flow_beta)
     assert np.max(np.abs(flow_beta[keep] - oracle_beta[keep])) < 1e-8
@@ -207,7 +243,7 @@ def test_twfe_equals_direct_least_squares(seed):
 def test_twfe_agrees_with_did_noiseless():
     rng = np.random.default_rng(5)
     panel, beta = _random_panel(rng, 5, 5)
-    flow_beta = twfe_beta(panel)
+    flow_beta = estimate_effects(panel).beta_hat
     for i in range(5):
         for t in range(5):
             value = did_estimate(panel, i, t)
@@ -287,6 +323,19 @@ def test_staggered_certificate_degenerate_cases():
     assert math.isinf(near_full.r0_exact)  # first unit group has no control cells
     with pytest.raises(ValueError):
         staggered_exposure_certificate(10, 4)  # G must divide N
+
+
+def test_panel_rejects_non_finite_observed_outcomes():
+    treatment = np.zeros((3, 3), int)
+    for bad in (np.nan, np.inf, -np.inf):
+        outcomes = np.zeros((3, 3))
+        outcomes[1, 2] = outcomes[2, 0] = bad
+        with pytest.raises(ValueError, match=re.escape("observed cell (1, 2)")):
+            PanelData(outcomes=outcomes, treatment=treatment)
+        observed = np.ones((3, 3), int)
+        observed[1, 2] = observed[2, 0] = 0
+        # unobserved cells are never read, so any value is accepted there
+        PanelData(outcomes=outcomes, treatment=treatment, observed=observed)
 
 
 def test_panel_validation():

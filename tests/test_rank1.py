@@ -18,7 +18,7 @@ from flowcomplete import (
     rank1_full,
 )
 from flowcomplete.patterns import dense_submatrix_mask, extreme_sparsity_mask
-from helpers import random_connected_mask
+from helpers import chain_mask, random_connected_mask
 
 
 def _random_factors(rng, size, low=1.0, high=10.0):
@@ -131,8 +131,7 @@ def test_rank1_full_flags_overflow_per_entry():
     # 200-edge chain u_0 - v_0 - u_1 - v_1 - ... - u_100, all factors 1e4:
     # every observation is 1e8, and alpha * beta = 1e8 ** L overflows for
     # path length L >= 39, which must only mark those entries degenerate
-    pairs = [(t, t) for t in range(100)] + [(t + 1, t) for t in range(100)]
-    mask = ObservationMask.from_pairs(101, 100, pairs)
+    mask = chain_mask(100)
     model = RankOneModel(np.full(101, 1e4), np.full(100, 1e4))
     with np.errstate(all="raise"):
         report = rank1_full(mask, model.matrix())
@@ -167,6 +166,8 @@ def test_error_bound_formula():
     assert all(b2 > b1 for b1, b2 in zip(bounds, bounds[1:]))
     with pytest.raises(ValueError):
         rank1_error_bound(0, 3, 0.1, 1.0, 10, 10, 0.05)
+    # a float power beyond the double range gives an infinite bound
+    assert rank1_error_bound(1, 199, 0.05, 1e8, 100, 100, 0.05) == np.inf
 
 
 def test_stability_of_denominator():
