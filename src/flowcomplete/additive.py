@@ -28,6 +28,7 @@ from .graph import (
     BipartiteGraph,
     ObservationMask,
     build_graph,
+    checked_vec_omega,
     validate_path,
     vec_omega,
 )
@@ -107,11 +108,7 @@ class EfeSolver:
         cell (a ``ValueError`` names the first cell that is not); values at
         unobserved cells are ignored.
         """
-        observations = vec_omega(self.mask, data)
-        bad = np.flatnonzero(~np.isfinite(observations))
-        if bad.size:
-            raise ValueError(
-                f"data is not finite at observed cell {self.graph.edges[bad[0]]}")
+        observations = checked_vec_omega(self.mask, data)
         a_hat, b_hat = self.observation_factors(observations[:, None])
         return a_hat[:, 0], b_hat[:, 0]
 

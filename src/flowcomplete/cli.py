@@ -49,16 +49,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _default_threads() -> int:
-    env = os.environ.get("FLOWCOMPLETE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="flowcomplete",
                      description="Entry-specific matrix estimation from "
@@ -67,9 +57,6 @@ def _build_parser() -> _Parser:
                         version=f"flowcomplete {__version__} "
                                 f"(python {sys.version.split()[0]}, "
                                 f"numpy {np.__version__})")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker thread cap for estimate-rank1 (default: "
-                             "cores, or FLOWCOMPLETE_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     additive = sub.add_parser("estimate-additive",
@@ -194,9 +181,9 @@ def _cmd_estimate_additive(args) -> int:
     return _EXIT_OK
 
 
-def _cmd_estimate_rank1(args, threads: int) -> int:
+def _cmd_estimate_rank1(args) -> int:
     mask, data = _load_mask_and_data(args)
-    report = rank1_full(mask, data, threads=threads)
+    report = rank1_full(mask, data)
     keep = report.identifiable & ~report.degenerate
     payload = {
         "n_rows": mask.n_rows,
@@ -281,10 +268,8 @@ def _cmd_panel(args) -> int:
     if observed is not None and np.isnan(observed).any():
         raise _UsageError("observed grid must not contain empty cells")
     if observed is not None:
-        observed = observed.astype(int)
         outcomes = np.where(observed != 0, outcomes, 0.0)
-    panel = PanelData(outcomes=outcomes, treatment=treatment.astype(int),
-                      observed=observed)
+    panel = PanelData(outcomes=outcomes, treatment=treatment, observed=observed)
     report = estimate_effects(panel, sigma=args.sigma, delta=args.delta)
     keep = report.identifiable
     payload = {
@@ -380,12 +365,11 @@ def main(argv=None) -> int:
         return _EXIT_USAGE
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
-    threads = args.threads if args.threads else _default_threads()
     try:
         if args.command == "estimate-additive":
             return _cmd_estimate_additive(args)
         if args.command == "estimate-rank1":
-            return _cmd_estimate_rank1(args, threads)
+            return _cmd_estimate_rank1(args)
         if args.command == "resistance":
             return _cmd_resistance(args)
         if args.command == "paths":

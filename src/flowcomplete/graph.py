@@ -118,17 +118,13 @@ class BipartiteGraph:
         return np.array([e[1] for e in self.edges], dtype=np.intp)
 
     @cached_property
-    def edge_position(self) -> dict:
-        """(row, col) -> index into the canonical edge list."""
-        return {edge: pos for pos, edge in enumerate(self.edges)}
-
-    @cached_property
     def adjacency(self) -> tuple:
-        """Sorted neighbor lists per vertex, in global vertex numbering."""
+        """Per vertex, ``(neighbor, edge index)`` pairs in ascending neighbor
+        order; vertices use the global numbering."""
         neighbors = [[] for _ in range(self.n_vertices)]
-        for i, j in self.edges:
-            neighbors[i].append(self.n_left + j)
-            neighbors[self.n_left + j].append(i)
+        for e, (i, j) in enumerate(self.edges):
+            neighbors[i].append((self.n_left + j, e))
+            neighbors[self.n_left + j].append((i, e))
         return tuple(tuple(sorted(ns)) for ns in neighbors)
 
     def degree(self, vertex: int) -> int:
@@ -170,7 +166,7 @@ def connected_components(graph: BipartiteGraph) -> ComponentLabeling:
         queue = deque([start])
         while queue:
             vertex = queue.popleft()
-            for neighbor in graph.adjacency[vertex]:
+            for neighbor, _ in graph.adjacency[vertex]:
                 if labels[neighbor] < 0:
                     labels[neighbor] = count
                     queue.append(neighbor)
@@ -214,6 +210,19 @@ def vec_omega(mask: ObservationMask, data) -> np.ndarray:
             f"({mask.n_rows}, {mask.n_cols})")
     rows, cols = mask.index_arrays
     return arr[rows, cols]
+
+
+def checked_vec_omega(mask: ObservationMask, data) -> np.ndarray:
+    """:func:`vec_omega`, also requiring every observed value to be finite.
+
+    A ``ValueError`` names the first observed cell (row-major) that is not.
+    """
+    observations = vec_omega(mask, data)
+    bad = np.flatnonzero(~np.isfinite(observations))
+    if bad.size:
+        raise ValueError("data is not finite at observed cell "
+                         f"{mask.pairs_row_major[bad[0]]}")
+    return observations
 
 
 def validate_path(path: Sequence[int], mask: ObservationMask) -> None:

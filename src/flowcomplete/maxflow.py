@@ -1,11 +1,11 @@
 """Unit-capacity max flow, edge-disjoint paths, and minimum cuts.
 
-Each undirected edge is replaced by two opposite unit-capacity arcs; arcs
-into the source and out of the sink are dropped.  Max flow is found with
-shortest-path (BFS) augmentation, neighbors scanned in ascending vertex
-order, which makes the returned path set deterministic and biased toward
-short paths.  After cancelling antiparallel flow the paths are read off by
-walking the flow from the source, zeroing any cycles encountered.
+Each undirected edge has unit capacity in either direction and carries one
+signed net flow.  Max flow is found with shortest-path (BFS) augmentation,
+neighbors scanned in ascending vertex order, which makes the returned path
+set deterministic and biased toward short paths.  The paths are read off by
+walking the flow from the source, zeroing any cycles encountered; the
+vertices the last, failing search reaches form the minimum cut's side.
 """
 
 from __future__ import annotations
@@ -41,84 +41,76 @@ class CutCertificate:
 
 
 def _unit_max_flow(graph: BipartiteGraph, i: int, j: int):
-    """Max flow from u_i to v_j; returns (flow dict on arcs, value)."""
-    source = i
-    sink = graph.n_left + j
-    flow: dict = {}
+    """Max flow from ``u_i`` to ``v_j``.
 
-    def residual(u: int, v: int) -> int:
-        capacity = 0 if (v == source or u == sink) else 1
-        return capacity - flow.get((u, v), 0) + flow.get((v, u), 0)
-
+    Returns the net flow per edge (+1 row->col, -1 col->row, 0 none), the
+    flow value, and the vertices reached by the final search, which is the
+    source side of a minimum cut.  Traversing an edge from a row vertex has
+    direction ``d = +1``, from a column vertex ``d = -1``; its residual is
+    ``1 - d * net``.  Arcs into the source or out of the sink never carry
+    flow, since the search neither re-enters the source nor leaves the sink.
+    """
+    if not (0 <= i < graph.n_left and 0 <= j < graph.n_right):
+        raise ValueError(f"entry {(i, j)} outside the "
+                         f"{graph.n_left}x{graph.n_right} pattern")
+    source, sink = i, graph.n_left + j
+    net = [0] * graph.n_edges
     value = 0
     while True:
         parent = {source: None}
         queue = deque([source])
-        reached = False
-        while queue and not reached:
+        while queue and sink not in parent:
             u = queue.popleft()
-            for v in graph.adjacency[u]:
-                if v not in parent and residual(u, v) > 0:
-                    parent[v] = u
+            d = 1 if u < graph.n_left else -1
+            for v, e in graph.adjacency[u]:
+                if v not in parent and d * net[e] < 1:
+                    parent[v] = (u, e, d)
                     if v == sink:
-                        reached = True
                         break
                     queue.append(v)
-        if not reached:
-            break
+        if sink not in parent:
+            return net, value, parent.keys()
         v = sink
-        while parent[v] is not None:
-            u = parent[v]
-            if flow.get((v, u), 0) > 0:
-                flow[(v, u)] -= 1
-            else:
-                flow[(u, v)] = flow.get((u, v), 0) + 1
-            v = u
+        while v != source:
+            v, e, d = parent[v]
+            net[e] += d
         value += 1
 
-    # cancel any antiparallel pair; afterwards each undirected edge carries
-    # flow in at most one direction
-    for row, col in graph.edges:
-        u, v = row, graph.n_left + col
-        delta = min(flow.get((u, v), 0), flow.get((v, u), 0))
-        if delta:
-            flow[(u, v)] -= delta
-            flow[(v, u)] -= delta
-    return flow, value
 
-
-def _walk_paths(graph: BipartiteGraph, flow: dict, source: int, sink: int, k: int):
-    """Decompose the flow into k paths, zeroing cycles along the way."""
+def _walk_paths(graph: BipartiteGraph, net: list, source: int, sink: int, k: int):
+    """Decompose the net flow into k paths, zeroing cycles along the way."""
 
     def next_with_flow(u: int):
-        for v in graph.adjacency[u]:
-            if flow.get((u, v), 0) > 0:
-                return v
+        d = 1 if u < graph.n_left else -1
+        for v, e in graph.adjacency[u]:
+            if d * net[e] > 0:
+                return v, e, d
         return None
 
     paths = []
     for _ in range(k):
-        walk = [source]
+        # steps[s] is the (edge, direction) taken from walk[s] to walk[s + 1]
+        walk, steps = [source], []
         position = {source: 0}
         while walk[-1] != sink:
-            u = walk[-1]
-            v = next_with_flow(u)
-            if v is None:
+            step = next_with_flow(walk[-1])
+            if step is None:
                 raise RuntimeError("flow conservation violated during walk")
+            v, e, d = step
+            walk.append(v)
+            steps.append((e, d))
             if v in position:
-                # cycle: zero its arcs and resume the walk from v
+                # cycle: zero its flow and resume the walk from v
                 start = position[v]
-                cycle = walk[start:] + [v]
-                for a, b in zip(cycle, cycle[1:]):
-                    flow[(a, b)] -= 1
-                for w in walk[start + 1:]:
+                for e, d in steps[start:]:
+                    net[e] -= d
+                for w in walk[start + 1:-1]:
                     del position[w]
-                walk = walk[:start + 1]
+                del walk[start + 1:], steps[start:]
             else:
-                walk.append(v)
                 position[v] = len(walk) - 1
-        for a, b in zip(walk, walk[1:]):
-            flow[(a, b)] -= 1
+        for e, d in steps:
+            net[e] -= d
         paths.append(walk)
     return paths
 
@@ -131,12 +123,13 @@ def _to_index_sequence(vertices, n_left: int):
 def max_disjoint_paths(graph: BipartiteGraph, i: int, j: int) -> PathSet:
     """Maximum set of edge-disjoint paths from ``u_i`` to ``v_j``.
 
-    Returns an empty set (k=0) when the pair is disconnected.
+    Returns an empty set (k=0) when the pair is disconnected; raises
+    ``ValueError`` for an entry outside the pattern.
     """
-    flow, value = _unit_max_flow(graph, i, j)
+    net, value, _ = _unit_max_flow(graph, i, j)
     if value == 0:
         return PathSet(paths=(), k=0, max_len=0, source=i, sink=j)
-    walks = _walk_paths(graph, flow, i, graph.n_left + j, value)
+    walks = _walk_paths(graph, net, i, graph.n_left + j, value)
     paths = tuple(_to_index_sequence(w, graph.n_left) for w in walks)
     max_len = max(len(p) - 1 for p in paths)
     return PathSet(paths=paths, k=value, max_len=max_len, source=i, sink=j)
@@ -149,30 +142,11 @@ def min_cut(graph: BipartiteGraph, i: int, j: int) -> CutCertificate:
     residual graph of a maximum flow; the crossing edges are saturated and
     their count equals the max number of edge-disjoint paths.
     """
-    source = i
-    sink = graph.n_left + j
-    flow, value = _unit_max_flow(graph, i, j)
-
-    def residual(u: int, v: int) -> int:
-        capacity = 0 if (v == source or u == sink) else 1
-        return capacity - flow.get((u, v), 0) + flow.get((v, u), 0)
-
-    reachable = {source}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in graph.adjacency[u]:
-            if v not in reachable and residual(u, v) > 0:
-                reachable.add(v)
-                queue.append(v)
-
-    cut_edges = []
-    for row, col in graph.edges:
-        u, v = row, graph.n_left + col
-        if (u in reachable) != (v in reachable):
-            cut_edges.append((row, col))
+    _, value, reached = _unit_max_flow(graph, i, j)
+    cut_edges = [(row, col) for row, col in graph.edges
+                 if (row in reached) != (graph.n_left + col in reached)]
     if len(cut_edges) != value:
         raise RuntimeError(
             f"cut size {len(cut_edges)} disagrees with flow value {value}")
-    return CutCertificate(left_side=frozenset(reachable),
+    return CutCertificate(left_side=frozenset(reached),
                           cut_edges=tuple(sorted(cut_edges)))

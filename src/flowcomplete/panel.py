@@ -38,8 +38,10 @@ NO_LENGTH_THREE_PATH = NoLengthThreePath()
 class PanelData:
     """Outcomes with binary treatment and observation indicators.
 
-    Outcomes must be finite at every observed cell (a ``ValueError`` names
-    the first cell that is not); values at unobserved cells are ignored.
+    ``observed`` must be binary everywhere; treatment must be binary and
+    outcomes finite at every observed cell.  A ``ValueError`` names the
+    first cell that breaks a rule; other values at unobserved cells are
+    ignored.
     """
 
     outcomes: np.ndarray
@@ -54,13 +56,15 @@ class PanelData:
                     else np.asarray(self.observed))
         if treatment.shape != outcomes.shape or observed.shape != outcomes.shape:
             raise ValueError("outcomes, treatment and observed shapes differ")
-        consulted = treatment[observed != 0]
-        if consulted.size and not np.isin(consulted, (0, 1)).all():
-            raise ValueError("treatment must be binary where observed")
-        bad = np.argwhere((observed != 0) & ~np.isfinite(outcomes))
-        if bad.size:
-            raise ValueError("outcomes are not finite at observed cell "
-                             f"{tuple(bad[0].tolist())}")
+        checks = (("observed is not binary at cell", ~np.isin(observed, (0, 1))),
+                  ("treatment is not binary at observed cell",
+                   (observed != 0) & ~np.isin(treatment, (0, 1))),
+                  ("outcomes are not finite at observed cell",
+                   (observed != 0) & ~np.isfinite(outcomes)))
+        for message, failed in checks:
+            bad = np.argwhere(failed)
+            if bad.size:
+                raise ValueError(f"{message} {tuple(bad[0].tolist())}")
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "treatment", treatment.astype(np.int8))
         object.__setattr__(self, "observed", observed.astype(np.int8))

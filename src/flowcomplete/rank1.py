@@ -11,7 +11,6 @@ away from zero with high probability once enough paths are available.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ from .errors import (
     InvalidPathError,
     NoPathError,
 )
-from .graph import ObservationMask, build_graph, validate_path
+from .graph import ObservationMask, build_graph, checked_vec_omega, validate_path
 from .maxflow import PathSet, max_disjoint_paths, min_cut
 
 DENOMINATOR_FLOOR = 1e-12
@@ -73,6 +72,17 @@ class Rank1Report:
     degenerate: np.ndarray
 
 
+def _path_products(arr: np.ndarray, path) -> tuple[float, float]:
+    """Forward (row->col) and backward (col->row) products along ``path``."""
+    alpha = 1.0
+    for s in range(0, len(path) - 1, 2):
+        alpha *= arr[path[s], path[s + 1]]
+    beta = 1.0
+    for s in range(2, len(path) - 1, 2):
+        beta *= arr[path[s], path[s - 1]]
+    return float(alpha), float(beta)
+
+
 def path_alpha_beta(path, data, mask: ObservationMask | None = None) -> PathStatistics:
     """Products of forward (row->col) and backward (col->row) observations.
 
@@ -82,15 +92,41 @@ def path_alpha_beta(path, data, mask: ObservationMask | None = None) -> PathStat
         validate_path(path, mask)
     elif len(path) < 2 or len(path) % 2 != 0:
         raise InvalidPathError("path must have an odd number of edges")
-    arr = np.asarray(data, dtype=float)
-    alpha = 1.0
-    for s in range(0, len(path) - 1, 2):
-        alpha *= arr[path[s], path[s + 1]]
-    beta = 1.0
-    for s in range(2, len(path) - 1, 2):
-        beta *= arr[path[s], path[s - 1]]
-    return PathStatistics(alpha=float(alpha), beta=float(beta),
-                          length=len(path) - 1)
+    alpha, beta = _path_products(np.asarray(data, dtype=float), path)
+    return PathStatistics(alpha=alpha, beta=beta, length=len(path) - 1)
+
+
+def _ratio(arr: np.ndarray, path_set: PathSet) -> float:
+    """Stabilized ratio over a non-empty set of already validated paths."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = [_path_products(arr, path) for path in path_set.paths]
+    numerator = sum(alpha * beta for alpha, beta in products) / path_set.k
+    try:
+        denominator = sum(beta ** 2 for _, beta in products) / path_set.k
+    except OverflowError:
+        denominator = math.inf
+    entry = (path_set.source, path_set.sink)
+    if not (math.isfinite(numerator) and math.isfinite(denominator)):
+        raise DegenerateDenominatorError(
+            f"path products overflow for entry {entry}")
+    if denominator < DENOMINATOR_FLOOR:
+        raise DegenerateDenominatorError(
+            f"denominator {denominator:.3e} below {DENOMINATOR_FLOOR} "
+            f"for entry {entry}")
+    return float(numerator / denominator)
+
+
+def _validated(mask: ObservationMask, path_set: PathSet) -> PathSet:
+    for path in path_set.paths:
+        validate_path(path, mask)
+    return path_set
+
+
+def _path_sets(mask: ObservationMask, entries) -> dict:
+    """Entry -> its maximum edge-disjoint path set, each path validated."""
+    graph = build_graph(mask)
+    return {(i, j): _validated(mask, max_disjoint_paths(graph, i, j))
+            for i, j in entries}
 
 
 def rank1_entry(mask: ObservationMask, data, i: int, j: int,
@@ -105,55 +141,34 @@ def rank1_entry(mask: ObservationMask, data, i: int, j: int,
         raise NoPathError(f"no connecting path for entry {(i, j)}")
     if path_set.source != i or path_set.sink != j:
         raise ValueError("path set endpoints do not match the requested entry")
-    with np.errstate(over="ignore", invalid="ignore"):
-        stats = [path_alpha_beta(path, data, mask) for path in path_set.paths]
-    numerator = sum(s.alpha * s.beta for s in stats) / path_set.k
-    try:
-        denominator = sum(s.beta ** 2 for s in stats) / path_set.k
-    except OverflowError:
-        denominator = math.inf
-    if not (math.isfinite(numerator) and math.isfinite(denominator)):
-        raise DegenerateDenominatorError(
-            f"path products overflow for entry {(i, j)}")
-    if denominator < DENOMINATOR_FLOOR:
-        raise DegenerateDenominatorError(
-            f"denominator {denominator:.3e} below {DENOMINATOR_FLOOR} "
-            f"for entry {(i, j)}")
-    return float(numerator / denominator)
+    return _ratio(np.asarray(data, dtype=float), _validated(mask, path_set))
 
 
-def rank1_full(mask: ObservationMask, data, threads: int | None = None) -> Rank1Report:
+def rank1_full(mask: ObservationMask, data) -> Rank1Report:
     """Ratio estimates of every entry, with per-entry (k, max_len) recorded.
 
-    Path sets are computed independently per entry from the same graph.
+    ``data`` must have the mask's shape and be finite at every observed cell
+    (a ``ValueError`` names the first cell that is not); values at
+    unobserved cells are ignored.  Path sets are computed independently per
+    entry from the same graph.
     """
-    graph = build_graph(mask)
+    arr = np.asarray(data, dtype=float)
+    checked_vec_omega(mask, arr)
     n, m = mask.n_rows, mask.n_cols
     estimates = np.full((n, m), np.nan)
     identifiable = np.zeros((n, m), dtype=bool)
     path_counts = np.zeros((n, m), dtype=int)
     max_lens = np.zeros((n, m), dtype=int)
     degenerate = np.zeros((n, m), dtype=bool)
-
-    def solve(entry):
-        i, j = entry
-        return i, j, max_disjoint_paths(graph, i, j)
-
     entries = [(i, j) for i in range(n) for j in range(m)]
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(solve, entries))
-    else:
-        solved = [solve(entry) for entry in entries]
-
-    for i, j, path_set in solved:
+    for (i, j), path_set in _path_sets(mask, entries).items():
         path_counts[i, j] = path_set.k
         max_lens[i, j] = path_set.max_len
         if path_set.k == 0:
             continue
         identifiable[i, j] = True
         try:
-            estimates[i, j] = rank1_entry(mask, data, i, j, path_set)
+            estimates[i, j] = _ratio(arr, path_set)
         except DegenerateDenominatorError:
             degenerate[i, j] = True
     return Rank1Report(estimates=estimates, identifiable=identifiable,

@@ -22,10 +22,9 @@ import numpy as np
 from . import patterns
 from .additive import EfeSolver
 from .errors import DegenerateDenominatorError
-from .graph import ObservationMask, build_graph
-from .maxflow import max_disjoint_paths
+from .graph import ObservationMask
 from .panel import PanelData, split_masks
-from .rank1 import rank1_entry
+from .rank1 import _path_sets, _ratio
 
 PATTERNS = ("staircase", "staggered_exposure", "uniform_bernoulli",
             "extreme_sparsity", "dense_submatrix")
@@ -73,6 +72,10 @@ class SimConfig:
             raise ValueError("dimensions must be positive")
         if (self.target_row is None) != (self.target_col is None):
             raise ValueError("target_row and target_col go together")
+        if self.target is not None and not (0 <= self.target_row < self.n_rows
+                                            and 0 <= self.target_col < self.n_cols):
+            raise ValueError(f"target {self.target} (0-based) outside the "
+                             f"{self.n_rows}x{self.n_cols} grid")
 
     @property
     def target(self) -> tuple[int, int] | None:
@@ -246,7 +249,6 @@ def _run_linear(config, trial_rngs, arms):
 
 def _run_rank1(config, realized, trial_rngs):
     mask = ObservationMask.from_dense(realized.omega)
-    graph = build_graph(mask)
     solver = EfeSolver(mask)
     truth = np.ones((config.n_rows, config.n_cols))  # unit factors
     if config.target is not None:
@@ -254,7 +256,7 @@ def _run_rank1(config, realized, trial_rngs):
     else:
         entries = [(i, j) for i in range(config.n_rows)
                    for j in range(config.n_cols)]
-    path_sets = {entry: max_disjoint_paths(graph, *entry) for entry in entries}
+    path_sets = _path_sets(mask, entries)
     accum = np.zeros_like(truth)
     counts = np.zeros_like(truth)
     for rng in trial_rngs:
@@ -263,7 +265,7 @@ def _run_rank1(config, realized, trial_rngs):
             if path_set.k == 0:
                 continue
             try:
-                estimate = rank1_entry(mask, data, i, j, path_set)
+                estimate = _ratio(data, path_set)
             except DegenerateDenominatorError:
                 continue
             accum[i, j] += (estimate - truth[i, j]) ** 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 
 import numpy as np
@@ -9,8 +10,10 @@ import numpy as np
 from flowcomplete import (
     NO_LENGTH_THREE_PATH,
     BipartiteGraph,
+    CutCertificate,
     ObservationMask,
     PanelData,
+    PathSet,
     split_masks,
 )
 
@@ -134,3 +137,120 @@ def brute_force_min_cut(graph: BipartiteGraph, i: int, j: int) -> int:
             if not connected_without(frozenset(subset)):
                 return size
     raise AssertionError("removing all edges must disconnect the pair")
+
+
+def _sorted_neighbors(graph: BipartiteGraph) -> list:
+    neighbors = [[] for _ in range(graph.n_vertices)]
+    for i, j in graph.edges:
+        neighbors[i].append(graph.n_left + j)
+        neighbors[graph.n_left + j].append(i)
+    return [sorted(ns) for ns in neighbors]
+
+
+def dict_unit_max_flow(graph: BipartiteGraph, i: int, j: int):
+    """Reference max flow with flow kept per arc in a dict.
+
+    Each undirected edge becomes two opposite unit arcs, arcs into the
+    source and out of the sink are dropped, and BFS augmentation scans
+    neighbors in ascending order; antiparallel flow is cancelled at the end.
+    Returns (flow dict on arcs, value).
+    """
+    source = i
+    sink = graph.n_left + j
+    adjacency = _sorted_neighbors(graph)
+    flow: dict = {}
+
+    def residual(u: int, v: int) -> int:
+        capacity = 0 if (v == source or u == sink) else 1
+        return capacity - flow.get((u, v), 0) + flow.get((v, u), 0)
+
+    value = 0
+    while True:
+        parent = {source: None}
+        queue = deque([source])
+        reached = False
+        while queue and not reached:
+            u = queue.popleft()
+            for v in adjacency[u]:
+                if v not in parent and residual(u, v) > 0:
+                    parent[v] = u
+                    if v == sink:
+                        reached = True
+                        break
+                    queue.append(v)
+        if not reached:
+            break
+        v = sink
+        while parent[v] is not None:
+            u = parent[v]
+            if flow.get((v, u), 0) > 0:
+                flow[(v, u)] -= 1
+            else:
+                flow[(u, v)] = flow.get((u, v), 0) + 1
+            v = u
+        value += 1
+
+    for row, col in graph.edges:
+        u, v = row, graph.n_left + col
+        delta = min(flow.get((u, v), 0), flow.get((v, u), 0))
+        if delta:
+            flow[(u, v)] -= delta
+            flow[(v, u)] -= delta
+    return flow, value
+
+
+def dict_max_disjoint_paths(graph: BipartiteGraph, i: int, j: int) -> PathSet:
+    """Reference for ``max_disjoint_paths``: walk the dict flow from the
+    source, zeroing cycles, and read off ``k`` paths."""
+    source, sink = i, graph.n_left + j
+    adjacency = _sorted_neighbors(graph)
+    flow, value = dict_unit_max_flow(graph, i, j)
+    walks = []
+    for _ in range(value):
+        walk = [source]
+        position = {source: 0}
+        while walk[-1] != sink:
+            v = next(w for w in adjacency[walk[-1]]
+                     if flow.get((walk[-1], w), 0) > 0)
+            if v in position:
+                start = position[v]
+                cycle = walk[start:] + [v]
+                for a, b in zip(cycle, cycle[1:]):
+                    flow[(a, b)] -= 1
+                for w in walk[start + 1:]:
+                    del position[w]
+                walk = walk[:start + 1]
+            else:
+                walk.append(v)
+                position[v] = len(walk) - 1
+        for a, b in zip(walk, walk[1:]):
+            flow[(a, b)] -= 1
+        walks.append(walk)
+    paths = tuple(tuple(v if s % 2 == 0 else v - graph.n_left
+                        for s, v in enumerate(walk)) for walk in walks)
+    max_len = max((len(p) - 1 for p in paths), default=0)
+    return PathSet(paths=paths, k=value, max_len=max_len, source=i, sink=j)
+
+
+def dict_min_cut(graph: BipartiteGraph, i: int, j: int) -> CutCertificate:
+    """Reference for ``min_cut``: a second BFS over the dict residual."""
+    source, sink = i, graph.n_left + j
+    adjacency = _sorted_neighbors(graph)
+    flow, _ = dict_unit_max_flow(graph, i, j)
+
+    def residual(u: int, v: int) -> int:
+        capacity = 0 if (v == source or u == sink) else 1
+        return capacity - flow.get((u, v), 0) + flow.get((v, u), 0)
+
+    reachable = {source}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in adjacency[u]:
+            if v not in reachable and residual(u, v) > 0:
+                reachable.add(v)
+                queue.append(v)
+    cut_edges = [(row, col) for row, col in graph.edges
+                 if (row in reachable) != (graph.n_left + col in reachable)]
+    return CutCertificate(left_side=frozenset(reachable),
+                          cut_edges=tuple(sorted(cut_edges)))

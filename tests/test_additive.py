@@ -69,7 +69,7 @@ def test_unit_flow_estimate_path_flow_matches_path_estimate():
     values = np.zeros(graph.n_edges)
     for edge, value in [((0, 1), 1.0), ((1, 1), -1.0), ((1, 2), 1.0),
                         ((2, 2), -1.0), ((2, 0), 1.0)]:
-        values[graph.edge_position[edge]] = value
+        values[graph.edges.index(edge)] = value
     flow = UnitFlow(values=values, source=0, sink=0)
     rng = np.random.default_rng(1)
     data = rng.normal(size=(3, 3))

@@ -204,6 +204,21 @@ def test_panel_rejects_empty_observed_outcome(tmp_path, capsys):
     assert payload["did"][1][1] is None
 
 
+def test_panel_rejects_non_binary_grids(tmp_path, capsys):
+    # non-integer cells used to be truncated toward 0 before any check
+    outcomes = _write(tmp_path / "outcomes.csv", "1,2\n3,4\n")
+    binary = _write(tmp_path / "binary.csv", "1,1\n1,1\n")
+    fractional = _write(tmp_path / "fractional.csv", "1,0.5\n1,1\n")
+    out = str(tmp_path / "panel.json")
+    for grids, message in (((binary, fractional), "observed is not binary"),
+                           ((fractional, binary), "treatment is not binary")):
+        treatment, observed = grids
+        assert main(["panel", "--outcomes", outcomes, "--treatment", treatment,
+                     "--observed", observed, "--out", out]) == 1
+        assert f"{message} at" in capsys.readouterr().err
+    assert not (tmp_path / "panel.json").exists()
+
+
 def test_generate_pattern_round_trip_mask(tmp_path, capsys):
     out_dir = tmp_path / "pattern"
     assert main(["generate-pattern", "--pattern", "extreme_sparsity",
@@ -274,6 +289,17 @@ def test_simulate_rejects_unknown_key(tmp_path, capsys):
     assert main(["simulate", "--config", config,
                  "--out-dir", str(tmp_path / "out")]) == 1
     assert "what" in capsys.readouterr().err
+
+
+def test_simulate_rejects_target_outside_grid(tmp_path, capsys):
+    # targets are 1-based on the command line, so 0 lies outside
+    config = _write(tmp_path / "sim.cfg",
+                    "pattern = extreme_sparsity\nmodel = rank1\nn_rows = 4\n"
+                    "n_cols = 4\nnoise_sigma = 0.1\ntrials = 1\nseed = 0\n"
+                    "target_row = 0\ntarget_col = 1\n")
+    assert main(["simulate", "--config", config,
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert "outside the 4x4 grid" in capsys.readouterr().err
 
 
 def test_json_full_precision_round_trip(tmp_path):

@@ -66,8 +66,8 @@ def test_shorter_path_carries_more_current():
     graph = build_graph(complete_mask(2, 2))
     core = _core(complete_mask(2, 2))
     flow = electrical_flow(graph, core, 0, 0)
-    direct = abs(flow.values[graph.edge_position[(0, 0)]])
-    detour = [abs(flow.values[graph.edge_position[e]])
+    direct = abs(flow.values[graph.edges.index((0, 0))])
+    detour = [abs(flow.values[graph.edges.index(e)])
               for e in ((0, 1), (1, 1), (1, 0))]
     assert abs(direct - 0.75) < 1e-12
     assert all(abs(v - 0.25) < 1e-12 for v in detour)
@@ -127,7 +127,7 @@ def test_verify_unit_flow_alternating_path():
     values = np.zeros(graph.n_edges)
     for edge, value in [((0, 1), 1.0), ((1, 1), -1.0), ((1, 2), 1.0),
                         ((2, 2), -1.0), ((2, 0), 1.0)]:
-        values[graph.edge_position[edge]] = value
+        values[graph.edges.index(edge)] = value
     assert verify_unit_flow(UnitFlow(values=values, source=0, sink=0), graph, 0, 0)
 
 
@@ -207,7 +207,7 @@ def _simulate_commute_time(adjacency, start, target, rng, n_walks):
             vertex = start if leg_target is target else target
             while vertex != leg_target:
                 nbrs = adjacency[vertex]
-                vertex = nbrs[rng.integers(len(nbrs))]
+                vertex, _ = nbrs[rng.integers(len(nbrs))]
                 steps += 1
         total += steps
     return total / n_walks

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowcomplete import (
@@ -9,7 +10,13 @@ from flowcomplete import (
     validate_path,
 )
 from flowcomplete.patterns import dense_submatrix_mask, extreme_sparsity_mask
-from helpers import brute_force_min_cut, random_mask
+from helpers import (
+    brute_force_min_cut,
+    chain_mask,
+    dict_max_disjoint_paths,
+    dict_min_cut,
+    random_mask,
+)
 
 
 def _path_edges(path):
@@ -47,6 +54,14 @@ def test_disconnected_pair():
     assert path_set.k == 0 and path_set.max_len == 0 and path_set.paths == ()
     cut = min_cut(graph, 0, 1)
     assert cut.cut_edges == ()
+
+
+def test_entries_outside_the_pattern_raise():
+    graph = build_graph(ObservationMask.from_dense(np.ones((2, 3))))
+    for i, j in ((-1, 0), (0, -1), (2, 0), (0, 3)):
+        for solve in (max_disjoint_paths, min_cut):
+            with pytest.raises(ValueError, match="outside the 2x3 pattern"):
+                solve(graph, i, j)
 
 
 def test_min_cut_single_edge():
@@ -118,3 +133,30 @@ def test_adding_edge_never_decreases_k(seed):
     extra = unobserved[int(rng.integers(len(unobserved)))]
     bigger = ObservationMask.from_pairs(n, m, set(mask.observed) | {extra})
     assert max_disjoint_paths(build_graph(bigger), i, j).k >= before
+
+
+def _assert_matches_dict_oracle(mask):
+    graph = build_graph(mask)
+    for i in range(mask.n_rows):
+        for j in range(mask.n_cols):
+            assert max_disjoint_paths(graph, i, j) == dict_max_disjoint_paths(graph, i, j)
+            assert min_cut(graph, i, j) == dict_min_cut(graph, i, j)
+
+
+@given(seed=st.integers(0, 2**32 - 1), p=st.floats(0.05, 0.95))
+@settings(max_examples=60, deadline=None)
+def test_net_flow_matches_dict_oracle(seed, p):
+    # same paths in the same order, k, max_len, cut side and cut edges
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+    _assert_matches_dict_oracle(random_mask(rng, n, m, p))
+
+
+def test_net_flow_matches_dict_oracle_edge_cases():
+    for mask in (ObservationMask.from_pairs(3, 4, []),           # empty
+                 ObservationMask.from_dense(np.eye(3)),          # disconnected
+                 ObservationMask.from_dense(np.ones((1, 5))),    # 1 x m
+                 ObservationMask.from_dense(np.ones((5, 1))),    # n x 1
+                 ObservationMask.from_dense(np.ones((4, 4))),
+                 chain_mask(6)):
+        _assert_matches_dict_oracle(mask)

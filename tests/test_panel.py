@@ -338,6 +338,21 @@ def test_panel_rejects_non_finite_observed_outcomes():
         PanelData(outcomes=outcomes, treatment=treatment, observed=observed)
 
 
+def test_panel_rejects_non_binary_grids():
+    outcomes, treatment = np.zeros((2, 2)), np.zeros((2, 2))
+    observed = np.array([[1.0, 0.5], [1.0, 1.0]])
+    with pytest.raises(ValueError, match=re.escape("observed is not binary "
+                                                   "at cell (0, 1)")):
+        PanelData(outcomes=outcomes, treatment=treatment, observed=observed)
+    treatment[0, 1] = 0.5
+    with pytest.raises(ValueError, match=re.escape("treatment is not binary "
+                                                   "at observed cell (0, 1)")):
+        PanelData(outcomes=outcomes, treatment=treatment)
+    # treatment at an unobserved cell is never read
+    PanelData(outcomes=outcomes, treatment=treatment,
+              observed=np.array([[1, 0], [1, 1]]))
+
+
 def test_panel_validation():
     with pytest.raises(ValueError):
         PanelData(outcomes=np.zeros((2, 2)), treatment=np.zeros((3, 2), int))

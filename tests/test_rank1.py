@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,6 +144,27 @@ def test_rank1_full_flags_overflow_per_entry():
     usable = ~report.degenerate
     assert usable.sum() > 3000
     assert np.allclose(report.estimates[usable], 1e8, rtol=1e-12, atol=0.0)
+
+
+def test_rank1_full_rejects_bad_data():
+    mask = ObservationMask.from_dense(np.ones((3, 3)))
+    for shape in ((4, 5), (2, 2)):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"data shape {shape} does not "
+                                           "match mask (3, 3)")):
+            rank1_full(mask, np.ones(shape))
+    for bad in (math.nan, math.inf, -math.inf):
+        data = np.ones((3, 3))
+        data[1, 2] = data[2, 0] = bad
+        with pytest.raises(ValueError,
+                           match=re.escape("not finite at observed cell (1, 2)")):
+            rank1_full(mask, data)
+    # unobserved cells are never read, so any value is accepted there
+    sparse = ObservationMask.from_pairs(3, 3, [(0, 0), (0, 1), (1, 1), (1, 0)])
+    data = np.full((3, 3), math.nan)
+    data[:2, :2] = 2.0
+    report = rank1_full(sparse, data)
+    assert report.identifiable[:2, :2].all() and not report.degenerate.any()
 
 
 def test_rank1_full_dense_submatrix_certificates():

@@ -85,6 +85,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(pattern="extreme_sparsity", model="additive", n_rows=4,
                   n_cols=4, noise_sigma=0.1, trials=0, seed=0)
+    for target in ((-1, 0), (0, 4), (4, 0)):
+        with pytest.raises(ValueError, match="outside the 4x4 grid"):
+            SimConfig(pattern="extreme_sparsity", model="rank1", n_rows=4,
+                      n_cols=4, noise_sigma=0.1, trials=1, seed=0,
+                      target_row=target[0], target_col=target[1])
 
 
 def test_zero_noise_gives_zero_mse():
@@ -228,3 +233,24 @@ def test_rank1_target_mode():
     assert np.isfinite(result.per_entry_mse[0, 0])
     assert result.per_entry_mse[0, 0] < 0.01  # K = 8 short paths, tiny noise
     assert np.isnan(result.per_entry_mse[1, 1])  # not computed in target mode
+
+
+def test_rank1_paths_are_validated_once_per_experiment(monkeypatch):
+    import flowcomplete.rank1 as rank1
+
+    calls = []
+    original = rank1.validate_path
+
+    def counting(path, mask):
+        calls.append(path)
+        return original(path, mask)
+
+    monkeypatch.setattr(rank1, "validate_path", counting)
+    counts = []
+    for trials in (1, 7):
+        calls.clear()
+        run_experiment(SimConfig(pattern="uniform_bernoulli", model="rank1",
+                                 n_rows=6, n_cols=5, noise_sigma=0.1,
+                                 trials=trials, seed=3, bernoulli_p=0.5))
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts[0] == counts[1]
