@@ -94,7 +94,7 @@ class EfeSolver:
         self.graph: BipartiteGraph = build_graph(mask)
         self.core: SpectralCore = build_core(self.graph)
         n = mask.n_rows
-        ids = np.array(self.core.components.component_id)
+        ids = self.core.components.component_id
         self.identifiable = ids[:n, None] == ids[None, n:]
 
     @cached_property
@@ -259,10 +259,8 @@ def estimate_noise_variance(mask: ObservationMask, data) -> float:
     """
     solver = EfeSolver(mask)
     a_hat, b_hat = solver.factors(data)
-    fitted = a_hat[:, None] + b_hat[None, :]
-    arr = np.asarray(data, dtype=float)
-    pattern = solver.mask.to_dense() > 0
-    residuals = (arr - fitted)[pattern]
+    residuals = (vec_omega(mask, data)
+                 - (a_hat[mask.rows] + b_hat[mask.cols]))
     dof = mask.n_observed - (mask.n_rows + mask.n_cols
                              - solver.core.components.component_count)
     if dof <= 0:

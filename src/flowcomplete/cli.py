@@ -7,7 +7,7 @@ estimation is impossible (every entry unidentifiable).
 from __future__ import annotations
 
 import argparse
-import math
+import json
 import os
 import sys
 
@@ -17,7 +17,7 @@ from . import __version__
 from .additive import efe_full
 from .electrical import effective_resistance, resistance_matrix
 from .errors import FlowCompleteError
-from .graph import ObservationMask, build_graph
+from .graph import ObservationMask, build_graph, vec_omega
 from .io_utils import (
     format_float,
     matrix_to_jsonable,
@@ -29,7 +29,7 @@ from .io_utils import (
     write_json,
     write_mask_csv,
 )
-from .maxflow import max_disjoint_paths, min_cut
+from .maxflow import paths_and_cut
 from .panel import PanelData, did_grid, estimate_effects
 from .rank1 import rank1_error_bound, rank1_full
 from .sim import SimConfig, export_result, generate_pattern, run_experiment
@@ -127,19 +127,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read_mask(path, n_rows: int | None, n_cols: int | None) -> ObservationMask:
+    mask, duplicates = read_mask_csv(path, n_rows=n_rows, n_cols=n_cols)
+    if duplicates:
+        print(f"warning: {duplicates} duplicate mask entries collapsed",
+              file=sys.stderr)
+    return mask
+
+
 def _load_mask_and_data(args):
     data = read_grid_csv(args.data)
     if args.mask:
-        mask, duplicates = read_mask_csv(args.mask, n_rows=data.shape[0],
-                                         n_cols=data.shape[1])
-        if duplicates:
-            print(f"warning: {duplicates} duplicate mask entries collapsed",
-                  file=sys.stderr)
-        observed_nan = [(i + 1, j + 1) for i, j in mask.pairs_row_major
-                        if not math.isfinite(data[i, j])]
-        if observed_nan:
-            raise _UsageError(
-                f"data is empty at observed cells, e.g. {observed_nan[0]}")
+        mask = _read_mask(args.mask, *data.shape)
+        empty = np.flatnonzero(~np.isfinite(vec_omega(mask, data)))
+        if empty.size:
+            cell = (int(mask.rows[empty[0]]) + 1, int(mask.cols[empty[0]]) + 1)
+            raise _UsageError(f"data is empty at observed cells, e.g. {cell}")
     elif args.mask_from_data:
         mask = ObservationMask.from_data(data)
     else:
@@ -198,13 +201,10 @@ def _cmd_estimate_rank1(args) -> int:
         finite = report.estimates[np.isfinite(report.estimates)]
         m_inf = float(np.max(np.abs(finite))) if finite.size else 0.0
         bounds = np.full(report.estimates.shape, np.nan)
-        for i in range(mask.n_rows):
-            for j in range(mask.n_cols):
-                if report.path_counts[i, j] > 0:
-                    bounds[i, j] = rank1_error_bound(
-                        int(report.path_counts[i, j]),
-                        int(report.max_lens[i, j]), args.sigma, m_inf,
-                        mask.n_rows, mask.n_cols, args.delta)
+        for i, j in zip(*np.nonzero(report.path_counts)):
+            bounds[i, j] = rank1_error_bound(
+                int(report.path_counts[i, j]), int(report.max_lens[i, j]),
+                args.sigma, m_inf, mask.n_rows, mask.n_cols, args.delta)
         payload["error_bound"] = matrix_to_jsonable(bounds, report.identifiable)
         payload["error_bound_m_inf"] = m_inf
     write_json(args.out, payload)
@@ -215,10 +215,7 @@ def _cmd_estimate_rank1(args) -> int:
 
 
 def _cmd_resistance(args) -> int:
-    mask, duplicates = read_mask_csv(args.mask, n_rows=args.rows, n_cols=args.cols)
-    if duplicates:
-        print(f"warning: {duplicates} duplicate mask entries collapsed",
-              file=sys.stderr)
+    mask = _read_mask(args.mask, args.rows, args.cols)
     core = build_core(build_graph(mask))
     if args.all:
         text = resistance_csv_text(resistance_matrix(core))
@@ -236,14 +233,10 @@ def _cmd_resistance(args) -> int:
 
 
 def _cmd_paths(args) -> int:
-    mask, duplicates = read_mask_csv(args.mask, n_rows=args.rows, n_cols=args.cols)
-    if duplicates:
-        print(f"warning: {duplicates} duplicate mask entries collapsed",
-              file=sys.stderr)
+    mask = _read_mask(args.mask, args.rows, args.cols)
     i, j = _parse_pair(args.pair, mask.n_rows, mask.n_cols)
     graph = build_graph(mask)
-    path_set = max_disjoint_paths(graph, i, j)
-    cut = min_cut(graph, i, j)
+    path_set, cut = paths_and_cut(graph, i, j)
     payload = {
         "k": path_set.k,
         "max_len": path_set.max_len,
@@ -253,8 +246,6 @@ def _cmd_paths(args) -> int:
     if args.out:
         write_json(args.out, payload)
     else:
-        import json
-
         print(json.dumps(payload, indent=2))
     return _EXIT_OK
 

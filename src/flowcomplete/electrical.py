@@ -75,7 +75,7 @@ def resistance_matrix(core: SpectralCore) -> np.ndarray:
     n = core.n_left
     diagonal = np.diagonal(core.pinv)
     matrix = diagonal[:n, None] + diagonal[None, n:] - 2.0 * core.pinv[:n, n:]
-    ids = np.array(core.components.component_id)
+    ids = core.components.component_id
     cross = ids[:core.n_left, None] != ids[None, core.n_left:]
     matrix = np.where(cross, np.inf, matrix)
     # quadratic form; tiny negatives are rounding noise of the inverse

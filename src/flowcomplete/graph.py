@@ -12,6 +12,7 @@ and even positions are column indices (0-based internally).
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,80 +23,101 @@ import numpy as np
 from .errors import InvalidPathError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationMask:
-    """Binary observation pattern on an ``n_rows x n_cols`` matrix."""
+    """Binary observation pattern on an ``n_rows x n_cols`` matrix.
+
+    Observed cells are ``(rows[k], cols[k])``, each once, row-major, in
+    read-only ``intp`` arrays; any integer index arrays passed in are
+    bounds-checked, sorted and deduplicated.
+    """
 
     n_rows: int
     n_cols: int
-    observed: frozenset
+    rows: np.ndarray
+    cols: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n_rows <= 0 or self.n_cols <= 0:
+        n_rows, n_cols = operator.index(self.n_rows), operator.index(self.n_cols)
+        if n_rows <= 0 or n_cols <= 0:
             raise ValueError("mask dimensions must be positive")
-        pairs = frozenset((int(i), int(j)) for i, j in self.observed)
-        for i, j in pairs:
-            if not (0 <= i < self.n_rows and 0 <= j < self.n_cols):
-                raise ValueError(f"observed entry {(i, j)} out of bounds")
-        object.__setattr__(self, "observed", pairs)
+        rows, cols = np.asarray(self.rows), np.asarray(self.cols)
+        if rows.ndim != 1 or rows.shape != cols.shape:
+            raise ValueError("rows and cols must be 1-D arrays of equal length")
+        if rows.size and not all(np.issubdtype(a.dtype, np.integer)
+                                 for a in (rows, cols)):
+            raise ValueError("mask indices must be integers")
+        outside = np.flatnonzero((rows < 0) | (rows >= n_rows)
+                                 | (cols < 0) | (cols >= n_cols))
+        if outside.size:
+            cell = (int(rows[outside[0]]), int(cols[outside[0]]))
+            raise ValueError(f"observed entry {cell} out of bounds")
+        # sorted flat keys give the row-major order; a key equal to its
+        # predecessor is a duplicate (np.unique would import numpy.ma).  A
+        # stable sort is one linear pass over already row-major input.
+        keys = rows.astype(np.intp) * n_cols + cols.astype(np.intp)
+        keys = np.sort(keys, kind="stable")
+        rows, cols = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n_cols)
+        rows.flags.writeable = cols.flags.writeable = False
+        for name, value in (("n_rows", n_rows), ("n_cols", n_cols),
+                            ("rows", rows), ("cols", cols)):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, ObservationMask)
+                and (self.n_rows, self.n_cols) == (other.n_rows, other.n_cols)
+                and np.array_equal(self.rows, other.rows)
+                and np.array_equal(self.cols, other.cols))
+
+    def __hash__(self) -> int:
+        return hash((self.n_rows, self.n_cols, self.rows.tobytes(),
+                     self.cols.tobytes()))
 
     @classmethod
     def from_pairs(cls, n_rows: int, n_cols: int,
                    pairs: Iterable[tuple[int, int]]) -> "ObservationMask":
         """Build a mask from (row, col) pairs; duplicates collapse to one."""
-        return cls(n_rows, n_cols, frozenset(pairs))
+        rows, cols = np.array(list(pairs) or np.empty((0, 2), np.intp)).T
+        return cls(n_rows, n_cols, rows, cols)
 
     @classmethod
     def from_dense(cls, pattern) -> "ObservationMask":
         """Build a mask from a binary matrix (nonzero means observed)."""
         arr = np.asarray(pattern)
-        rows, cols = np.nonzero(arr)
-        return cls(arr.shape[0], arr.shape[1],
-                   frozenset(zip(rows.tolist(), cols.tolist())))
+        return cls(arr.shape[0], arr.shape[1], *np.nonzero(arr))
 
     @classmethod
     def from_data(cls, data) -> "ObservationMask":
         """Infer a mask from a data matrix: finite cells are observed."""
         arr = np.asarray(data, dtype=float)
-        rows, cols = np.nonzero(np.isfinite(arr))
-        return cls(arr.shape[0], arr.shape[1],
-                   frozenset(zip(rows.tolist(), cols.tolist())))
-
-    @cached_property
-    def pairs_row_major(self) -> tuple:
-        return tuple(sorted(self.observed))
-
-    @cached_property
-    def index_arrays(self) -> tuple:
-        """(rows, cols) integer arrays in row-major edge order."""
-        if not self.observed:
-            empty = np.empty(0, dtype=np.intp)
-            return empty, empty
-        arr = np.array(self.pairs_row_major, dtype=np.intp)
-        return arr[:, 0], arr[:, 1]
+        return cls(arr.shape[0], arr.shape[1], *np.nonzero(np.isfinite(arr)))
 
     @property
     def n_observed(self) -> int:
-        return len(self.observed)
+        return self.rows.size
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        """Read-only boolean ``n_rows x n_cols`` grid of the pattern, built on
+        first use; also the observed-cell lookup of :func:`validate_path`."""
+        grid = np.zeros((self.n_rows, self.n_cols), dtype=bool)
+        grid[self.rows, self.cols] = True
+        grid.setflags(write=False)
+        return grid
 
     def is_observed(self, i: int, j: int) -> bool:
-        return (i, j) in self.observed
-
-    def to_dense(self) -> np.ndarray:
-        """0/1 float matrix of the pattern."""
-        dense = np.zeros((self.n_rows, self.n_cols))
-        rows, cols = self.index_arrays
-        dense[rows, cols] = 1.0
-        return dense
+        return (0 <= i < self.n_rows and 0 <= j < self.n_cols
+                and bool(self.grid[i, j]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteGraph:
-    """Observation graph; ``edges`` holds (row, col) pairs row-major."""
+    """Observation graph; edge ``e`` is ``{u_edge_rows[e], v_edge_cols[e]}``."""
 
     n_left: int
     n_right: int
-    edges: tuple
+    edge_rows: np.ndarray
+    edge_cols: np.ndarray
 
     @property
     def n_vertices(self) -> int:
@@ -103,55 +125,42 @@ class BipartiteGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
-
-    @cached_property
-    def edge_rows(self) -> np.ndarray:
-        if not self.edges:
-            return np.empty(0, dtype=np.intp)
-        return np.array([e[0] for e in self.edges], dtype=np.intp)
-
-    @cached_property
-    def edge_cols(self) -> np.ndarray:
-        if not self.edges:
-            return np.empty(0, dtype=np.intp)
-        return np.array([e[1] for e in self.edges], dtype=np.intp)
+        return self.edge_rows.size
 
     @cached_property
     def adjacency(self) -> tuple:
-        """Per vertex, ``(neighbor, edge index)`` pairs in ascending neighbor
-        order; vertices use the global numbering."""
+        """Per vertex, ``(neighbor, edge index)`` pairs of Python ints in
+        ascending neighbor order (edges are row-major); global numbering."""
         neighbors = [[] for _ in range(self.n_vertices)]
-        for e, (i, j) in enumerate(self.edges):
-            neighbors[i].append((self.n_left + j, e))
-            neighbors[self.n_left + j].append((i, e))
-        return tuple(tuple(sorted(ns)) for ns in neighbors)
+        rights = (self.n_left + self.edge_cols).tolist()
+        for e, (i, right) in enumerate(zip(self.edge_rows.tolist(), rights)):
+            neighbors[i].append((right, e))
+            neighbors[right].append((i, e))
+        return tuple(tuple(ns) for ns in neighbors)
 
     def degree(self, vertex: int) -> int:
         return len(self.adjacency[vertex])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComponentLabeling:
-    """Connected-component ids per vertex; labels are 0-based ascending."""
+    """Component id per vertex (read-only array); labels 0-based ascending."""
 
-    component_id: tuple
+    component_id: np.ndarray
     component_count: int
 
     def together(self, u: int, v: int) -> bool:
-        return self.component_id[u] == self.component_id[v]
-
-    def vertices_of(self, cid: int) -> tuple:
-        return tuple(v for v, c in enumerate(self.component_id) if c == cid)
+        return bool(self.component_id[u] == self.component_id[v])
 
 
 def build_graph(mask: ObservationMask) -> BipartiteGraph:
     """Construct the observation graph for a mask.
 
-    Edge ``(u_i, v_j)`` is present exactly when ``(i, j)`` is observed, and
-    the edge list is row-major so it lines up with :func:`vec_omega`.
+    Edge ``(u_i, v_j)`` is present exactly when ``(i, j)`` is observed; the
+    graph shares the mask's row-major index arrays, so its edges line up
+    with :func:`vec_omega`.
     """
-    return BipartiteGraph(mask.n_rows, mask.n_cols, mask.pairs_row_major)
+    return BipartiteGraph(mask.n_rows, mask.n_cols, mask.rows, mask.cols)
 
 
 def connected_components(graph: BipartiteGraph) -> ComponentLabeling:
@@ -171,7 +180,9 @@ def connected_components(graph: BipartiteGraph) -> ComponentLabeling:
                     labels[neighbor] = count
                     queue.append(neighbor)
         count += 1
-    return ComponentLabeling(tuple(labels), count)
+    ids = np.array(labels, dtype=np.intp)
+    ids.setflags(write=False)
+    return ComponentLabeling(ids, count)
 
 
 def incidence_matrix(graph: BipartiteGraph) -> np.ndarray:
@@ -181,23 +192,25 @@ def incidence_matrix(graph: BipartiteGraph) -> np.ndarray:
     right endpoint, so positive flow values mean row-to-column transport.
     """
     b = np.zeros((graph.n_edges, graph.n_vertices))
-    if graph.n_edges:
-        positions = np.arange(graph.n_edges)
-        b[positions, graph.edge_rows] = 1.0
-        b[positions, graph.n_left + graph.edge_cols] = -1.0
+    positions = np.arange(graph.n_edges)
+    b[positions, graph.edge_rows] = 1.0
+    b[positions, graph.n_left + graph.edge_cols] = -1.0
     return b
+
+
+def add_laplacian(matrix: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Add the Laplacian of the distinct edges ``{a[e], b[e]}``, ``a[e] !=
+    b[e]``, to ``matrix`` in place; no index pair repeats in the updates."""
+    matrix[a, b] -= 1.0
+    matrix[b, a] -= 1.0
+    matrix[np.diag_indices(len(matrix))] += np.bincount(
+        np.concatenate([a, b]), minlength=len(matrix))
 
 
 def laplacian(graph: BipartiteGraph) -> np.ndarray:
     """Graph Laplacian (degree matrix minus adjacency); row sums are zero."""
-    n_v = graph.n_vertices
-    lap = np.zeros((n_v, n_v))
-    for i, j in graph.edges:
-        right = graph.n_left + j
-        lap[i, i] += 1.0
-        lap[right, right] += 1.0
-        lap[i, right] -= 1.0
-        lap[right, i] -= 1.0
+    lap = np.zeros((graph.n_vertices, graph.n_vertices))
+    add_laplacian(lap, graph.edge_rows, graph.n_left + graph.edge_cols)
     return lap
 
 
@@ -208,8 +221,7 @@ def vec_omega(mask: ObservationMask, data) -> np.ndarray:
         raise ValueError(
             f"data shape {arr.shape} does not match mask "
             f"({mask.n_rows}, {mask.n_cols})")
-    rows, cols = mask.index_arrays
-    return arr[rows, cols]
+    return arr[mask.rows, mask.cols]
 
 
 def checked_vec_omega(mask: ObservationMask, data) -> np.ndarray:
@@ -220,8 +232,8 @@ def checked_vec_omega(mask: ObservationMask, data) -> np.ndarray:
     observations = vec_omega(mask, data)
     bad = np.flatnonzero(~np.isfinite(observations))
     if bad.size:
-        raise ValueError("data is not finite at observed cell "
-                         f"{mask.pairs_row_major[bad[0]]}")
+        cell = (int(mask.rows[bad[0]]), int(mask.cols[bad[0]]))
+        raise ValueError(f"data is not finite at observed cell {cell}")
     return observations
 
 
@@ -248,10 +260,8 @@ def validate_path(path: Sequence[int], mask: ObservationMask) -> None:
         raise InvalidPathError("path revisits a row vertex")
     if len(set(col_positions)) != len(col_positions):
         raise InvalidPathError("path revisits a column vertex")
+    grid = mask.grid
     for s in range(len(path) - 1):
-        if s % 2 == 0:
-            edge = (int(path[s]), int(path[s + 1]))
-        else:
-            edge = (int(path[s + 1]), int(path[s]))
-        if not mask.is_observed(*edge):
-            raise InvalidPathError(f"path uses unobserved entry {edge}")
+        i, j = row_positions[(s + 1) // 2], col_positions[s // 2]
+        if not grid[i, j]:
+            raise InvalidPathError(f"path uses unobserved entry {(i, j)}")

@@ -51,20 +51,20 @@ def read_mask_csv(path, n_rows: int | None = None,
             pairs.append((row - 1, col - 1))
     if not pairs and (n_rows is None or n_cols is None):
         raise ValueError(f"{path}: empty mask needs explicit dimensions")
-    inferred_rows = max((i for i, _ in pairs), default=-1) + 1
-    inferred_cols = max((j for _, j in pairs), default=-1) + 1
-    mask = ObservationMask.from_pairs(n_rows or inferred_rows,
-                                      n_cols or inferred_cols, pairs)
-    duplicates = len(pairs) - mask.n_observed
-    return mask, duplicates
+    if n_rows is None:
+        n_rows = max(i for i, _ in pairs) + 1
+    if n_cols is None:
+        n_cols = max(j for _, j in pairs) + 1
+    mask = ObservationMask.from_pairs(n_rows, n_cols, pairs)
+    return mask, len(pairs) - mask.n_observed
 
 
 def write_mask_csv(path, mask: ObservationMask) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["row", "col"])
-        for i, j in mask.pairs_row_major:
-            writer.writerow([i + 1, j + 1])
+        writer.writerows(zip((mask.rows + 1).tolist(),
+                             (mask.cols + 1).tolist()))
 
 
 def read_grid_csv(path) -> np.ndarray:
@@ -105,16 +105,12 @@ def write_grid_csv(path, matrix) -> None:
             handle.write("\n")
 
 
-def resistance_csv_text(resistances: np.ndarray,
-                        pairs=None) -> str:
+def resistance_csv_text(resistances: np.ndarray) -> str:
     """CSV body ``row,col,effective_resistance`` (1-based, inf allowed)."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["row", "col", "effective_resistance"])
-    n, m = resistances.shape
-    if pairs is None:
-        pairs = ((i, j) for i in range(n) for j in range(m))
-    for i, j in pairs:
+    for i, j in np.ndindex(resistances.shape):
         writer.writerow([i + 1, j + 1, format_float(float(resistances[i, j]))])
     return buffer.getvalue()
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graph import BipartiteGraph
 
 
@@ -115,9 +117,28 @@ def _walk_paths(graph: BipartiteGraph, net: list, source: int, sink: int, k: int
     return paths
 
 
-def _to_index_sequence(vertices, n_left: int):
-    """Global vertex ids -> alternating (row, col, row, ...) indices."""
-    return tuple(v if s % 2 == 0 else v - n_left for s, v in enumerate(vertices))
+def _path_set(graph: BipartiteGraph, net: list, value: int, i: int,
+              j: int) -> PathSet:
+    walks = _walk_paths(graph, net, i, graph.n_left + j, value)
+    # global vertex ids -> alternating (row, col, row, ...) indices
+    paths = tuple(tuple(v - graph.n_left * (s % 2) for s, v in enumerate(w))
+                  for w in walks)
+    max_len = max((len(p) - 1 for p in paths), default=0)
+    return PathSet(paths=paths, k=value, max_len=max_len, source=i, sink=j)
+
+
+def _cut(graph: BipartiteGraph, value: int, reached) -> CutCertificate:
+    side = np.zeros(graph.n_vertices, dtype=bool)
+    side[list(reached)] = True
+    crossing = np.flatnonzero(side[graph.edge_rows]
+                              != side[graph.n_left + graph.edge_cols])
+    if crossing.size != value:
+        raise RuntimeError(
+            f"cut size {crossing.size} disagrees with flow value {value}")
+    cut_edges = zip(graph.edge_rows[crossing].tolist(),
+                    graph.edge_cols[crossing].tolist())
+    return CutCertificate(left_side=frozenset(reached),
+                          cut_edges=tuple(cut_edges))
 
 
 def max_disjoint_paths(graph: BipartiteGraph, i: int, j: int) -> PathSet:
@@ -127,26 +148,23 @@ def max_disjoint_paths(graph: BipartiteGraph, i: int, j: int) -> PathSet:
     ``ValueError`` for an entry outside the pattern.
     """
     net, value, _ = _unit_max_flow(graph, i, j)
-    if value == 0:
-        return PathSet(paths=(), k=0, max_len=0, source=i, sink=j)
-    walks = _walk_paths(graph, net, i, graph.n_left + j, value)
-    paths = tuple(_to_index_sequence(w, graph.n_left) for w in walks)
-    max_len = max(len(p) - 1 for p in paths)
-    return PathSet(paths=paths, k=value, max_len=max_len, source=i, sink=j)
+    return _path_set(graph, net, value, i, j)
 
 
 def min_cut(graph: BipartiteGraph, i: int, j: int) -> CutCertificate:
     """Minimum edge cut separating ``u_i`` from ``v_j``.
 
     The left side is the set of vertices reachable from ``u_i`` in the
-    residual graph of a maximum flow; the crossing edges are saturated and
-    their count equals the max number of edge-disjoint paths.
+    residual graph of a maximum flow; the crossing edges, row-major, are
+    saturated and their count equals the max number of edge-disjoint paths.
     """
     _, value, reached = _unit_max_flow(graph, i, j)
-    cut_edges = [(row, col) for row, col in graph.edges
-                 if (row in reached) != (graph.n_left + col in reached)]
-    if len(cut_edges) != value:
-        raise RuntimeError(
-            f"cut size {len(cut_edges)} disagrees with flow value {value}")
-    return CutCertificate(left_side=frozenset(reached),
-                          cut_edges=tuple(sorted(cut_edges)))
+    return _cut(graph, value, reached)
+
+
+def paths_and_cut(graph: BipartiteGraph, i: int,
+                  j: int) -> tuple[PathSet, CutCertificate]:
+    """:func:`max_disjoint_paths` and :func:`min_cut` from one max flow; every
+    maximum flow leaves the same residual-reachable set."""
+    net, value, reached = _unit_max_flow(graph, i, j)
+    return _path_set(graph, net, value, i, j), _cut(graph, value, reached)

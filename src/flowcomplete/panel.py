@@ -226,8 +226,9 @@ def staggered_exposure_certificate(n_units: int, n_groups: int) -> StaggeredExpo
                       treatment=treatment, observed=observed)
     control_mask, treated_mask = split_masks(panel)
     target = (0, n_units - 1)
-    r1_exact = _pair_resistance(treated_mask, *target)
-    r0_exact = _pair_resistance(control_mask, *target)
+    r1_exact, r0_exact = (
+        effective_resistance(build_core(build_graph(mask)), *target)
+        for mask in (treated_mask, control_mask))
     group_size = n_units // n_groups
     r1_bound = 2.0 * n_groups ** 2 / n_units
     degenerate = n_groups < 3
@@ -242,10 +243,3 @@ def staggered_exposure_certificate(n_units: int, n_groups: int) -> StaggeredExpo
     return StaggeredExposureCertificate(r1_exact=r1_exact, r1_bound=r1_bound,
                                         r0_exact=r0_exact, r0_bound=r0_bound,
                                         degenerate=degenerate)
-
-
-def _pair_resistance(mask: ObservationMask, i: int, j: int) -> float:
-    if mask.n_observed == 0:
-        return math.inf
-    core = build_core(build_graph(mask))
-    return effective_resistance(core, i, j)

@@ -20,12 +20,10 @@ def extreme_sparsity_mask(n: int) -> ObservationMask:
     """
     if n < 2:
         raise ValueError("extreme sparsity needs n >= 2")
-    pairs = set()
-    for k in range(1, n):
-        pairs.add((0, k))
-        pairs.add((k, 0))
-        pairs.add((k, k))
-    return ObservationMask.from_pairs(n, n, pairs)
+    k = np.arange(1, n)
+    zero = np.zeros_like(k)
+    return ObservationMask(n, n, np.concatenate([zero, k, k]),
+                           np.concatenate([k, zero, k]))
 
 
 def dense_submatrix_mask(n_rows: int, n_cols: int, block_rows: int,
@@ -40,11 +38,10 @@ def dense_submatrix_mask(n_rows: int, n_cols: int, block_rows: int,
         raise ValueError("block dimensions must be positive")
     if block_rows >= n_rows or block_cols >= n_cols:
         raise ValueError("block must leave room for the target row/column")
-    pairs = {(i, j)
-             for i in range(block_rows + 1)
-             for j in range(block_cols + 1)
-             if (i, j) != (0, 0)}
-    return ObservationMask.from_pairs(n_rows, n_cols, pairs)
+    dense = np.zeros((n_rows, n_cols), dtype=bool)
+    dense[:block_rows + 1, :block_cols + 1] = True
+    dense[0, 0] = False
+    return ObservationMask.from_dense(dense)
 
 
 def uniform_bernoulli_mask(n_rows: int, n_cols: int, p: float,

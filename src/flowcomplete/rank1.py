@@ -216,10 +216,8 @@ def hard_instance_rank1(mask: ObservationMask, i: int, j: int,
     n, m = mask.n_rows, mask.n_cols
     base = RankOneModel(row_factors=np.full(n, epsilon),
                         col_factors=np.full(m, epsilon))
-    row_signs = np.array([1.0 if v in certificate.left_side else -1.0
-                          for v in range(n)])
-    col_signs = np.array([1.0 if (n + t) in certificate.left_side else -1.0
-                          for t in range(m)])
-    flipped = RankOneModel(row_factors=epsilon * row_signs,
-                           col_factors=epsilon * col_signs)
+    signs = np.full(n + m, -1.0)
+    signs[list(certificate.left_side)] = 1.0
+    flipped = RankOneModel(row_factors=epsilon * signs[:n],
+                           col_factors=epsilon * signs[n:])
     return base, flipped

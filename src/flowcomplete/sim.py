@@ -124,13 +124,13 @@ def generate_pattern(config: SimConfig) -> GeneratedPattern:
     if config.pattern == "extreme_sparsity":
         if config.n_rows != config.n_cols:
             raise ValueError("extreme_sparsity is a square pattern")
-        omega = patterns.extreme_sparsity_mask(config.n_rows).to_dense()
+        omega = patterns.extreme_sparsity_mask(config.n_rows).grid
         treatment = None
     elif config.pattern == "dense_submatrix":
         block_rows = config.block_rows or max(1, config.n_rows - 1)
         block_cols = config.block_cols or max(1, config.n_cols - 1)
         omega = patterns.dense_submatrix_mask(
-            config.n_rows, config.n_cols, block_rows, block_cols).to_dense()
+            config.n_rows, config.n_cols, block_rows, block_cols).grid
         treatment = None
         meta.update(block_rows=block_rows, block_cols=block_cols)
     elif config.pattern == "uniform_bernoulli":
@@ -138,7 +138,7 @@ def generate_pattern(config: SimConfig) -> GeneratedPattern:
             raise ValueError("uniform_bernoulli needs bernoulli_p")
         omega = patterns.uniform_bernoulli_mask(
             config.n_rows, config.n_cols, config.bernoulli_p,
-            pattern_rng).to_dense()
+            pattern_rng).grid
         treatment = None
         meta.update(bernoulli_p=config.bernoulli_p)
     elif config.pattern == "staggered_exposure":
@@ -148,7 +148,6 @@ def generate_pattern(config: SimConfig) -> GeneratedPattern:
             raise ValueError("staggered_exposure is a square pattern")
         omega, treatment = patterns.staggered_exposure_pattern(
             config.n_rows, config.groups)
-        omega = omega.astype(float)
         meta.update(groups=config.groups)
     else:  # staircase
         if config.groups is None:
@@ -156,7 +155,6 @@ def generate_pattern(config: SimConfig) -> GeneratedPattern:
         omega, treatment = patterns.staircase_pattern(
             config.n_rows, config.n_cols, config.groups, pattern_rng,
             base_density=config.base_density, thinning=config.thinning)
-        omega = omega.astype(float)
         meta.update(groups=config.groups, base_density=config.base_density,
                     thinning=config.thinning)
     if treatment is not None:
@@ -234,7 +232,7 @@ def _run_linear(config, trial_rngs, arms):
         for t, rng in enumerate(rngs):
             noise = rng.normal(0.0, config.noise_sigma, shape)
             for (solver, _), values in zip(arms, observed):
-                values[:, t] = noise[solver.mask.index_arrays]
+                values[:, t] = noise[solver.mask.rows, solver.mask.cols]
         da, db = 0.0, 0.0
         for (solver, sign), values in zip(arms, observed):
             a_hat, b_hat = solver.observation_factors(values)

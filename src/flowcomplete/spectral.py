@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import BipartiteGraph, ComponentLabeling, connected_components
+from .graph import (BipartiteGraph, ComponentLabeling, add_laplacian,
+                    connected_components)
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class SpectralCore:
 def build_core(graph: BipartiteGraph) -> SpectralCore:
     """Invert the grounded Laplacian of each component and assemble the result."""
     labels = connected_components(graph)
-    ids = np.asarray(labels.component_id)
+    ids = labels.component_id
     edge_ids = ids[graph.edge_rows]
     local = np.empty(graph.n_vertices, dtype=np.intp)
     pinv = np.zeros((graph.n_vertices, graph.n_vertices))
@@ -53,11 +54,7 @@ def build_core(graph: BipartiteGraph) -> SpectralCore:
         a = local[graph.edge_rows[edges]]
         b = local[graph.n_left + graph.edge_cols[edges]]
         grounded = np.full((size, size), 1.0 / size)
-        # observed cells are distinct and a != b, so no index pair repeats
-        grounded[a, b] -= 1.0
-        grounded[b, a] -= 1.0
-        grounded[np.diag_indices(size)] += np.bincount(
-            np.concatenate([a, b]), minlength=size)
+        add_laplacian(grounded, a, b)
         block = np.linalg.inv(grounded)
         block -= 1.0 / size
         pinv[np.ix_(vertices, vertices)] = block

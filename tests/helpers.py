@@ -18,6 +18,11 @@ from flowcomplete import (
 )
 
 
+def cells(rows: np.ndarray, cols: np.ndarray) -> list:
+    """(row, col) tuples of Python ints from parallel index arrays."""
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
 def random_connected_mask(rng: np.random.Generator, n_rows: int, n_cols: int,
                           extra: float = 0.3) -> ObservationMask:
     """Random pattern whose graph is connected.
@@ -48,6 +53,16 @@ def random_mask(rng: np.random.Generator, n_rows: int, n_cols: int,
     """Plain Bernoulli pattern; may be empty or disconnected."""
     dense = rng.random((n_rows, n_cols)) < p
     return ObservationMask.from_dense(dense)
+
+
+def permuted(mask: ObservationMask, p: np.ndarray, q: np.ndarray):
+    """The mask whose cell ``(a, b)`` is the mask's ``(p[a], q[b])``.
+
+    Built from the relabelled, no longer row-major index arrays, so the
+    constructor has to restore the canonical order.
+    """
+    return ObservationMask(mask.n_rows, mask.n_cols,
+                           np.argsort(p)[mask.rows], np.argsort(q)[mask.cols])
 
 
 def random_additive(rng: np.random.Generator, n_rows: int, n_cols: int):
@@ -109,7 +124,7 @@ def brute_force_min_cut(graph: BipartiteGraph, i: int, j: int) -> int:
 
     Exhaustive over subsets in increasing size; only for tiny graphs.
     """
-    edges = list(graph.edges)
+    edges = cells(graph.edge_rows, graph.edge_cols)
     target = graph.n_left + j
 
     def connected_without(removed) -> bool:
@@ -141,7 +156,7 @@ def brute_force_min_cut(graph: BipartiteGraph, i: int, j: int) -> int:
 
 def _sorted_neighbors(graph: BipartiteGraph) -> list:
     neighbors = [[] for _ in range(graph.n_vertices)]
-    for i, j in graph.edges:
+    for i, j in cells(graph.edge_rows, graph.edge_cols):
         neighbors[i].append(graph.n_left + j)
         neighbors[graph.n_left + j].append(i)
     return [sorted(ns) for ns in neighbors]
@@ -190,7 +205,7 @@ def dict_unit_max_flow(graph: BipartiteGraph, i: int, j: int):
             v = u
         value += 1
 
-    for row, col in graph.edges:
+    for row, col in cells(graph.edge_rows, graph.edge_cols):
         u, v = row, graph.n_left + col
         delta = min(flow.get((u, v), 0), flow.get((v, u), 0))
         if delta:
@@ -250,7 +265,8 @@ def dict_min_cut(graph: BipartiteGraph, i: int, j: int) -> CutCertificate:
             if v not in reachable and residual(u, v) > 0:
                 reachable.add(v)
                 queue.append(v)
-    cut_edges = [(row, col) for row, col in graph.edges
+    edges = cells(graph.edge_rows, graph.edge_cols)
+    cut_edges = [(row, col) for row, col in edges
                  if (row in reachable) != (graph.n_left + col in reachable)]
     return CutCertificate(left_side=frozenset(reachable),
                           cut_edges=tuple(sorted(cut_edges)))

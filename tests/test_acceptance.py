@@ -35,7 +35,12 @@ from flowcomplete import (
     verify_equivalence,
 )
 from flowcomplete.patterns import extreme_sparsity_mask, staggered_exposure_pattern
-from helpers import brute_force_min_cut, random_connected_mask, random_mask
+from helpers import (
+    brute_force_min_cut,
+    cells,
+    random_connected_mask,
+    random_mask,
+)
 
 
 def _report(number: int, name: str, passed: bool, detail: str) -> None:
@@ -76,7 +81,7 @@ def test_criterion_2_variance_law_and_thomson_dominance():
     sigma, trials = 0.1, 10_000
     estimates = np.empty((trials, 10, 10))
     noise_store = np.empty((trials, solver.graph.n_edges))
-    rows, cols = mask.index_arrays
+    rows, cols = mask.rows, mask.cols
     for trial in range(trials):
         noise = rng.normal(0.0, sigma, (10, 10))
         noise_store[trial] = noise[rows, cols]
@@ -138,7 +143,7 @@ def test_criterion_4_menger_min_cut():
         oracle = brute_force_min_cut(graph, i, j)
         if max_disjoint_paths(graph, i, j).k != oracle:
             _report(4, "Menger/min-cut", False,
-                    f"k != brute-force cut on graph {mask.pairs_row_major}")
+                    f"k != brute-force cut on graph {cells(mask.rows, mask.cols)}")
         if len(min_cut(graph, i, j).cut_edges) != oracle:
             _report(4, "Menger/min-cut", False, "cut certificate size mismatch")
         checked += 1
@@ -192,7 +197,7 @@ def test_criterion_6_hard_instance_certificates():
         base = AdditiveModel(rng.normal(size=n), rng.normal(size=m))
         alt = hard_instance_additive(base, mask, i, j, epsilon)
         diff = alt.matrix() - base.matrix()
-        observed_mass = float(np.sum(diff[mask.to_dense() > 0] ** 2))
+        observed_mass = float(np.sum(diff[mask.grid] ** 2))
         if abs(observed_mass - epsilon ** 2 * resistance) > 1e-9:
             _report(6, "hard instances", False, "observed mass != eps^2 R")
         if abs(diff[i, j] - epsilon * resistance) > 1e-9:
@@ -201,7 +206,7 @@ def test_criterion_6_hard_instance_certificates():
         first, second = hard_instance_rank1(mask, i, j, epsilon)
         cut = min_cut(build_graph(mask), i, j)
         pair_diff = first.matrix() - second.matrix()
-        differing = {(r, c) for r, c in mask.pairs_row_major
+        differing = {(r, c) for r, c in cells(mask.rows, mask.cols)
                      if abs(pair_diff[r, c]) > 1e-15}
         if differing != set(cut.cut_edges):
             _report(6, "hard instances", False,

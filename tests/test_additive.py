@@ -27,7 +27,14 @@ from flowcomplete import (
     vec_omega,
     verify_equivalence,
 )
-from helpers import complete_mask, random_additive, random_connected_mask
+from helpers import (
+    cells,
+    complete_mask,
+    permuted,
+    random_additive,
+    random_connected_mask,
+    random_mask,
+)
 
 FIG_PATH_MASK = ObservationMask.from_pairs(
     3, 3, [(0, 1), (1, 1), (1, 2), (2, 2), (2, 0)])
@@ -69,7 +76,7 @@ def test_unit_flow_estimate_path_flow_matches_path_estimate():
     values = np.zeros(graph.n_edges)
     for edge, value in [((0, 1), 1.0), ((1, 1), -1.0), ((1, 2), 1.0),
                         ((2, 2), -1.0), ((2, 0), 1.0)]:
-        values[graph.edges.index(edge)] = value
+        values[cells(graph.edge_rows, graph.edge_cols).index(edge)] = value
     flow = UnitFlow(values=values, source=0, sink=0)
     rng = np.random.default_rng(1)
     data = rng.normal(size=(3, 3))
@@ -173,7 +180,7 @@ def test_lse_matches_design_matrix_least_squares():
         data = rng.normal(size=(n, m))
         design = np.zeros((mask.n_observed, n + m))
         rhs = np.empty(mask.n_observed)
-        for pos, (i, j) in enumerate(mask.pairs_row_major):
+        for pos, (i, j) in enumerate(cells(mask.rows, mask.cols)):
             design[pos, i] = 1.0
             design[pos, n + j] = 1.0
             rhs[pos] = data[i, j]
@@ -192,8 +199,7 @@ def test_lse_first_order_conditions(seed):
     mask = random_connected_mask(rng, n, m)
     data = rng.normal(size=(n, m))
     a_hat, b_hat = lse_factors(mask, data)
-    pattern = mask.to_dense()
-    residual = np.where(pattern > 0, a_hat[:, None] + b_hat[None, :] - data, 0.0)
+    residual = np.where(mask.grid, a_hat[:, None] + b_hat[None, :] - data, 0.0)
     assert np.max(np.abs(residual.sum(axis=1))) < 1e-8
     assert np.max(np.abs(residual.sum(axis=0))) < 1e-8
 
@@ -217,6 +223,25 @@ def test_efe_full_marks_cross_component_entries():
     # unidentifiable exactly where resistance is infinite
     assert np.array_equal(~report.identifiable,
                           np.isinf(report.effective_resistances))
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_efe_full_commutes_with_row_and_column_permutations(seed):
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+    mask = random_mask(rng, n, m, 0.4)  # may be empty or disconnected
+    data = rng.normal(size=(n, m))
+    p, q = rng.permutation(n), rng.permutation(m)
+    perm = np.ix_(p, q)
+    base = efe_full(mask, data)
+    moved = efe_full(permuted(mask, p, q), data[perm])
+    assert np.array_equal(moved.identifiable, base.identifiable[perm])
+    np.testing.assert_allclose(moved.estimates, base.estimates[perm],
+                               rtol=0, atol=1e-10)
+    np.testing.assert_allclose(moved.effective_resistances,
+                               base.effective_resistances[perm],
+                               rtol=0, atol=1e-10)
 
 
 def test_factors_reject_shape_mismatch():
@@ -341,7 +366,7 @@ def test_hard_instance_single_edge():
     alt = hard_instance_additive(base, mask, 0, 0, epsilon=0.5)
     diff = alt.matrix() - base.matrix()
     assert abs(diff[0, 0] - 0.5) < 1e-12  # epsilon * R with R = 1
-    kl = float(np.sum(diff[mask.to_dense() > 0] ** 2)) / (2 * 1.0 ** 2)
+    kl = float(np.sum(diff[mask.grid] ** 2)) / (2 * 1.0 ** 2)
     assert abs(kl - 0.125) < 1e-12
 
 
@@ -359,7 +384,7 @@ def test_hard_instance_certificates(seed):
     alt = hard_instance_additive(base, mask, i, j, epsilon)
     resistance = effective_resistance(core, i, j)
     diff = alt.matrix() - base.matrix()
-    observed_mass = float(np.sum(diff[mask.to_dense() > 0] ** 2))
+    observed_mass = float(np.sum(diff[mask.grid] ** 2))
     assert abs(observed_mass - epsilon ** 2 * resistance) < 1e-9
     assert abs(diff[i, j] - epsilon * resistance) < 1e-9
 

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from flowcomplete import PanelData
+from flowcomplete import PanelData, maxflow
 from flowcomplete.cli import main
-from helpers import chain_mask, did_loop_grid
+from helpers import cells, chain_mask, did_loop_grid
 
 
 def _write(path, text):
@@ -113,6 +113,30 @@ def test_paths_json(tmp_path, capsys):
     assert len(payload["cut_edges"]) == 2
 
 
+def test_paths_runs_one_max_flow(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return unit_max_flow(*args)
+
+    unit_max_flow = maxflow._unit_max_flow
+    monkeypatch.setattr(maxflow, "_unit_max_flow", counted)
+    mask = _write(tmp_path / "mask.csv",
+                  "row,col\n1,2\n2,2\n2,1\n1,3\n3,3\n3,1\n")
+    assert main(["paths", "--mask", mask, "--pair", "1,1"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["cut_edges"]) == 2
+    assert len(calls) == 1
+
+
+def test_explicit_zero_dimensions_are_rejected(tmp_path, capsys):
+    # 0 is an explicit size, not "infer from the file"
+    mask = _write(tmp_path / "mask.csv", "row,col\n1,1\n2,2\n")
+    assert main(["resistance", "--mask", mask, "--rows", "0", "--cols", "0",
+                 "--all"]) == 1
+    assert "dimensions must be positive" in capsys.readouterr().err
+
+
 def test_estimate_rank1_end_to_end(tmp_path):
     rng = np.random.default_rng(0)
     model = np.outer(np.full(4, 2.0), np.full(4, 1.5))
@@ -146,7 +170,7 @@ def test_estimate_rank1_overflowing_bound_is_null(tmp_path):
     mask = chain_mask(20)
     data = np.full((mask.n_rows, mask.n_cols), np.nan)
     mask_lines = ["row,col"]
-    for i, j in mask.pairs_row_major:
+    for i, j in cells(mask.rows, mask.cols):
         data[i, j] = 1e8
         mask_lines.append(f"{i + 1},{j + 1}")
     data_path = tmp_path / "data.csv"

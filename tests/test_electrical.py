@@ -19,7 +19,7 @@ from flowcomplete import (
     verify_unit_flow,
     voltage_vector,
 )
-from helpers import complete_mask, random_connected_mask
+from helpers import cells, complete_mask, random_connected_mask
 
 SINGLE_EDGE = ObservationMask.from_pairs(1, 1, [(0, 0)])
 # two disjoint length-3 routes between u_0 and v_0, no direct edge
@@ -66,8 +66,9 @@ def test_shorter_path_carries_more_current():
     graph = build_graph(complete_mask(2, 2))
     core = _core(complete_mask(2, 2))
     flow = electrical_flow(graph, core, 0, 0)
-    direct = abs(flow.values[graph.edges.index((0, 0))])
-    detour = [abs(flow.values[graph.edges.index(e)])
+    edges = cells(graph.edge_rows, graph.edge_cols)
+    direct = abs(flow.values[edges.index((0, 0))])
+    detour = [abs(flow.values[edges.index(e)])
               for e in ((0, 1), (1, 1), (1, 0))]
     assert abs(direct - 0.75) < 1e-12
     assert all(abs(v - 0.25) < 1e-12 for v in detour)
@@ -127,7 +128,7 @@ def test_verify_unit_flow_alternating_path():
     values = np.zeros(graph.n_edges)
     for edge, value in [((0, 1), 1.0), ((1, 1), -1.0), ((1, 2), 1.0),
                         ((2, 2), -1.0), ((2, 0), 1.0)]:
-        values[graph.edges.index(edge)] = value
+        values[cells(graph.edge_rows, graph.edge_cols).index(edge)] = value
     assert verify_unit_flow(UnitFlow(values=values, source=0, sink=0), graph, 0, 0)
 
 
@@ -179,7 +180,8 @@ def test_rayleigh_monotonicity():
         if not unobserved:
             continue
         extra = unobserved[int(rng.integers(len(unobserved)))]
-        bigger = ObservationMask.from_pairs(n, m, set(mask.observed) | {extra})
+        bigger = ObservationMask.from_pairs(
+            n, m, cells(mask.rows, mask.cols) + [extra])
         after = effective_resistance(_core(bigger), i, j)
         assert after <= before + 1e-10
 
@@ -191,7 +193,7 @@ def test_resistance_upper_bounds():
         mask = random_connected_mask(rng, n, m, extra=0.4)
         graph = build_graph(mask)
         core = _core(mask)
-        for i, j in mask.pairs_row_major:
+        for i, j in cells(mask.rows, mask.cols):
             assert effective_resistance(core, i, j) <= 1.0 + 1e-10
         i, j = int(rng.integers(n)), int(rng.integers(m))
         paths = max_disjoint_paths(graph, i, j)

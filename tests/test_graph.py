@@ -12,7 +12,7 @@ from flowcomplete import (
     validate_path,
     vec_omega,
 )
-from helpers import random_mask
+from helpers import cells, random_mask
 
 # single length-5 path from u_0 to v_0
 PATH_MASK = ObservationMask.from_pairs(3, 3, [(0, 1), (1, 1), (1, 2), (2, 2), (2, 0)])
@@ -22,7 +22,11 @@ def test_build_graph_path_mask():
     graph = build_graph(PATH_MASK)
     assert graph.n_left == 3 and graph.n_right == 3
     assert graph.n_edges == 5
-    assert graph.edges == ((0, 1), (1, 1), (1, 2), (2, 0), (2, 2))
+    assert cells(graph.edge_rows, graph.edge_cols) == [
+        (0, 1), (1, 1), (1, 2), (2, 0), (2, 2)]
+    # the graph shares the mask's read-only index arrays
+    assert graph.edge_rows is PATH_MASK.rows and graph.edge_cols is PATH_MASK.cols
+    assert PATH_MASK.rows.dtype == np.intp and not PATH_MASK.rows.flags.writeable
     degrees = [graph.degree(v) for v in range(graph.n_vertices)]
     assert sorted(degrees) == [1, 1, 2, 2, 2, 2]
 
@@ -53,10 +57,37 @@ def test_mask_collapses_duplicates():
     assert mask.n_observed == 2
 
 
+def test_mask_rejects_non_integer_indices():
+    # a float index is rejected, not truncated to a neighbouring cell
+    with pytest.raises(ValueError, match="integers"):
+        ObservationMask.from_pairs(2, 2, [(0.7, 1.9)])
+    with pytest.raises(ValueError, match="integers"):
+        ObservationMask(2, 2, np.array([0.0]), np.array([1.0]))
+    with pytest.raises(ValueError, match="integers"):
+        ObservationMask(2, 2, np.array([True]), np.array([1]))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_from_pairs_in_any_order_with_repeats_equals_from_dense(data):
+    n, m = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                         st.integers(0, m - 1)), max_size=40))
+    dense = np.zeros((n, m), dtype=bool)
+    for i, j in pairs:
+        dense[i, j] = True
+    mask = ObservationMask.from_pairs(n, m, pairs)
+    assert mask == ObservationMask.from_dense(dense)
+    assert hash(mask) == hash(ObservationMask.from_dense(dense))
+    assert mask.n_observed == len(set(pairs))
+    # strictly increasing row-major keys: sorted, each cell once
+    assert np.all(np.diff(mask.rows * m + mask.cols) > 0)
+
+
 def test_components_edgeless():
     labeling = connected_components(build_graph(ObservationMask.from_pairs(2, 2, [])))
     assert labeling.component_count == 4
-    assert labeling.component_id == (0, 1, 2, 3)
+    assert labeling.component_id.tolist() == [0, 1, 2, 3]
 
 
 def test_components_block_diagonal():
@@ -64,7 +95,7 @@ def test_components_block_diagonal():
     labeling = connected_components(build_graph(mask))
     assert labeling.component_count == 2
     # vertex order u_0, u_1, v_0, v_1
-    assert labeling.component_id == (0, 1, 0, 1)
+    assert labeling.component_id.tolist() == [0, 1, 0, 1]
 
 
 def test_components_complete():
@@ -146,7 +177,7 @@ def test_incidence_laplacian_and_ordering(seed, n, m):
     # edge ordering of incidence rows equals vec_omega element ordering
     data = rng.normal(size=(n, m))
     vec = vec_omega(mask, data)
-    for pos, (i, j) in enumerate(graph.edges):
+    for pos, (i, j) in enumerate(cells(graph.edge_rows, graph.edge_cols)):
         assert vec[pos] == data[i, j]
         assert b[pos, i] == 1.0 and b[pos, graph.n_left + j] == -1.0
 
@@ -159,8 +190,8 @@ def test_components_form_partition(seed, n, m):
     graph = build_graph(mask)
     labeling = connected_components(graph)
     assert len(labeling.component_id) == graph.n_vertices
-    assert set(labeling.component_id) == set(range(labeling.component_count))
-    for i, j in graph.edges:
+    assert set(labeling.component_id.tolist()) == set(range(labeling.component_count))
+    for i, j in cells(graph.edge_rows, graph.edge_cols):
         assert labeling.together(i, graph.n_left + j)
 
 
@@ -170,7 +201,7 @@ def test_vec_omega_scatter_round_trip():
     data = rng.normal(size=(6, 5))
     vec = vec_omega(mask, data)
     scattered = np.zeros((6, 5))
-    rows, cols = mask.index_arrays
+    rows, cols = mask.rows, mask.cols
     scattered[rows, cols] = vec
     assert np.array_equal(scattered[rows, cols], data[rows, cols])
     untouched = np.ones((6, 5), dtype=bool)

@@ -28,7 +28,7 @@ def test_mask_round_trip(tmp_path):
     write_mask_csv(path, mask)
     loaded, duplicates = read_mask_csv(path, n_rows=3, n_cols=4)
     assert duplicates == 0
-    assert loaded.observed == mask.observed
+    assert loaded == mask
 
 
 def test_mask_requires_header_and_one_based_indices(tmp_path):

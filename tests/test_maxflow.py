@@ -9,9 +9,11 @@ from flowcomplete import (
     min_cut,
     validate_path,
 )
+from flowcomplete.maxflow import paths_and_cut
 from flowcomplete.patterns import dense_submatrix_mask, extreme_sparsity_mask
 from helpers import (
     brute_force_min_cut,
+    cells,
     chain_mask,
     dict_max_disjoint_paths,
     dict_min_cut,
@@ -131,7 +133,7 @@ def test_adding_edge_never_decreases_k(seed):
     if not unobserved:
         return
     extra = unobserved[int(rng.integers(len(unobserved)))]
-    bigger = ObservationMask.from_pairs(n, m, set(mask.observed) | {extra})
+    bigger = ObservationMask.from_pairs(n, m, cells(mask.rows, mask.cols) + [extra])
     assert max_disjoint_paths(build_graph(bigger), i, j).k >= before
 
 
@@ -141,6 +143,8 @@ def _assert_matches_dict_oracle(mask):
         for j in range(mask.n_cols):
             assert max_disjoint_paths(graph, i, j) == dict_max_disjoint_paths(graph, i, j)
             assert min_cut(graph, i, j) == dict_min_cut(graph, i, j)
+            assert paths_and_cut(graph, i, j) == (
+                dict_max_disjoint_paths(graph, i, j), dict_min_cut(graph, i, j))
 
 
 @given(seed=st.integers(0, 2**32 - 1), p=st.floats(0.05, 0.95))

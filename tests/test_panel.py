@@ -73,7 +73,7 @@ def test_split_masks_partition():
     panel, _ = _random_panel(rng, 4, 5)
     control, treated = split_masks(panel)
     assert control.n_observed + treated.n_observed == int(panel.observed.sum())
-    assert not (control.observed & treated.observed)
+    assert not (control.grid & treated.grid).any()
 
 
 def test_split_masks_all_control():

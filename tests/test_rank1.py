@@ -21,7 +21,13 @@ from flowcomplete import (
     rank1_full,
 )
 from flowcomplete.patterns import dense_submatrix_mask, extreme_sparsity_mask
-from helpers import chain_mask, random_connected_mask
+from helpers import (
+    cells,
+    chain_mask,
+    permuted,
+    random_connected_mask,
+    random_mask,
+)
 
 
 def _random_factors(rng, size, low=1.0, high=10.0):
@@ -176,6 +182,19 @@ def test_rank1_full_dense_submatrix_certificates():
     assert abs(report.estimates[0, 0] - 3.0) < 1e-9
 
 
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_rank1_path_counts_commute_with_permutations(seed):
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+    mask = random_mask(rng, n, m, 0.4)
+    data = rng.uniform(0.5, 1.5, size=(n, m))
+    p, q = rng.permutation(n), rng.permutation(m)
+    base = rank1_full(mask, data).path_counts
+    moved = rank1_full(permuted(mask, p, q), data[np.ix_(p, q)]).path_counts
+    assert np.array_equal(moved, base[np.ix_(p, q)])
+
+
 def test_error_bound_formula():
     base = rank1_error_bound(8, 3, 0.1, 1.0, 10, 10, 0.05)
     halved = rank1_error_bound(16, 3, 0.1, 1.0, 10, 10, 0.05)
@@ -257,7 +276,7 @@ def test_hard_instance_single_edge():
 def test_hard_instance_extreme_sparsity():
     mask = extreme_sparsity_mask(4)
     base, flipped = hard_instance_rank1(mask, 0, 0, epsilon=0.3)
-    pattern = mask.to_dense() > 0
+    pattern = mask.grid
     differing = (np.abs(base.matrix() - flipped.matrix()) > 1e-15) & pattern
     assert differing.sum() == 3  # cut size n - 1
 
@@ -275,7 +294,7 @@ def test_hard_instance_structure(seed):
     cut = min_cut(graph, i, j)
     diff = base.matrix() - flipped.matrix()
     observed_differing = {
-        (r, c) for r, c in mask.pairs_row_major if abs(diff[r, c]) > 1e-15}
+        (r, c) for r, c in cells(mask.rows, mask.cols) if abs(diff[r, c]) > 1e-15}
     assert observed_differing == set(cut.cut_edges)
     assert len(observed_differing) == max_disjoint_paths(graph, i, j).k
     # target entry flips from eps^2 to -eps^2
