@@ -29,6 +29,7 @@ from .graph import (
     ObservationMask,
     build_graph,
     checked_vec_omega,
+    incidence_matrix,
     validate_path,
     vec_omega,
 )
@@ -84,22 +85,23 @@ class EfeSolver:
     """Closed-form solver for one observation pattern, reusable across data.
 
     Building the solver costs one grounded Laplacian inverse per connected
-    component; each subsequent estimate is one matrix-vector product, and
-    :meth:`observation_factors` solves many data sets with one matrix
-    product, which is what makes Monte-Carlo loops over fresh noise cheap.
+    component; each subsequent estimate is one :meth:`SpectralCore.solve`,
+    and :meth:`observation_factors` solves many data sets in one call,
+    which is what makes Monte-Carlo loops over fresh noise cheap.
     """
 
     def __init__(self, mask: ObservationMask):
         self.mask = mask
         self.graph: BipartiteGraph = build_graph(mask)
         self.core: SpectralCore = build_core(self.graph)
-        n = mask.n_rows
-        ids = self.core.components.component_id
-        self.identifiable = ids[:n, None] == ids[None, n:]
 
     @cached_property
     def resistances(self) -> np.ndarray:
         return resistance_matrix(self.core)
+
+    @cached_property
+    def identifiable(self) -> np.ndarray:
+        return np.isfinite(self.resistances)
 
     def factors(self, data) -> tuple[np.ndarray, np.ndarray]:
         """Minimum-norm least-squares factors (a, b) for the observed data.
@@ -116,14 +118,14 @@ class EfeSolver:
         """Factors for ``(n_edges, k)`` observations in canonical edge order.
 
         Each column is one data set; the ``(n, k)`` and ``(m, k)`` factors
-        come from one product with the pseudoinverse.  Values are not
+        come from one solve with the pseudoinverse.  Values are not
         checked here.
         """
         n = self.mask.n_rows
         sums = np.concatenate([
             _grouped_sums(self.graph.edge_rows, n, observations),
             -_grouped_sums(self.graph.edge_cols, self.mask.n_cols, observations)])
-        stacked = self.core.pinv @ sums  # [a; -b]
+        stacked = self.core.solve(sums)  # [a; -b]
         return stacked[:n], -stacked[n:]
 
     def estimates(self, data) -> np.ndarray:
@@ -214,18 +216,13 @@ def verify_equivalence(mask: ObservationMask, data, tol: float = 1e-8) -> bool:
     solver = EfeSolver(mask)
     a_hat, b_hat = solver.factors(data)
     observations = vec_omega(mask, data)
-    graph = solver.graph
-    pinv = solver.core.pinv
-    n = mask.n_rows
-    # per-edge potential-difference contributions of every row / column pole
-    rows, cols = graph.edge_rows, graph.n_left + graph.edge_cols
-    row_currents = pinv[rows, :n] - pinv[cols, :n]          # n_e x n
-    col_currents = pinv[rows, n:] - pinv[cols, n:]          # n_e x m
+    # B L^+: column v holds every edge's current for a unit injection at v
+    currents = solver.core.solve(incidence_matrix(solver.graph).T).T
     for i in range(mask.n_rows):
         for j in range(mask.n_cols):
             if not solver.identifiable[i, j]:
                 continue
-            flow_values = row_currents[:, i] - col_currents[:, j]
+            flow_values = currents[:, i] - currents[:, mask.n_rows + j]
             flow_est = float(np.dot(flow_values, observations))
             if abs(flow_est - (a_hat[i] + b_hat[j])) > tol:
                 return False
@@ -243,8 +240,7 @@ def hard_instance_additive(base: AdditiveModel, mask: ObservationMask,
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
-    core = build_core(build_graph(mask))
-    voltage = voltage_vector(core, i, j)
+    voltage = voltage_vector(build_core(build_graph(mask)), i, j)
     n = mask.n_rows
     return AdditiveModel(
         row_effects=base.row_effects + epsilon * voltage.potentials[:n],

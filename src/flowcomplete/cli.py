@@ -334,13 +334,13 @@ def _cmd_generate_pattern(args) -> int:
     written = []
     if realized.treatment is None:
         mask_path = os.path.join(out_dir, "mask.csv")
-        write_mask_csv(mask_path, ObservationMask.from_dense(realized.omega))
+        write_mask_csv(mask_path, realized.mask)
         written.append(mask_path)
     else:
         treatment_path = os.path.join(out_dir, "treatment.csv")
         observed_path = os.path.join(out_dir, "observed.csv")
         write_grid_csv(treatment_path, realized.treatment)
-        write_grid_csv(observed_path, realized.omega)
+        write_grid_csv(observed_path, realized.mask.grid)
         written.extend([treatment_path, observed_path])
     for path in written:
         print(path)

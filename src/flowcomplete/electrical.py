@@ -40,17 +40,14 @@ class UnitFlow:
     sink: int
 
 
-def _require_connected(core: SpectralCore, i: int, j: int) -> None:
-    if not core.components.together(i, core.n_left + j):
-        raise DisconnectedPairError(
-            f"row {i} and column {j} lie in different components")
-
-
 def voltage_vector(core: SpectralCore, i: int, j: int) -> VoltageVector:
     """Potentials induced by a unit current from ``u_i`` into ``v_j``."""
-    _require_connected(core, i, j)
-    potentials = core.pinv[:, i] - core.pinv[:, core.n_left + j]
-    return VoltageVector(potentials=potentials, source=i, sink=j)
+    if math.isinf(core.resistance(i, j)):
+        raise DisconnectedPairError(
+            f"row {i} and column {j} lie in different components")
+    current = np.zeros(core.n_vertices)
+    current[i], current[core.n_left + j] = 1.0, -1.0
+    return VoltageVector(potentials=core.solve(current), source=i, sink=j)
 
 
 def electrical_flow(graph: BipartiteGraph, core: SpectralCore,
@@ -64,22 +61,12 @@ def electrical_flow(graph: BipartiteGraph, core: SpectralCore,
 
 def effective_resistance(core: SpectralCore, i: int, j: int) -> float:
     """Effective resistance between ``u_i`` and ``v_j``; inf if disconnected."""
-    right = core.n_left + j
-    if not core.components.together(i, right):
-        return math.inf
-    return float(core.pinv[i, i] + core.pinv[right, right] - 2.0 * core.pinv[i, right])
+    return core.resistance(i, j)
 
 
 def resistance_matrix(core: SpectralCore) -> np.ndarray:
-    """All-pairs effective resistances, ``inf`` across components."""
-    n = core.n_left
-    diagonal = np.diagonal(core.pinv)
-    matrix = diagonal[:n, None] + diagonal[None, n:] - 2.0 * core.pinv[:n, n:]
-    ids = core.components.component_id
-    cross = ids[:core.n_left, None] != ids[None, core.n_left:]
-    matrix = np.where(cross, np.inf, matrix)
-    # quadratic form; tiny negatives are rounding noise of the inverse
-    return np.maximum(matrix, 0.0)
+    """All-pairs effective resistances (read-only), ``inf`` across components."""
+    return core.resistances
 
 
 def flow_energy(flow: UnitFlow) -> float:
@@ -116,14 +103,12 @@ def perturbed_unit_flow(graph: BipartiteGraph, core: SpectralCore,
     With ``scale=0`` this returns exactly the electrical flow.
     """
     base = electrical_flow(graph, core, i, j)
-    if graph.n_edges == 0:
-        return base
     raw = rng.normal(0.0, scale, size=graph.n_edges)
     # remove the potential-flow part: c = r - B L+ B^T r
     b_t_r = np.zeros(graph.n_vertices)
     np.add.at(b_t_r, graph.edge_rows, raw)
     np.subtract.at(b_t_r, graph.n_left + graph.edge_cols, raw)
-    potential = core.pinv @ b_t_r
+    potential = core.solve(b_t_r)
     gradient = (potential[graph.edge_rows]
                 - potential[graph.n_left + graph.edge_cols])
     return UnitFlow(values=base.values + raw - gradient, source=i, sink=j)

@@ -13,7 +13,6 @@ and even positions are column indices (0-based internally).
 from __future__ import annotations
 
 import operator
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -149,9 +148,6 @@ class ComponentLabeling:
     component_id: np.ndarray
     component_count: int
 
-    def together(self, u: int, v: int) -> bool:
-        return bool(self.component_id[u] == self.component_id[v])
-
 
 def build_graph(mask: ObservationMask) -> BipartiteGraph:
     """Construct the observation graph for a mask.
@@ -164,25 +160,25 @@ def build_graph(mask: ObservationMask) -> BipartiteGraph:
 
 
 def connected_components(graph: BipartiteGraph) -> ComponentLabeling:
-    """BFS labeling; the component containing the smallest unvisited vertex
-    gets the next id, so labels are deterministic."""
-    labels = [-1] * graph.n_vertices
-    count = 0
-    for start in range(graph.n_vertices):
-        if labels[start] >= 0:
-            continue
-        labels[start] = count
-        queue = deque([start])
-        while queue:
-            vertex = queue.popleft()
-            for neighbor, _ in graph.adjacency[vertex]:
-                if labels[neighbor] < 0:
-                    labels[neighbor] = count
-                    queue.append(neighbor)
-        count += 1
-    ids = np.array(labels, dtype=np.intp)
+    """Label components from the edge arrays by min-label hooking and
+    pointer jumping; ids ascend with each component's smallest vertex, so
+    labels are deterministic."""
+    a, b = graph.edge_rows, graph.n_left + graph.edge_cols
+    root = np.arange(graph.n_vertices)  # root[v] <= v; a star after jumping
+    while True:
+        root_a, root_b = root[a], root[b]
+        if np.array_equal(root_a, root_b):
+            break
+        low = np.minimum(root_a, root_b)
+        np.minimum.at(root, root_a, low)  # hook roots onto smaller roots
+        np.minimum.at(root, root_b, low)
+        jumped = root[root]
+        while not np.array_equal(jumped, root):
+            root, jumped = jumped, jumped[jumped]
+    is_root = root == np.arange(graph.n_vertices)
+    ids = (np.cumsum(is_root, dtype=np.intp) - 1)[root]
     ids.setflags(write=False)
-    return ComponentLabeling(ids, count)
+    return ComponentLabeling(ids, int(np.count_nonzero(is_root)))
 
 
 def incidence_matrix(graph: BipartiteGraph) -> np.ndarray:

@@ -88,7 +88,7 @@ class SimConfig:
 class GeneratedPattern:
     """Pattern realization: observation mask, optional treatment, parameters."""
 
-    omega: np.ndarray
+    mask: ObservationMask
     treatment: np.ndarray | None
     metadata: dict
 
@@ -121,47 +121,44 @@ def generate_pattern(config: SimConfig) -> GeneratedPattern:
     """Realize the configured pattern (deterministic given the seed)."""
     pattern_rng, _ = _substreams(config)
     meta: dict = {"pattern": config.pattern}
+    treatment = None
     if config.pattern == "extreme_sparsity":
         if config.n_rows != config.n_cols:
             raise ValueError("extreme_sparsity is a square pattern")
-        omega = patterns.extreme_sparsity_mask(config.n_rows).grid
-        treatment = None
+        mask = patterns.extreme_sparsity_mask(config.n_rows)
     elif config.pattern == "dense_submatrix":
         block_rows = config.block_rows or max(1, config.n_rows - 1)
         block_cols = config.block_cols or max(1, config.n_cols - 1)
-        omega = patterns.dense_submatrix_mask(
-            config.n_rows, config.n_cols, block_rows, block_cols).grid
-        treatment = None
+        mask = patterns.dense_submatrix_mask(
+            config.n_rows, config.n_cols, block_rows, block_cols)
         meta.update(block_rows=block_rows, block_cols=block_cols)
     elif config.pattern == "uniform_bernoulli":
         if config.bernoulli_p is None:
             raise ValueError("uniform_bernoulli needs bernoulli_p")
-        omega = patterns.uniform_bernoulli_mask(
-            config.n_rows, config.n_cols, config.bernoulli_p,
-            pattern_rng).grid
-        treatment = None
+        mask = patterns.uniform_bernoulli_mask(
+            config.n_rows, config.n_cols, config.bernoulli_p, pattern_rng)
         meta.update(bernoulli_p=config.bernoulli_p)
     elif config.pattern == "staggered_exposure":
         if config.groups is None:
             raise ValueError("staggered_exposure needs groups")
         if config.n_rows != config.n_cols:
             raise ValueError("staggered_exposure is a square pattern")
-        omega, treatment = patterns.staggered_exposure_pattern(
+        observed, treatment = patterns.staggered_exposure_pattern(
             config.n_rows, config.groups)
         meta.update(groups=config.groups)
     else:  # staircase
         if config.groups is None:
             raise ValueError("staircase needs groups")
-        omega, treatment = patterns.staircase_pattern(
+        observed, treatment = patterns.staircase_pattern(
             config.n_rows, config.n_cols, config.groups, pattern_rng,
             base_density=config.base_density, thinning=config.thinning)
         meta.update(groups=config.groups, base_density=config.base_density,
                     thinning=config.thinning)
     if treatment is not None:
         meta["treated_cells"] = int(np.sum(treatment))
-    meta["observed_cells"] = int(np.sum(omega != 0))
-    return GeneratedPattern(omega=np.asarray(omega, dtype=float),
-                            treatment=treatment, metadata=meta)
+        mask = ObservationMask.from_dense(observed)
+    meta["observed_cells"] = mask.n_observed
+    return GeneratedPattern(mask=mask, treatment=treatment, metadata=meta)
 
 
 def run_experiment(config: SimConfig) -> SimResult:
@@ -169,13 +166,9 @@ def run_experiment(config: SimConfig) -> SimResult:
     started = time.perf_counter()
     _, trial_rngs = _substreams(config)
     realized = generate_pattern(config)
-    if config.model == "panel":
-        mse, reference, identifiable = _run_panel(config, realized, trial_rngs)
-    elif config.model == "additive":
-        mse, reference, identifiable = _run_additive(config, realized,
-                                                     trial_rngs)
-    else:
-        mse, reference, identifiable = _run_rank1(config, realized, trial_rngs)
+    run = {"additive": _run_additive, "panel": _run_panel,
+           "rank1": _run_rank1}[config.model]
+    mse, reference, identifiable = run(config, realized, trial_rngs)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(identifiable, mse / reference, np.nan)
     finite = ratio[np.isfinite(ratio)]
@@ -195,14 +188,13 @@ def run_experiment(config: SimConfig) -> SimResult:
 
 
 def _run_additive(config, realized, trial_rngs):
-    solver = EfeSolver(ObservationMask.from_dense(realized.omega))
-    return _run_linear(config, trial_rngs, [(solver, 1.0)])
+    return _run_linear(config, trial_rngs, [(EfeSolver(realized.mask), 1.0)])
 
 
 def _run_panel(config, realized, trial_rngs):
     base_panel = PanelData(outcomes=np.zeros((config.n_rows, config.n_cols)),
                            treatment=realized.treatment,
-                           observed=realized.omega.astype(np.int8))
+                           observed=realized.mask.grid.astype(np.int8))
     control_mask, treated_mask = split_masks(base_panel)
     # the effect estimate is the treated fit minus the control fit
     arms = [(EfeSolver(control_mask), -1.0), (EfeSolver(treated_mask), 1.0)]
@@ -246,7 +238,7 @@ def _run_linear(config, trial_rngs, arms):
 
 
 def _run_rank1(config, realized, trial_rngs):
-    mask = ObservationMask.from_dense(realized.omega)
+    mask = realized.mask
     solver = EfeSolver(mask)
     truth = np.ones((config.n_rows, config.n_cols))  # unit factors
     if config.target is not None:

@@ -14,6 +14,7 @@ from flowcomplete import (
     ObservationMask,
     PanelData,
     PathSet,
+    SpectralCore,
     split_masks,
 )
 
@@ -270,3 +271,28 @@ def dict_min_cut(graph: BipartiteGraph, i: int, j: int) -> CutCertificate:
                  if (row in reachable) != (graph.n_left + col in reachable)]
     return CutCertificate(left_side=frozenset(reachable),
                           cut_edges=tuple(sorted(cut_edges)))
+
+
+def bfs_component_ids(graph: BipartiteGraph) -> tuple[list, int]:
+    """Reference for ``connected_components``: BFS from the smallest
+    unlabelled vertex; returns (component id per vertex, count)."""
+    adjacency = _sorted_neighbors(graph)
+    labels = [-1] * graph.n_vertices
+    count = 0
+    for start in range(graph.n_vertices):
+        if labels[start] >= 0:
+            continue
+        labels[start] = count
+        queue = deque([start])
+        while queue:
+            for v in adjacency[queue.popleft()]:
+                if labels[v] < 0:
+                    labels[v] = count
+                    queue.append(v)
+        count += 1
+    return labels, count
+
+
+def pseudo_inverse(core: SpectralCore) -> np.ndarray:
+    """The full ``L^+`` of a core, materialised by solving for the identity."""
+    return core.solve(np.eye(core.n_vertices))

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from flowcomplete import (
     AdditiveModel,
+    BipartiteGraph,
     DisconnectedPairError,
     EfeSolver,
     InvalidFlowError,
@@ -13,6 +14,7 @@ from flowcomplete import (
     UnitFlow,
     build_core,
     build_graph,
+    connected_components,
     efe_entry,
     efe_full,
     effective_resistance,
@@ -242,6 +244,52 @@ def test_efe_full_commutes_with_row_and_column_permutations(seed):
     np.testing.assert_allclose(moved.effective_resistances,
                                base.effective_resistances[perm],
                                rtol=0, atol=1e-10)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_disjoint_component_leaves_old_entries_bit_identical(seed):
+    # a new row and column observed only at their shared cell form a
+    # component of their own; nothing about the old entries may move
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 25)), int(rng.integers(1, 25))
+    mask = random_mask(rng, n, m, float(rng.uniform(0.05, 0.5)))
+    data = rng.normal(size=(n, m))
+    grown = ObservationMask(n + 1, m + 1, np.append(mask.rows, n),
+                            np.append(mask.cols, m))
+    grown_data = np.pad(data, ((0, 1), (0, 1)), constant_values=rng.normal())
+    base, wide = efe_full(mask, data), efe_full(grown, grown_data)
+    assert np.array_equal(wide.estimates[:n, :m], base.estimates,
+                          equal_nan=True)
+    assert np.array_equal(wide.effective_resistances[:n, :m],
+                          base.effective_resistances)
+    assert wide.estimates[n, m] == pytest.approx(grown_data[n, m])
+    assert wide.effective_resistances[n, m] == pytest.approx(1.0)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_per_component_gauge_shift_leaves_estimates_unchanged(seed):
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+    mask = random_mask(rng, n, m, 0.3)
+    a, b, truth = random_additive(rng, n, m)
+    ids = connected_components(build_graph(mask)).component_id
+    shift = rng.normal(0.0, 5.0, int(ids.max()) + 1)
+    shifted = AdditiveModel(a + shift[ids[:n]], b - shift[ids[n:]]).matrix()
+    solver = EfeSolver(mask)
+    np.testing.assert_allclose(solver.estimates(shifted),
+                               solver.estimates(truth), rtol=0, atol=1e-9)
+
+
+def test_efe_full_does_not_build_the_adjacency_lists(monkeypatch):
+    def refuse(graph):
+        raise AssertionError("adjacency lists built")
+
+    monkeypatch.setattr(BipartiteGraph, "adjacency", property(refuse))
+    rng = np.random.default_rng(2)
+    report = efe_full(random_mask(rng, 8, 6, 0.3), rng.normal(size=(8, 6)))
+    assert report.identifiable.shape == (8, 6)
 
 
 def test_factors_reject_shape_mismatch():

@@ -1,18 +1,22 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowcomplete import (
+    AdditiveModel,
     DisconnectedPairError,
     ObservationMask,
     UnitFlow,
     build_core,
     build_graph,
+    efe_entry,
     effective_resistance,
     electrical_flow,
     flow_energy,
+    hard_instance_additive,
     max_disjoint_paths,
     perturbed_unit_flow,
     resistance_matrix,
@@ -227,3 +231,23 @@ def test_commute_time_identity():
     expected = 2 * graph.n_edges * effective_resistance(core, 0, 2 - 2)
     estimate = _simulate_commute_time(graph.adjacency, 0, 2, rng, 30_000)
     assert abs(estimate - expected) / expected < 0.05
+
+
+@pytest.mark.parametrize("pair", [(2, 0), (0, 3), (-1, 0), (-1, -1)])
+def test_per_pair_functions_reject_pairs_outside_the_pattern(pair):
+    # a 2x3 pattern: (2, 0) must not read column vertex v_0 as row 2, and
+    # negative indices must not wrap around
+    mask = complete_mask(2, 3)
+    graph, core = build_graph(mask), _core(mask)
+    base = AdditiveModel(np.zeros(2), np.zeros(3))
+    rng = np.random.default_rng(0)
+    calls = [lambda: effective_resistance(core, *pair),
+             lambda: voltage_vector(core, *pair),
+             lambda: electrical_flow(graph, core, *pair),
+             lambda: perturbed_unit_flow(graph, core, *pair, rng),
+             lambda: efe_entry(mask, np.zeros((2, 3)), core, *pair),
+             lambda: hard_instance_additive(base, mask, *pair, 0.5)]
+    message = re.escape(f"entry {pair} outside the 2x3 pattern")
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()

@@ -12,7 +12,7 @@ from flowcomplete import (
     validate_path,
     vec_omega,
 )
-from helpers import cells, random_mask
+from helpers import bfs_component_ids, cells, random_mask
 
 # single length-5 path from u_0 to v_0
 PATH_MASK = ObservationMask.from_pairs(3, 3, [(0, 1), (1, 1), (1, 2), (2, 2), (2, 0)])
@@ -191,8 +191,32 @@ def test_components_form_partition(seed, n, m):
     labeling = connected_components(graph)
     assert len(labeling.component_id) == graph.n_vertices
     assert set(labeling.component_id.tolist()) == set(range(labeling.component_count))
-    for i, j in cells(graph.edge_rows, graph.edge_cols):
-        assert labeling.together(i, graph.n_left + j)
+    ids = labeling.component_id
+    assert np.array_equal(ids[graph.edge_rows], ids[graph.n_left + graph.edge_cols])
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+       m=st.integers(1, 12), p=st.floats(0.0, 0.5))
+@settings(max_examples=60, deadline=None)
+def test_components_match_bfs_oracle(seed, n, m, p):
+    graph = build_graph(random_mask(np.random.default_rng(seed), n, m, p))
+    labeling = connected_components(graph)
+    assert (labeling.component_id.tolist(),
+            labeling.component_count) == bfs_component_ids(graph)
+    assert not labeling.component_id.flags.writeable
+
+
+def test_components_long_shuffled_chain():
+    # a 400-row path graph with shuffled row and column labels; its labels
+    # settle only after several rounds of hooking (6 here)
+    rng = np.random.default_rng(5)
+    p, q = rng.permutation(401), rng.permutation(400)
+    rows = np.concatenate([p[:-1], p[1:]])
+    graph = build_graph(ObservationMask(401, 400, rows, np.tile(q, 2)))
+    labeling = connected_components(graph)
+    assert labeling.component_count == 1
+    assert (labeling.component_id.tolist(),
+            labeling.component_count) == bfs_component_ids(graph)
 
 
 def test_vec_omega_scatter_round_trip():

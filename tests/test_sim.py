@@ -67,7 +67,7 @@ def test_generate_pattern_deterministic():
                        n_cols=12, noise_sigma=0.1, trials=2, seed=99, groups=3)
     first = generate_pattern(config)
     second = generate_pattern(config)
-    assert np.array_equal(first.omega, second.omega)
+    assert first.mask == second.mask
     assert np.array_equal(first.treatment, second.treatment)
     assert first.metadata == second.metadata
 
@@ -135,14 +135,14 @@ def _per_trial_mse(config):
     realized = generate_pattern(config)
     shape = (config.n_rows, config.n_cols)
     if config.model == "additive":
-        solver = EfeSolver(ObservationMask.from_dense(realized.omega))
+        solver = EfeSolver(realized.mask)
         arms = [(solver, 1.0)]
         identifiable = solver.identifiable
         signal = truth = (effects_rng.standard_normal(shape[0])[:, None]
                           + effects_rng.standard_normal(shape[1])[None, :])
     else:
         panel = PanelData(outcomes=np.zeros(shape), treatment=realized.treatment,
-                          observed=realized.omega.astype(np.int8))
+                          observed=realized.mask.grid.astype(np.int8))
         control, treated = (EfeSolver(mask) for mask in split_masks(panel))
         arms = [(control, -1.0), (treated, 1.0)]
         identifiable = np.isfinite(control.resistances + treated.resistances)
@@ -254,3 +254,18 @@ def test_rank1_paths_are_validated_once_per_experiment(monkeypatch):
                                  trials=trials, seed=3, bernoulli_p=0.5))
         counts.append(len(calls))
     assert counts[0] > 0 and counts[0] == counts[1]
+
+
+def test_additive_experiment_builds_its_mask_once(monkeypatch):
+    calls = []
+    original = ObservationMask.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(ObservationMask, "__post_init__", counting)
+    run_experiment(SimConfig(pattern="uniform_bernoulli", model="additive",
+                             n_rows=30, n_cols=30, noise_sigma=1.0, trials=3,
+                             seed=5, bernoulli_p=0.2))
+    assert len(calls) == 1

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowcomplete import (
@@ -8,20 +9,21 @@ from flowcomplete import (
     laplacian,
     resistance_matrix,
 )
-from helpers import complete_mask, random_connected_mask, random_mask
+from helpers import (complete_mask, pseudo_inverse, random_connected_mask,
+                     random_mask)
 
 
 def test_single_edge_pseudo_inverse():
     core = build_core(build_graph(ObservationMask.from_pairs(1, 1, [(0, 0)])))
     expected = np.array([[0.25, -0.25], [-0.25, 0.25]])
-    assert np.allclose(core.pinv, expected, atol=1e-12)
+    assert np.allclose(pseudo_inverse(core), expected, atol=1e-12)
 
 
 def test_complete_2x2_quadratic_form():
     core = build_core(build_graph(complete_mask(2, 2)))
     d = np.zeros(4)
     d[0], d[2] = 1.0, -1.0  # u_0 and v_0
-    assert abs(d @ core.pinv @ d - 0.75) < 1e-12
+    assert abs(d @ pseudo_inverse(core) @ d - 0.75) < 1e-12
 
 
 def test_pseudo_inverse_matches_svd_route():
@@ -35,10 +37,10 @@ def test_pseudo_inverse_matches_svd_route():
               ObservationMask.from_pairs(3, 2, [])]
     for mask in masks:
         graph = build_graph(mask)
-        pinv = build_core(graph).pinv
+        pinv = pseudo_inverse(build_core(graph))
         assert np.allclose(pinv, np.linalg.pinv(laplacian(graph)),
                            rtol=0.0, atol=1e-10)
-    assert not build_core(build_graph(masks[-1])).pinv.any()
+    assert not pseudo_inverse(build_core(build_graph(masks[-1]))).any()
 
 
 def _assert_penrose(lap, pinv, tol=1e-8):
@@ -62,7 +64,7 @@ def test_penrose_conditions_and_blocks(seed):
     mask = random_connected_mask(rng, n, m)
     graph = build_graph(mask)
     core = build_core(graph)
-    pinv = core.pinv
+    pinv = pseudo_inverse(core)
     _assert_penrose(laplacian(graph), pinv)
     assert np.max(np.abs(pinv - pinv.T)) < 1e-10 * max(np.max(np.abs(pinv)), 1.0)
     # connected graph: pinv annihilates the constant vector
@@ -89,8 +91,8 @@ def test_null_space_matches_component_count(seed, n, m):
     for cid in range(core.components.component_count):
         indicator = np.zeros(core.n_vertices)
         indicator[core.components.component_id == cid] = 1.0
-        assert np.max(np.abs(core.pinv @ indicator)) < 1e-8
-    _assert_penrose(lap, core.pinv)
+        assert np.max(np.abs(core.solve(indicator))) < 1e-8
+    _assert_penrose(lap, pseudo_inverse(core))
 
 
 def test_desk_scale_connected_graph():
@@ -100,4 +102,23 @@ def test_desk_scale_connected_graph():
     graph = build_graph(mask)
     core = build_core(graph)
     assert core.components.component_count == 1
-    _assert_penrose(laplacian(graph), core.pinv)
+    _assert_penrose(laplacian(graph), pseudo_inverse(core))
+
+
+def test_solve_and_resistances_read_the_blocks():
+    rng = np.random.default_rng(4)
+    mask = random_mask(rng, 9, 7, 0.15)  # several components, isolated ones
+    core = build_core(build_graph(mask))
+    assert not hasattr(core, "pinv")
+    full = np.linalg.pinv(laplacian(build_graph(mask)))
+    vector, block = rng.normal(size=16), rng.normal(size=(16, 3))
+    assert np.allclose(core.solve(vector), full @ vector, rtol=0.0, atol=1e-10)
+    assert np.allclose(core.solve(block), full @ block, rtol=0.0, atol=1e-10)
+    for bad in (np.zeros(15), np.zeros((16, 2, 2))):
+        with pytest.raises(ValueError, match=r"need 16 rows, got shape"):
+            core.solve(bad)
+    grid = core.resistances
+    assert grid is resistance_matrix(core) and not grid.flags.writeable
+    ids = core.components.component_id
+    assert np.array_equal(np.isinf(grid), ids[:9, None] != ids[None, 9:])
+    assert core.resistance(8, 6) == grid[8, 6]
