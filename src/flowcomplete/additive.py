@@ -4,7 +4,7 @@ Two equivalent routes are implemented and kept separate so each can check
 the other: the per-entry flow route weighs observations by the unit
 electrical current between ``u_i`` and ``v_j``, while the factor route
 solves the masked least-squares problem in closed form with one product
-with the Laplacian pseudoinverse (a grounded inverse per component).  Both
+with the Laplacian pseudoinverse (a Kron-reduced block per component).  Both
 are exactly unbiased under zero-mean noise, and the per-entry variance
 certificate is the effective resistance.
 """
@@ -29,19 +29,12 @@ from .graph import (
     ObservationMask,
     build_graph,
     checked_vec_omega,
+    divergence,
     incidence_matrix,
     validate_path,
     vec_omega,
 )
 from .spectral import SpectralCore, build_core
-
-
-def _grouped_sums(index: np.ndarray, size: int, values: np.ndarray) -> np.ndarray:
-    """Per-column sums of the rows of ``values`` grouped by ``index``."""
-    width = values.shape[1]
-    flat = index[:, None] * width + np.arange(width)
-    return np.bincount(flat.ravel(), weights=values.ravel(),
-                       minlength=size * width).reshape(size, width)
 
 
 @dataclass(frozen=True)
@@ -84,10 +77,12 @@ class EstimateReport:
 class EfeSolver:
     """Closed-form solver for one observation pattern, reusable across data.
 
-    Building the solver costs one grounded Laplacian inverse per connected
-    component; each subsequent estimate is one :meth:`SpectralCore.solve`,
-    and :meth:`observation_factors` solves many data sets in one call,
-    which is what makes Monte-Carlo loops over fresh noise cheap.
+    Building the solver costs one Kron reduction per connected component:
+    a grounded inverse of the Schur complement on the component's shorter
+    side.  Each subsequent estimate is one :meth:`SpectralCore.solve` of
+    the divergence ``B^T y``, and :meth:`observation_factors` solves many
+    data sets in one call, which is what makes Monte-Carlo loops over
+    fresh noise cheap.
     """
 
     def __init__(self, mask: ObservationMask):
@@ -122,10 +117,7 @@ class EfeSolver:
         checked here.
         """
         n = self.mask.n_rows
-        sums = np.concatenate([
-            _grouped_sums(self.graph.edge_rows, n, observations),
-            -_grouped_sums(self.graph.edge_cols, self.mask.n_cols, observations)])
-        stacked = self.core.solve(sums)  # [a; -b]
+        stacked = self.core.solve(divergence(self.graph, observations))  # [a; -b]
         return stacked[:n], -stacked[n:]
 
     def estimates(self, data) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DisconnectedPairError
-from .graph import BipartiteGraph
+from .graph import BipartiteGraph, divergence
 from .spectral import SpectralCore
 
 FLOW_TOLERANCE = 1e-9
@@ -84,13 +84,10 @@ def verify_unit_flow(flow: UnitFlow, graph: BipartiteGraph, i: int, j: int,
     values = np.asarray(flow.values, dtype=float)
     if values.shape != (graph.n_edges,):
         return False
-    divergence = np.zeros(graph.n_vertices)
-    np.add.at(divergence, graph.edge_rows, values)
-    np.subtract.at(divergence, graph.n_left + graph.edge_cols, values)
     target = np.zeros(graph.n_vertices)
     target[i] = 1.0
     target[graph.n_left + j] = -1.0
-    return bool(np.all(np.abs(divergence - target) <= tol))
+    return bool(np.all(np.abs(divergence(graph, values) - target) <= tol))
 
 
 def perturbed_unit_flow(graph: BipartiteGraph, core: SpectralCore,
@@ -105,10 +102,7 @@ def perturbed_unit_flow(graph: BipartiteGraph, core: SpectralCore,
     base = electrical_flow(graph, core, i, j)
     raw = rng.normal(0.0, scale, size=graph.n_edges)
     # remove the potential-flow part: c = r - B L+ B^T r
-    b_t_r = np.zeros(graph.n_vertices)
-    np.add.at(b_t_r, graph.edge_rows, raw)
-    np.subtract.at(b_t_r, graph.n_left + graph.edge_cols, raw)
-    potential = core.solve(b_t_r)
+    potential = core.solve(divergence(graph, raw))
     gradient = (potential[graph.edge_rows]
                 - potential[graph.n_left + graph.edge_cols])
     return UnitFlow(values=base.values + raw - gradient, source=i, sink=j)

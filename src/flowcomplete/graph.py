@@ -194,20 +194,31 @@ def incidence_matrix(graph: BipartiteGraph) -> np.ndarray:
     return b
 
 
-def add_laplacian(matrix: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """Add the Laplacian of the distinct edges ``{a[e], b[e]}``, ``a[e] !=
-    b[e]``, to ``matrix`` in place; no index pair repeats in the updates."""
-    matrix[a, b] -= 1.0
-    matrix[b, a] -= 1.0
-    matrix[np.diag_indices(len(matrix))] += np.bincount(
-        np.concatenate([a, b]), minlength=len(matrix))
-
-
 def laplacian(graph: BipartiteGraph) -> np.ndarray:
     """Graph Laplacian (degree matrix minus adjacency); row sums are zero."""
     lap = np.zeros((graph.n_vertices, graph.n_vertices))
-    add_laplacian(lap, graph.edge_rows, graph.n_left + graph.edge_cols)
+    a, b = graph.edge_rows, graph.n_left + graph.edge_cols
+    lap[a, b] = lap[b, a] = -1.0
+    lap[np.diag_indices(graph.n_vertices)] = np.bincount(
+        np.concatenate([a, b]), minlength=graph.n_vertices)
     return lap
+
+
+def divergence(graph: BipartiteGraph, values) -> np.ndarray:
+    """``B^T values`` (net out-flow per vertex) for ``(n_edges,)`` or
+    ``(n_edges, k)`` edge values: one flat ``bincount`` per side, in edge
+    order."""
+    values = np.asarray(values, dtype=float)
+    columns = values[:, None] if values.ndim == 1 else values
+    width = columns.shape[1]
+
+    def sums(ends: np.ndarray, size: int) -> np.ndarray:
+        flat = (ends[:, None] * width + np.arange(width)).ravel()
+        return np.bincount(flat, columns.ravel(), minlength=size * width)
+
+    totals = np.concatenate([sums(graph.edge_rows, graph.n_left),
+                             -sums(graph.edge_cols, graph.n_right)])
+    return totals.reshape((graph.n_vertices,) + values.shape[1:])
 
 
 def vec_omega(mask: ObservationMask, data) -> np.ndarray:

@@ -122,9 +122,35 @@ def matrix_to_jsonable(matrix, keep=None):
     return np.where(shown, arr, None).tolist()
 
 
+def _write_indented(write, value, level: int = 0) -> None:
+    """``json.dump(value, indent=2)`` as a stream of writes; an innermost
+    list of numbers, bools and nulls goes through the C encoder at once."""
+    pad = "\n" + "  " * level
+    if isinstance(value, dict) and value:
+        # '{"key": 0}'[1:-2] is '"key": ', the key as json converts it
+        items = [(json.dumps({key: 0})[1:-2], item) for key, item in value.items()]
+    elif isinstance(value, (list, tuple)) and value:
+        if not isinstance(value[0], (list, tuple, dict)):
+            body = json.dumps(value)[1:-1]
+            if not any(mark in body for mark in '"[{'):  # no string, no nesting
+                write("[" + pad + "  " + body.replace(", ", "," + pad + "  ") + pad + "]")
+                return
+        items = [("", item) for item in value]
+    else:
+        write(json.dumps(value))
+        return
+    opener, closer = "{}" if isinstance(value, dict) else "[]"
+    for n, (prefix, item) in enumerate(items):
+        write(("," if n else opener) + pad + "  " + prefix)
+        _write_indented(write, item, level + 1)
+    write(pad + closer)
+
+
 def write_json(path, payload) -> None:
+    """The bytes of ``json.dump(payload, handle, indent=2)`` and a newline,
+    written row by row without building the document in memory."""
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
+        _write_indented(handle.write, payload)
         handle.write("\n")
 
 

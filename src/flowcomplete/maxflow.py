@@ -80,7 +80,8 @@ def _unit_max_flow(graph: BipartiteGraph, i: int, j: int):
 
 
 def _walk_paths(graph: BipartiteGraph, net: list, source: int, sink: int, k: int):
-    """Decompose the net flow into k paths, zeroing cycles along the way."""
+    """Decompose the net flow into k paths, zeroing cycles along the way
+    (two augmenting paths can cross two equally long routes oppositely)."""
 
     def next_with_flow(u: int):
         d = 1 if u < graph.n_left else -1

@@ -10,6 +10,7 @@ from flowcomplete.io_utils import (
     read_grid_csv,
     read_mask_csv,
     write_grid_csv,
+    write_json,
     write_mask_csv,
 )
 from flowcomplete import ObservationMask
@@ -83,3 +84,29 @@ def test_matrix_to_jsonable_matches_cell_loop():
         expected = json.dumps(_jsonable_loop(grid, mask), indent=2)
         assert json.dumps(matrix_to_jsonable(grid, mask), indent=2) == expected
     assert matrix_to_jsonable(grid)[1][2] is None
+
+
+def test_write_json_matches_indented_dump(tmp_path):
+    rng = np.random.default_rng(9)
+    grid = rng.standard_normal((4, 3)) * 10.0 ** rng.integers(-300, 300, (4, 3))
+    grid[0, 0], grid[1, 1], grid[2, 2] = math.nan, math.inf, -math.inf
+    keep = rng.random((4, 3)) < 0.6
+    payloads = [
+        {"n_rows": 4, "n_cols": 3,
+         "estimates": matrix_to_jsonable(grid, keep),   # masked cells
+         "resistance": matrix_to_jsonable(grid),        # NaN/+-inf -> null
+         "variance_bound": None,
+         "identifiable": keep.tolist(),
+         "k": rng.integers(0, 5, (4, 3)).tolist(),
+         "error_bound_m_inf": 2.5},
+        {"k": 0, "max_len": 0, "paths": [], "cut_edges": []},
+        {"paths": [[1, 2, 3, 4], [1]], "nested": {"a": {}, "b": [[], [[]]],
+                                                   "c": {"d": [True, False, None]}}},
+        {"text": ["a, b", "c\u00e9\"", 1], "mixed": [1, [2, 3], {"x": -0.0}],
+         "tuple": (1.5, (2, 3)), "specials": [math.nan, math.inf, -math.inf]},
+        [], {}, [[]], 3, None, "plain", {1: "int key", None: [2.0], True: {}},
+    ]
+    path = tmp_path / "out.json"
+    for payload in payloads:
+        write_json(path, payload)
+        assert path.read_text() == json.dumps(payload, indent=2) + "\n"

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from flowcomplete import (
     min_cut,
     validate_path,
 )
-from flowcomplete.maxflow import paths_and_cut
+from flowcomplete.maxflow import _unit_max_flow, _walk_paths, paths_and_cut
 from flowcomplete.patterns import dense_submatrix_mask, extreme_sparsity_mask
 from helpers import (
     brute_force_min_cut,
@@ -164,3 +166,51 @@ def test_net_flow_matches_dict_oracle_edge_cases():
                  ObservationMask.from_dense(np.ones((4, 4))),
                  chain_mask(6)):
         _assert_matches_dict_oracle(mask)
+
+
+def test_walk_zeroes_a_cycle_of_the_max_flow():
+    # Two routes of length 3 join column 0 (beta) and row 3 (alpha):
+    # R = beta-r1-c2-alpha and S = beta-r2-c1-alpha.  The first augmenting
+    # path s=row 0 -> beta -> R -> alpha -> t=column 3 takes R (row 1 < row
+    # 2); the second, s -> A -> alpha -> ? -> beta -> B -> t with A and B
+    # chains of length 6, ties S against R reversed and takes S (column 1 <
+    # column 2).  The net flow then holds the cycle R + S, which the walk
+    # meets at beta and zeroes.
+    route_r = [(1, 0), (1, 2), (3, 2)]
+    route_s = [(2, 0), (2, 1), (3, 1)]
+    chain_a = [(0, 4), (4, 4), (4, 5), (5, 5), (5, 6), (3, 6)]
+    chain_b = [(6, 0), (6, 7), (7, 7), (7, 8), (8, 8), (8, 3)]
+    mask = ObservationMask.from_pairs(
+        9, 9, [(0, 0), (3, 3)] + route_r + route_s + chain_a + chain_b)
+    graph = build_graph(mask)
+    assert dict_max_disjoint_paths(graph, 0, 3).k == 2
+    net, value, _ = _unit_max_flow(graph, 0, 3)
+    assert value == 2 and sum(map(abs, net)) == 20
+    # a walk that never zeroes the cycle would go round it forever: bound
+    # its steps so that such a walk fails here instead of hanging
+    bounded = SimpleNamespace(n_left=graph.n_left,
+                              adjacency=_StepBudget(graph.adjacency, 200))
+    walks = _walk_paths(bounded, list(net), 0, graph.n_left + 3, value)
+    assert len(walks) == 2
+    path_set, cut = paths_and_cut(graph, 0, 3)
+    assert path_set.paths == ((0, 0, 6, 7, 7, 8, 8, 3), (0, 4, 4, 5, 5, 6, 3, 3))
+    # the six cycle edges carry net flow but lie on no path
+    assert sum(len(p) - 1 for p in path_set.paths) == 20 - 6
+    for path in path_set.paths:
+        validate_path(path, mask)
+    assert len(cut.cut_edges) == brute_force_min_cut(graph, 0, 3) == 2
+    _assert_matches_dict_oracle(mask)
+
+
+class _StepBudget(tuple):
+    """Adjacency lists that fail the test after ``budget`` lookups."""
+
+    def __new__(cls, lists, budget):
+        bounded = super().__new__(cls, lists)
+        bounded.left = budget
+        return bounded
+
+    def __getitem__(self, vertex):
+        self.left -= 1
+        assert self.left >= 0, "path walk exceeded its step budget"
+        return super().__getitem__(vertex)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,3 +124,95 @@ def test_solve_and_resistances_read_the_blocks():
     ids = core.components.component_id
     assert np.array_equal(np.isinf(grid), ids[:9, None] != ids[None, 9:])
     assert core.resistance(8, 6) == grid[8, 6]
+
+
+def _star_and_edge_cases():
+    """Masks that exercise every side choice of the reduction."""
+    rng = np.random.default_rng(21)
+    return [
+        ObservationMask.from_dense(np.ones((1, 6))),   # single-row star
+        ObservationMask.from_dense(np.ones((6, 1))),   # single-column star
+        ObservationMask.from_pairs(1, 1, [(0, 0)]),    # single edge
+        ObservationMask.from_pairs(4, 5, [(1, 3)]),    # single edge, isolated rest
+        complete_mask(3, 3),                           # equal sides
+        random_connected_mask(rng, 5, 5),              # equal sides, cycles
+        random_connected_mask(rng, 3, 9),              # wide: columns eliminated
+        random_connected_mask(rng, 9, 3),              # tall: rows eliminated
+        # a tall and a wide component side by side, plus isolated vertices
+        ObservationMask.from_pairs(6, 7, [(0, 0), (1, 0), (2, 0), (2, 1),
+                                          (3, 2), (3, 3), (3, 4), (4, 4)]),
+    ]
+
+
+@pytest.mark.parametrize("mask", _star_and_edge_cases())
+def test_reduced_core_matches_svd_route_on_every_shape(mask):
+    graph = build_graph(mask)
+    core = build_core(graph)
+    n = mask.n_rows
+    full = np.linalg.pinv(laplacian(graph))
+    assert np.allclose(pseudo_inverse(core), full, rtol=0.0, atol=1e-10)
+    for eliminated, kept, *_ in core.blocks:  # the shorter side stays
+        assert kept.size <= eliminated.size
+    # the grid, and the per-pair lookups that read it
+    d = np.diag(full)
+    expected = d[:n, None] + d[None, n:] - 2.0 * full[:n, n:]
+    ids = core.components.component_id
+    expected[ids[:n, None] != ids[None, n:]] = np.inf
+    assert np.array_equal(np.isinf(core.resistances), np.isinf(expected))
+    assert np.allclose(core.resistances, expected, rtol=0.0, atol=1e-10)
+    single = np.array([[core.resistance(i, j) for j in range(mask.n_cols)]
+                       for i in range(n)])
+    assert np.array_equal(single, core.resistances)
+
+
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4))
+@settings(max_examples=25, deadline=None)
+def test_solve_projects_rhs_with_nonzero_component_sums(seed, k):
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 10)), int(rng.integers(1, 10))
+    mask = random_mask(rng, n, m, float(rng.uniform(0.1, 0.6)))
+    graph = build_graph(mask)
+    core = build_core(graph)
+    full = np.linalg.pinv(laplacian(graph))
+    materialised = pseudo_inverse(core)
+    vector = rng.normal(3.0, 1.0, n + m)  # component sums far from zero
+    block = rng.normal(-2.0, 1.0, (n + m, k))
+    for rhs in (vector, block):
+        solved = core.solve(rhs)
+        assert solved.shape == rhs.shape
+        assert np.allclose(solved, full @ rhs, rtol=0.0, atol=1e-10)
+        assert np.allclose(solved, materialised @ rhs, rtol=0.0, atol=1e-10)
+    # min-norm gauge: every component of the answer has zero mean
+    ids = core.components.component_id
+    sums = np.bincount(ids, weights=core.solve(vector))
+    assert np.max(np.abs(sums)) < 1e-10
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_resistances_of_the_transpose_are_the_transpose(seed):
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+    mask = random_mask(rng, n, m, float(rng.uniform(0.1, 0.6)))
+    flipped = ObservationMask(m, n, mask.cols, mask.rows)
+    grid = build_core(build_graph(mask)).resistances
+    flipped_grid = build_core(build_graph(flipped)).resistances
+    assert np.array_equal(np.isinf(flipped_grid), np.isinf(grid.T))
+    assert np.allclose(flipped_grid, grid.T, rtol=0.0, atol=1e-12)
+
+
+def test_reduced_core_memory_stays_below_one_vertex_square_matrix():
+    # a connected 2000x60 pattern: one (n+m)^2 float64 matrix is 34 MB
+    rng = np.random.default_rng(2)
+    mask = random_connected_mask(rng, 2000, 60, extra=0.02)
+    graph = build_graph(mask)
+    vertex_square = 8 * graph.n_vertices ** 2
+    tracemalloc.start()
+    try:
+        core = build_core(graph)
+        grid = core.resistances
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert core.components.component_count == 1 and np.isfinite(grid).all()
+    assert peak < vertex_square / 4
