@@ -47,10 +47,8 @@ from .errors import (
     TargetNotObservedError,
 )
 from .graph import (
-    BipartiteGraph,
     ComponentLabeling,
     ObservationMask,
-    build_graph,
     connected_components,
     incidence_matrix,
     laplacian,

@@ -25,9 +25,7 @@ from .electrical import (
 )
 from .errors import InvalidFlowError
 from .graph import (
-    BipartiteGraph,
     ObservationMask,
-    build_graph,
     checked_vec_omega,
     divergence,
     incidence_matrix,
@@ -87,8 +85,7 @@ class EfeSolver:
 
     def __init__(self, mask: ObservationMask):
         self.mask = mask
-        self.graph: BipartiteGraph = build_graph(mask)
-        self.core: SpectralCore = build_core(self.graph)
+        self.core: SpectralCore = build_core(mask)
 
     @cached_property
     def resistances(self) -> np.ndarray:
@@ -110,14 +107,14 @@ class EfeSolver:
         return a_hat[:, 0], b_hat[:, 0]
 
     def observation_factors(self, observations) -> tuple[np.ndarray, np.ndarray]:
-        """Factors for ``(n_edges, k)`` observations in canonical edge order.
+        """Factors for ``(n_observed, k)`` observations in canonical edge order.
 
         Each column is one data set; the ``(n, k)`` and ``(m, k)`` factors
         come from one solve with the pseudoinverse.  Values are not
         checked here.
         """
         n = self.mask.n_rows
-        stacked = self.core.solve(divergence(self.graph, observations))  # [a; -b]
+        stacked = self.core.solve(divergence(self.mask, observations))  # [a; -b]
         return stacked[:n], -stacked[n:]
 
     def estimates(self, data) -> np.ndarray:
@@ -164,8 +161,7 @@ def path_estimate_additive(path, data, mask: ObservationMask) -> float:
 
 def unit_flow_estimate(flow, data, mask: ObservationMask) -> float:
     """Inner product of a valid unit flow with the observation vector."""
-    graph = build_graph(mask)
-    if not verify_unit_flow(flow, graph, flow.source, flow.sink):
+    if not verify_unit_flow(flow, mask, flow.source, flow.sink):
         raise InvalidFlowError("flow violates unit-flow constraints")
     observations = vec_omega(mask, data)
     support = np.abs(flow.values) > 0
@@ -177,8 +173,7 @@ def unit_flow_estimate(flow, data, mask: ObservationMask) -> float:
 def efe_entry(mask: ObservationMask, data, core: SpectralCore,
               i: int, j: int) -> float:
     """Electrical-flow estimate of a single entry (per-edge inner product)."""
-    graph = build_graph(mask)
-    flow = electrical_flow(graph, core, i, j)
+    flow = electrical_flow(core, i, j)
     return float(np.dot(flow.values, vec_omega(mask, data)))
 
 
@@ -209,7 +204,7 @@ def verify_equivalence(mask: ObservationMask, data, tol: float = 1e-8) -> bool:
     a_hat, b_hat = solver.factors(data)
     observations = vec_omega(mask, data)
     # B L^+: column v holds every edge's current for a unit injection at v
-    currents = solver.core.solve(incidence_matrix(solver.graph).T).T
+    currents = solver.core.solve(incidence_matrix(mask).T).T
     for i in range(mask.n_rows):
         for j in range(mask.n_cols):
             if not solver.identifiable[i, j]:
@@ -232,7 +227,7 @@ def hard_instance_additive(base: AdditiveModel, mask: ObservationMask,
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
-    voltage = voltage_vector(build_core(build_graph(mask)), i, j)
+    voltage = voltage_vector(build_core(mask), i, j)
     n = mask.n_rows
     return AdditiveModel(
         row_effects=base.row_effects + epsilon * voltage.potentials[:n],

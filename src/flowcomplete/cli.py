@@ -17,9 +17,8 @@ from . import __version__
 from .additive import efe_full
 from .electrical import effective_resistance, resistance_matrix
 from .errors import FlowCompleteError
-from .graph import ObservationMask, build_graph, vec_omega
+from .graph import ObservationMask, vec_omega
 from .io_utils import (
-    format_float,
     matrix_to_jsonable,
     read_config_file,
     read_grid_csv,
@@ -68,6 +67,7 @@ def _build_parser() -> _Parser:
     additive.add_argument("--sigma", type=float)
     additive.add_argument("--delta", type=float)
     additive.add_argument("--out", required=True)
+    additive.set_defaults(run=_cmd_estimate_additive)
 
     rank1 = sub.add_parser("estimate-rank1",
                            help="multi-path ratio estimates of a rank-1 matrix")
@@ -77,6 +77,7 @@ def _build_parser() -> _Parser:
     rank1.add_argument("--sigma", type=float)
     rank1.add_argument("--delta", type=float)
     rank1.add_argument("--out", required=True)
+    rank1.set_defaults(run=_cmd_estimate_rank1)
 
     resistance = sub.add_parser("resistance",
                                 help="effective resistances of an observation pattern")
@@ -87,6 +88,7 @@ def _build_parser() -> _Parser:
     group.add_argument("--pair", help="1-based 'i,j'")
     group.add_argument("--all", action="store_true")
     resistance.add_argument("--out", help="output CSV (default: stdout)")
+    resistance.set_defaults(run=_cmd_resistance)
 
     paths = sub.add_parser("paths",
                            help="edge-disjoint paths and the minimum cut for one entry")
@@ -95,6 +97,7 @@ def _build_parser() -> _Parser:
     paths.add_argument("--cols", type=int)
     paths.add_argument("--pair", required=True, help="1-based 'i,j'")
     paths.add_argument("--out", help="output JSON (default: stdout)")
+    paths.set_defaults(run=_cmd_paths)
 
     panel = sub.add_parser("panel",
                            help="per-entry treatment effects from panel data")
@@ -106,10 +109,12 @@ def _build_parser() -> _Parser:
     panel.add_argument("--did", action="store_true",
                        help="also report difference-in-differences estimates")
     panel.add_argument("--out", required=True)
+    panel.set_defaults(run=_cmd_panel)
 
     simulate = sub.add_parser("simulate", help="run a Monte-Carlo experiment")
     simulate.add_argument("--config", required=True)
     simulate.add_argument("--out-dir", required=True)
+    simulate.set_defaults(run=_cmd_simulate)
 
     generate = sub.add_parser("generate-pattern",
                               help="write a synthetic observation/treatment pattern")
@@ -124,6 +129,7 @@ def _build_parser() -> _Parser:
     generate.add_argument("--thinning", type=float, default=0.5)
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument("--out-dir", required=True)
+    generate.set_defaults(run=_cmd_generate_pattern)
     return parser
 
 
@@ -216,14 +222,14 @@ def _cmd_estimate_rank1(args) -> int:
 
 def _cmd_resistance(args) -> int:
     mask = _read_mask(args.mask, args.rows, args.cols)
-    core = build_core(build_graph(mask))
+    core = build_core(mask)
     if args.all:
         text = resistance_csv_text(resistance_matrix(core))
     else:
         i, j = _parse_pair(args.pair, mask.n_rows, mask.n_cols)
         value = effective_resistance(core, i, j)
         text = ("row,col,effective_resistance\n"
-                f"{i + 1},{j + 1},{format_float(value)}\n")
+                f"{i + 1},{j + 1},{value:.17g}\n")
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text)
@@ -235,8 +241,7 @@ def _cmd_resistance(args) -> int:
 def _cmd_paths(args) -> int:
     mask = _read_mask(args.mask, args.rows, args.cols)
     i, j = _parse_pair(args.pair, mask.n_rows, mask.n_cols)
-    graph = build_graph(mask)
-    path_set, cut = paths_and_cut(graph, i, j)
+    path_set, cut = paths_and_cut(mask, i, j)
     payload = {
         "k": path_set.k,
         "max_len": path_set.max_len,
@@ -357,21 +362,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
     try:
-        if args.command == "estimate-additive":
-            return _cmd_estimate_additive(args)
-        if args.command == "estimate-rank1":
-            return _cmd_estimate_rank1(args)
-        if args.command == "resistance":
-            return _cmd_resistance(args)
-        if args.command == "paths":
-            return _cmd_paths(args)
-        if args.command == "panel":
-            return _cmd_panel(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "generate-pattern":
-            return _cmd_generate_pattern(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (_UsageError, FlowCompleteError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DisconnectedPairError
-from .graph import BipartiteGraph, divergence
+from .graph import ObservationMask, divergence
 from .spectral import SpectralCore
 
 FLOW_TOLERANCE = 1e-9
@@ -46,16 +46,14 @@ def voltage_vector(core: SpectralCore, i: int, j: int) -> VoltageVector:
         raise DisconnectedPairError(
             f"row {i} and column {j} lie in different components")
     current = np.zeros(core.n_vertices)
-    current[i], current[core.n_left + j] = 1.0, -1.0
+    current[i], current[core.mask.n_rows + j] = 1.0, -1.0
     return VoltageVector(potentials=core.solve(current), source=i, sink=j)
 
 
-def electrical_flow(graph: BipartiteGraph, core: SpectralCore,
-                    i: int, j: int) -> UnitFlow:
+def electrical_flow(core: SpectralCore, i: int, j: int) -> UnitFlow:
     """Unit electrical current, edge by edge (Ohm's law, unit resistance)."""
-    voltage = voltage_vector(core, i, j)
-    values = (voltage.potentials[graph.edge_rows]
-              - voltage.potentials[graph.n_left + graph.edge_cols])
+    potentials, mask = voltage_vector(core, i, j).potentials, core.mask
+    values = potentials[mask.rows] - potentials[mask.n_rows + mask.cols]
     return UnitFlow(values=values, source=i, sink=j)
 
 
@@ -74,7 +72,7 @@ def flow_energy(flow: UnitFlow) -> float:
     return float(np.dot(flow.values, flow.values))
 
 
-def verify_unit_flow(flow: UnitFlow, graph: BipartiteGraph, i: int, j: int,
+def verify_unit_flow(flow: UnitFlow, mask: ObservationMask, i: int, j: int,
                      tol: float = FLOW_TOLERANCE) -> bool:
     """True iff ``flow`` routes one unit from ``u_i`` to ``v_j``.
 
@@ -82,27 +80,25 @@ def verify_unit_flow(flow: UnitFlow, graph: BipartiteGraph, i: int, j: int,
     conservation at every other vertex, each within ``tol``.
     """
     values = np.asarray(flow.values, dtype=float)
-    if values.shape != (graph.n_edges,):
+    if values.shape != (mask.n_observed,):
         return False
-    target = np.zeros(graph.n_vertices)
+    target = np.zeros(mask.n_vertices)
     target[i] = 1.0
-    target[graph.n_left + j] = -1.0
-    return bool(np.all(np.abs(divergence(graph, values) - target) <= tol))
+    target[mask.n_rows + j] = -1.0
+    return bool(np.all(np.abs(divergence(mask, values) - target) <= tol))
 
 
-def perturbed_unit_flow(graph: BipartiteGraph, core: SpectralCore,
-                        i: int, j: int, rng: np.random.Generator,
-                        scale: float = 0.5) -> UnitFlow:
+def perturbed_unit_flow(core: SpectralCore, i: int, j: int,
+                        rng: np.random.Generator, scale: float = 0.5) -> UnitFlow:
     """A valid unit flow: the electrical one plus a random circulation.
 
     A Gaussian edge perturbation is projected onto the circulation space
     (divergence-free edge assignments), which repairs it into a valid flow.
     With ``scale=0`` this returns exactly the electrical flow.
     """
-    base = electrical_flow(graph, core, i, j)
-    raw = rng.normal(0.0, scale, size=graph.n_edges)
+    base, mask = electrical_flow(core, i, j), core.mask
+    raw = rng.normal(0.0, scale, size=mask.n_observed)
     # remove the potential-flow part: c = r - B L+ B^T r
-    potential = core.solve(divergence(graph, raw))
-    gradient = (potential[graph.edge_rows]
-                - potential[graph.n_left + graph.edge_cols])
+    potential = core.solve(divergence(mask, raw))
+    gradient = potential[mask.rows] - potential[mask.n_rows + mask.cols]
     return UnitFlow(values=base.values + raw - gradient, source=i, sink=j)

@@ -1,13 +1,14 @@
-"""Bipartite observation graph with canonical vertex and edge orderings.
+"""Observation pattern, which is also the bipartite observation graph.
 
-Rows of the data matrix map to left vertices ``u_0 .. u_{n-1}`` and columns
-to right vertices ``v_0 .. v_{m-1}``; an observed entry ``(i, j)`` becomes
-the undirected edge ``{u_i, v_j}``.  Every module in the package relies on
-the orderings fixed here: vertices are numbered ``0 .. n-1`` for rows
-followed by ``n .. n+m-1`` for columns, and edges are listed in row-major
-order of the observed entries.  Paths are written as alternating index
-sequences ``(x_1, x_2, ..., x_{l+1})`` where odd positions are row indices
-and even positions are column indices (0-based internally).
+Rows of the data matrix map to vertices ``u_0 .. u_{n-1}`` and columns to
+vertices ``v_0 .. v_{m-1}``; an observed entry ``(i, j)`` is the undirected
+edge ``{u_i, v_j}``.  Every module in the package relies on the orderings
+fixed here: vertices are numbered ``0 .. n-1`` for rows followed by
+``n .. n+m-1`` for columns, and edges are the observed entries in
+row-major order, the order of :attr:`ObservationMask.rows` and ``cols``.
+Paths are written as alternating index sequences ``(x_1, x_2, ..., x_{l+1})``
+where odd positions are row indices and even positions are column indices
+(0-based internally).
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from .errors import InvalidPathError
 
 @dataclass(frozen=True, eq=False)
 class ObservationMask:
-    """Binary observation pattern on an ``n_rows x n_cols`` matrix.
+    """Binary observation pattern on an ``n_rows x n_cols`` matrix, and its
+    bipartite graph: edge ``k`` joins ``u_rows[k]`` and ``v_cols[k]``.
 
     Observed cells are ``(rows[k], cols[k])``, each once, row-major, in
     read-only ``intp`` arrays; any integer index arrays passed in are
@@ -95,6 +97,24 @@ class ObservationMask:
     def n_observed(self) -> int:
         return self.rows.size
 
+    @property
+    def n_vertices(self) -> int:
+        return self.n_rows + self.n_cols
+
+    @cached_property
+    def adjacency(self) -> tuple:
+        """Per vertex, ``(neighbor, edge index)`` pairs of Python ints in
+        ascending neighbor order (edges are row-major); global numbering."""
+        neighbors = [[] for _ in range(self.n_vertices)]
+        rights = (self.n_rows + self.cols).tolist()
+        for e, (i, right) in enumerate(zip(self.rows.tolist(), rights)):
+            neighbors[i].append((right, e))
+            neighbors[right].append((i, e))
+        return tuple(tuple(ns) for ns in neighbors)
+
+    def degree(self, vertex: int) -> int:
+        return len(self.adjacency[vertex])
+
     @cached_property
     def grid(self) -> np.ndarray:
         """Read-only boolean ``n_rows x n_cols`` grid of the pattern, built on
@@ -110,38 +130,6 @@ class ObservationMask:
 
 
 @dataclass(frozen=True, eq=False)
-class BipartiteGraph:
-    """Observation graph; edge ``e`` is ``{u_edge_rows[e], v_edge_cols[e]}``."""
-
-    n_left: int
-    n_right: int
-    edge_rows: np.ndarray
-    edge_cols: np.ndarray
-
-    @property
-    def n_vertices(self) -> int:
-        return self.n_left + self.n_right
-
-    @property
-    def n_edges(self) -> int:
-        return self.edge_rows.size
-
-    @cached_property
-    def adjacency(self) -> tuple:
-        """Per vertex, ``(neighbor, edge index)`` pairs of Python ints in
-        ascending neighbor order (edges are row-major); global numbering."""
-        neighbors = [[] for _ in range(self.n_vertices)]
-        rights = (self.n_left + self.edge_cols).tolist()
-        for e, (i, right) in enumerate(zip(self.edge_rows.tolist(), rights)):
-            neighbors[i].append((right, e))
-            neighbors[right].append((i, e))
-        return tuple(tuple(ns) for ns in neighbors)
-
-    def degree(self, vertex: int) -> int:
-        return len(self.adjacency[vertex])
-
-
-@dataclass(frozen=True, eq=False)
 class ComponentLabeling:
     """Component id per vertex (read-only array); labels 0-based ascending."""
 
@@ -149,22 +137,12 @@ class ComponentLabeling:
     component_count: int
 
 
-def build_graph(mask: ObservationMask) -> BipartiteGraph:
-    """Construct the observation graph for a mask.
-
-    Edge ``(u_i, v_j)`` is present exactly when ``(i, j)`` is observed; the
-    graph shares the mask's row-major index arrays, so its edges line up
-    with :func:`vec_omega`.
-    """
-    return BipartiteGraph(mask.n_rows, mask.n_cols, mask.rows, mask.cols)
-
-
-def connected_components(graph: BipartiteGraph) -> ComponentLabeling:
+def connected_components(mask: ObservationMask) -> ComponentLabeling:
     """Label components from the edge arrays by min-label hooking and
     pointer jumping; ids ascend with each component's smallest vertex, so
     labels are deterministic."""
-    a, b = graph.edge_rows, graph.n_left + graph.edge_cols
-    root = np.arange(graph.n_vertices)  # root[v] <= v; a star after jumping
+    a, b = mask.rows, mask.n_rows + mask.cols
+    root = np.arange(mask.n_vertices)  # root[v] <= v; a star after jumping
     while True:
         root_a, root_b = root[a], root[b]
         if np.array_equal(root_a, root_b):
@@ -175,38 +153,38 @@ def connected_components(graph: BipartiteGraph) -> ComponentLabeling:
         jumped = root[root]
         while not np.array_equal(jumped, root):
             root, jumped = jumped, jumped[jumped]
-    is_root = root == np.arange(graph.n_vertices)
+    is_root = root == np.arange(mask.n_vertices)
     ids = (np.cumsum(is_root, dtype=np.intp) - 1)[root]
     ids.setflags(write=False)
     return ComponentLabeling(ids, int(np.count_nonzero(is_root)))
 
 
-def incidence_matrix(graph: BipartiteGraph) -> np.ndarray:
+def incidence_matrix(mask: ObservationMask) -> np.ndarray:
     """Oriented incidence matrix, one row per edge in canonical order.
 
-    Orientation runs rows -> columns: +1 at the left endpoint and -1 at the
-    right endpoint, so positive flow values mean row-to-column transport.
+    Orientation runs rows -> columns: +1 at the row endpoint and -1 at the
+    column endpoint, so positive flow values mean row-to-column transport.
     """
-    b = np.zeros((graph.n_edges, graph.n_vertices))
-    positions = np.arange(graph.n_edges)
-    b[positions, graph.edge_rows] = 1.0
-    b[positions, graph.n_left + graph.edge_cols] = -1.0
+    b = np.zeros((mask.n_observed, mask.n_vertices))
+    positions = np.arange(mask.n_observed)
+    b[positions, mask.rows] = 1.0
+    b[positions, mask.n_rows + mask.cols] = -1.0
     return b
 
 
-def laplacian(graph: BipartiteGraph) -> np.ndarray:
+def laplacian(mask: ObservationMask) -> np.ndarray:
     """Graph Laplacian (degree matrix minus adjacency); row sums are zero."""
-    lap = np.zeros((graph.n_vertices, graph.n_vertices))
-    a, b = graph.edge_rows, graph.n_left + graph.edge_cols
+    lap = np.zeros((mask.n_vertices, mask.n_vertices))
+    a, b = mask.rows, mask.n_rows + mask.cols
     lap[a, b] = lap[b, a] = -1.0
-    lap[np.diag_indices(graph.n_vertices)] = np.bincount(
-        np.concatenate([a, b]), minlength=graph.n_vertices)
+    lap[np.diag_indices(mask.n_vertices)] = np.bincount(
+        np.concatenate([a, b]), minlength=mask.n_vertices)
     return lap
 
 
-def divergence(graph: BipartiteGraph, values) -> np.ndarray:
-    """``B^T values`` (net out-flow per vertex) for ``(n_edges,)`` or
-    ``(n_edges, k)`` edge values: one flat ``bincount`` per side, in edge
+def divergence(mask: ObservationMask, values) -> np.ndarray:
+    """``B^T values`` (net out-flow per vertex) for ``(n_observed,)`` or
+    ``(n_observed, k)`` edge values: one flat ``bincount`` per side, in edge
     order."""
     values = np.asarray(values, dtype=float)
     columns = values[:, None] if values.ndim == 1 else values
@@ -216,9 +194,9 @@ def divergence(graph: BipartiteGraph, values) -> np.ndarray:
         flat = (ends[:, None] * width + np.arange(width)).ravel()
         return np.bincount(flat, columns.ravel(), minlength=size * width)
 
-    totals = np.concatenate([sums(graph.edge_rows, graph.n_left),
-                             -sums(graph.edge_cols, graph.n_right)])
-    return totals.reshape((graph.n_vertices,) + values.shape[1:])
+    totals = np.concatenate([sums(mask.rows, mask.n_rows),
+                             -sums(mask.cols, mask.n_cols)])
+    return totals.reshape((mask.n_vertices,) + values.shape[1:])
 
 
 def vec_omega(mask: ObservationMask, data) -> np.ndarray:

@@ -9,21 +9,12 @@ Numeric text output uses 17 significant digits so values round-trip.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 
 import numpy as np
 
 from .graph import ObservationMask
-
-
-def format_float(value: float) -> str:
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return f"{value:.17g}"
 
 
 def read_mask_csv(path, n_rows: int | None = None,
@@ -98,21 +89,23 @@ def read_grid_csv(path) -> np.ndarray:
 
 
 def write_grid_csv(path, matrix) -> None:
+    """One CSV line per row of a 2-D grid, each value ``%.17g`` (which
+    spells ``inf``, ``-inf`` and ``nan``), formatted by one template."""
     arr = np.asarray(matrix, dtype=float)
+    line = ",".join(["%.17g"] * arr.shape[1]) + "\n"
     with open(path, "w", newline="") as handle:
-        for row in arr:
-            handle.write(",".join(format_float(v) for v in row))
-            handle.write("\n")
+        handle.write((line * arr.shape[0]) % tuple(arr.ravel().tolist()))
 
 
 def resistance_csv_text(resistances: np.ndarray) -> str:
-    """CSV body ``row,col,effective_resistance`` (1-based, inf allowed)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["row", "col", "effective_resistance"])
-    for i, j in np.ndindex(resistances.shape):
-        writer.writerow([i + 1, j + 1, format_float(float(resistances[i, j]))])
-    return buffer.getvalue()
+    """CSV body ``row,col,effective_resistance`` (1-based, inf allowed),
+    formatted by one template over the flat grid."""
+    rows, cols = np.indices(resistances.shape).reshape(2, -1) + 1
+    cells = [None] * (3 * resistances.size)
+    cells[0::3], cells[1::3], cells[2::3] = (
+        rows.tolist(), cols.tolist(), resistances.ravel().tolist())
+    return ("row,col,effective_resistance\n"
+            + ("%d,%d,%.17g\n" * resistances.size) % tuple(cells))
 
 
 def matrix_to_jsonable(matrix, keep=None):

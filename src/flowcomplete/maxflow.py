@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import BipartiteGraph
+from .graph import ObservationMask
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class CutCertificate:
     cut_edges: tuple
 
 
-def _unit_max_flow(graph: BipartiteGraph, i: int, j: int):
+def _unit_max_flow(mask: ObservationMask, i: int, j: int):
     """Max flow from ``u_i`` to ``v_j``.
 
     Returns the net flow per edge (+1 row->col, -1 col->row, 0 none), the
@@ -52,19 +52,19 @@ def _unit_max_flow(graph: BipartiteGraph, i: int, j: int):
     ``1 - d * net``.  Arcs into the source or out of the sink never carry
     flow, since the search neither re-enters the source nor leaves the sink.
     """
-    if not (0 <= i < graph.n_left and 0 <= j < graph.n_right):
+    if not (0 <= i < mask.n_rows and 0 <= j < mask.n_cols):
         raise ValueError(f"entry {(i, j)} outside the "
-                         f"{graph.n_left}x{graph.n_right} pattern")
-    source, sink = i, graph.n_left + j
-    net = [0] * graph.n_edges
+                         f"{mask.n_rows}x{mask.n_cols} pattern")
+    source, sink = i, mask.n_rows + j
+    net = [0] * mask.n_observed
     value = 0
     while True:
         parent = {source: None}
         queue = deque([source])
         while queue and sink not in parent:
             u = queue.popleft()
-            d = 1 if u < graph.n_left else -1
-            for v, e in graph.adjacency[u]:
+            d = 1 if u < mask.n_rows else -1
+            for v, e in mask.adjacency[u]:
                 if v not in parent and d * net[e] < 1:
                     parent[v] = (u, e, d)
                     if v == sink:
@@ -79,13 +79,13 @@ def _unit_max_flow(graph: BipartiteGraph, i: int, j: int):
         value += 1
 
 
-def _walk_paths(graph: BipartiteGraph, net: list, source: int, sink: int, k: int):
+def _walk_paths(mask: ObservationMask, net: list, source: int, sink: int, k: int):
     """Decompose the net flow into k paths, zeroing cycles along the way
     (two augmenting paths can cross two equally long routes oppositely)."""
 
     def next_with_flow(u: int):
-        d = 1 if u < graph.n_left else -1
-        for v, e in graph.adjacency[u]:
+        d = 1 if u < mask.n_rows else -1
+        for v, e in mask.adjacency[u]:
             if d * net[e] > 0:
                 return v, e, d
         return None
@@ -118,54 +118,51 @@ def _walk_paths(graph: BipartiteGraph, net: list, source: int, sink: int, k: int
     return paths
 
 
-def _path_set(graph: BipartiteGraph, net: list, value: int, i: int,
-              j: int) -> PathSet:
-    walks = _walk_paths(graph, net, i, graph.n_left + j, value)
+def _path_set(mask: ObservationMask, net: list, value: int, i: int, j: int) -> PathSet:
+    walks = _walk_paths(mask, net, i, mask.n_rows + j, value)
     # global vertex ids -> alternating (row, col, row, ...) indices
-    paths = tuple(tuple(v - graph.n_left * (s % 2) for s, v in enumerate(w))
+    paths = tuple(tuple(v - mask.n_rows * (s % 2) for s, v in enumerate(w))
                   for w in walks)
     max_len = max((len(p) - 1 for p in paths), default=0)
     return PathSet(paths=paths, k=value, max_len=max_len, source=i, sink=j)
 
 
-def _cut(graph: BipartiteGraph, value: int, reached) -> CutCertificate:
-    side = np.zeros(graph.n_vertices, dtype=bool)
+def _cut(mask: ObservationMask, value: int, reached) -> CutCertificate:
+    side = np.zeros(mask.n_vertices, dtype=bool)
     side[list(reached)] = True
-    crossing = np.flatnonzero(side[graph.edge_rows]
-                              != side[graph.n_left + graph.edge_cols])
+    crossing = np.flatnonzero(side[mask.rows] != side[mask.n_rows + mask.cols])
     if crossing.size != value:
         raise RuntimeError(
             f"cut size {crossing.size} disagrees with flow value {value}")
-    cut_edges = zip(graph.edge_rows[crossing].tolist(),
-                    graph.edge_cols[crossing].tolist())
+    cut_edges = zip(mask.rows[crossing].tolist(), mask.cols[crossing].tolist())
     return CutCertificate(left_side=frozenset(reached),
                           cut_edges=tuple(cut_edges))
 
 
-def max_disjoint_paths(graph: BipartiteGraph, i: int, j: int) -> PathSet:
+def max_disjoint_paths(mask: ObservationMask, i: int, j: int) -> PathSet:
     """Maximum set of edge-disjoint paths from ``u_i`` to ``v_j``.
 
     Returns an empty set (k=0) when the pair is disconnected; raises
     ``ValueError`` for an entry outside the pattern.
     """
-    net, value, _ = _unit_max_flow(graph, i, j)
-    return _path_set(graph, net, value, i, j)
+    net, value, _ = _unit_max_flow(mask, i, j)
+    return _path_set(mask, net, value, i, j)
 
 
-def min_cut(graph: BipartiteGraph, i: int, j: int) -> CutCertificate:
+def min_cut(mask: ObservationMask, i: int, j: int) -> CutCertificate:
     """Minimum edge cut separating ``u_i`` from ``v_j``.
 
     The left side is the set of vertices reachable from ``u_i`` in the
     residual graph of a maximum flow; the crossing edges, row-major, are
     saturated and their count equals the max number of edge-disjoint paths.
     """
-    _, value, reached = _unit_max_flow(graph, i, j)
-    return _cut(graph, value, reached)
+    _, value, reached = _unit_max_flow(mask, i, j)
+    return _cut(mask, value, reached)
 
 
-def paths_and_cut(graph: BipartiteGraph, i: int,
+def paths_and_cut(mask: ObservationMask, i: int,
                   j: int) -> tuple[PathSet, CutCertificate]:
     """:func:`max_disjoint_paths` and :func:`min_cut` from one max flow; every
     maximum flow leaves the same residual-reachable set."""
-    net, value, reached = _unit_max_flow(graph, i, j)
-    return _path_set(graph, net, value, i, j), _cut(graph, value, reached)
+    net, value, reached = _unit_max_flow(mask, i, j)
+    return _path_set(mask, net, value, i, j), _cut(mask, value, reached)

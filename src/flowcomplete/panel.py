@@ -17,7 +17,7 @@ import numpy as np
 from .additive import EfeSolver
 from .electrical import effective_resistance
 from .errors import TargetNotObservedError
-from .graph import ObservationMask, build_graph
+from .graph import ObservationMask
 from .patterns import staggered_exposure_pattern
 from .spectral import build_core
 
@@ -115,14 +115,13 @@ def split_masks(panel: PanelData) -> tuple[ObservationMask, ObservationMask]:
 
 
 def estimate_effects(panel: PanelData, sigma: float | None = None,
-                     delta: float | None = None,
-                     bound_multiplier: float = 2.0) -> CausalReport:
+                     delta: float | None = None) -> CausalReport:
     """Per-entry treatment effects from the control and treatment graphs.
 
     An entry is identifiable exactly when its row and column are connected
     in both graphs.  With ``sigma`` and ``delta`` supplied, the report
-    carries ``bound_multiplier * sigma**2 * (R0 + R1) * log(N*T/delta)``;
-    the default multiplier 2 covers the two single-graph bounds combined.
+    carries ``2 * sigma**2 * (R0 + R1) * log(N*T/delta)``; the factor 2
+    covers the two single-graph bounds combined.
     """
     control_mask, treated_mask = split_masks(panel)
     control_solver = EfeSolver(control_mask)
@@ -139,8 +138,7 @@ def estimate_effects(panel: PanelData, sigma: float | None = None,
         if not 0 < delta < 1:
             raise ValueError("delta must lie in (0, 1)")
         cells = panel.n_units * panel.n_periods
-        high_prob = (bound_multiplier * sigma ** 2 * resistance_sum
-                     * math.log(cells / delta))
+        high_prob = 2.0 * sigma ** 2 * resistance_sum * math.log(cells / delta)
     return CausalReport(beta_hat=beta_hat, control_estimates=control_fit,
                         treatment_estimates=treated_fit,
                         resistance_sum=resistance_sum,
@@ -227,7 +225,7 @@ def staggered_exposure_certificate(n_units: int, n_groups: int) -> StaggeredExpo
     control_mask, treated_mask = split_masks(panel)
     target = (0, n_units - 1)
     r1_exact, r0_exact = (
-        effective_resistance(build_core(build_graph(mask)), *target)
+        effective_resistance(build_core(mask), *target)
         for mask in (treated_mask, control_mask))
     group_size = n_units // n_groups
     r1_bound = 2.0 * n_groups ** 2 / n_units

@@ -21,7 +21,7 @@ from .errors import (
     InvalidPathError,
     NoPathError,
 )
-from .graph import ObservationMask, build_graph, checked_vec_omega, validate_path
+from .graph import ObservationMask, checked_vec_omega, validate_path
 from .maxflow import PathSet, max_disjoint_paths, min_cut
 
 DENOMINATOR_FLOOR = 1e-12
@@ -124,8 +124,7 @@ def _validated(mask: ObservationMask, path_set: PathSet) -> PathSet:
 
 def _path_sets(mask: ObservationMask, entries) -> dict:
     """Entry -> its maximum edge-disjoint path set, each path validated."""
-    graph = build_graph(mask)
-    return {(i, j): _validated(mask, max_disjoint_paths(graph, i, j))
+    return {(i, j): _validated(mask, max_disjoint_paths(mask, i, j))
             for i, j in entries}
 
 
@@ -208,8 +207,7 @@ def hard_instance_rank1(mask: ObservationMask, i: int, j: int,
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
-    graph = build_graph(mask)
-    certificate = min_cut(graph, i, j)
+    certificate = min_cut(mask, i, j)
     if not certificate.cut_edges:
         raise DisconnectedPairError(
             f"row {i} and column {j} are not connected")

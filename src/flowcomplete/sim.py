@@ -23,8 +23,10 @@ from . import patterns
 from .additive import EfeSolver
 from .errors import DegenerateDenominatorError
 from .graph import ObservationMask
+from .io_utils import write_grid_csv
 from .panel import PanelData, split_masks
 from .rank1 import _path_sets, _ratio
+from .spectral import build_core
 
 PATTERNS = ("staircase", "staggered_exposure", "uniform_bernoulli",
             "extreme_sparsity", "dense_submatrix")
@@ -208,26 +210,27 @@ def _run_linear(config, trial_rngs, arms):
     the sum of the arms' resistances.  The estimators are linear and exact
     on additive matrices, so on identifiable entries a trial's error is the
     estimate from its noise alone: ``da[i] + db[j]``.  Noise is drawn per
-    trial as a full grid; the observed cells of ``_TRIAL_CHUNK`` trials are
-    solved together, and the squared errors summed as
-    ``sum da[i]^2 + sum db[j]^2 + 2 (da db^T)[i, j]``.
+    trial as a full standard-normal grid; the observed cells of
+    ``_TRIAL_CHUNK`` trials are scaled by sigma (bit for bit the values of
+    ``rng.normal(0, sigma, shape)``) and solved together, and the squared
+    errors summed as ``sum da[i]^2 + sum db[j]^2 + 2 (da db^T)[i, j]``.
     """
     reference = sum(solver.resistances for solver, _ in arms)
     identifiable = np.isfinite(reference)
     shape = (config.n_rows, config.n_cols)
     row_squares, col_squares = np.zeros(shape[0]), np.zeros(shape[1])
-    cross = np.zeros(shape)
+    cross, noise = np.zeros(shape), np.empty(shape)
     for start in range(0, config.trials, _TRIAL_CHUNK):
         rngs = trial_rngs[start:start + _TRIAL_CHUNK]
-        observed = [np.empty((solver.graph.n_edges, len(rngs)))
+        observed = [np.empty((solver.mask.n_observed, len(rngs)))
                     for solver, _ in arms]
         for t, rng in enumerate(rngs):
-            noise = rng.normal(0.0, config.noise_sigma, shape)
+            rng.standard_normal(out=noise)
             for (solver, _), values in zip(arms, observed):
                 values[:, t] = noise[solver.mask.rows, solver.mask.cols]
         da, db = 0.0, 0.0
         for (solver, sign), values in zip(arms, observed):
-            a_hat, b_hat = solver.observation_factors(values)
+            a_hat, b_hat = solver.observation_factors(config.noise_sigma * values)
             da, db = da + sign * a_hat, db + sign * b_hat
         row_squares += np.sum(da ** 2, axis=1)
         col_squares += np.sum(db ** 2, axis=1)
@@ -239,7 +242,6 @@ def _run_linear(config, trial_rngs, arms):
 
 def _run_rank1(config, realized, trial_rngs):
     mask = realized.mask
-    solver = EfeSolver(mask)
     truth = np.ones((config.n_rows, config.n_cols))  # unit factors
     if config.target is not None:
         entries = [config.target]
@@ -249,8 +251,9 @@ def _run_rank1(config, realized, trial_rngs):
     path_sets = _path_sets(mask, entries)
     accum = np.zeros_like(truth)
     counts = np.zeros_like(truth)
-    for rng in trial_rngs:
-        data = truth + rng.normal(0.0, config.noise_sigma, truth.shape)
+    noise = np.empty_like(truth)
+    for rng in trial_rngs:  # the stream of rng.normal(0, sigma), bit for bit
+        data = truth + config.noise_sigma * rng.standard_normal(out=noise)
         for (i, j), path_set in path_sets.items():
             if path_set.k == 0:
                 continue
@@ -265,7 +268,7 @@ def _run_rank1(config, realized, trial_rngs):
         identifiable[i, j] = path_set.k > 0
     with np.errstate(invalid="ignore", divide="ignore"):
         mse = np.where(counts > 0, accum / counts, np.nan)
-    return mse, solver.resistances, identifiable
+    return mse, build_core(mask).resistances, identifiable
 
 
 def export_result(result: SimResult, out_dir) -> list[Path]:
@@ -288,7 +291,7 @@ def export_result(result: SimResult, out_dir) -> list[Path]:
                          ("resistance", grid(result.resistance_reference)),
                          ("ratio", grid(result.ratio))):
         path = out / f"{name}.csv"
-        np.savetxt(path, values, fmt="%.17g", delimiter=",")
+        write_grid_csv(path, values)
         written.append(path)
 
     histogram_path = out / "histogram.csv"

@@ -22,22 +22,21 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import BipartiteGraph, ComponentLabeling, connected_components
+from .graph import ComponentLabeling, ObservationMask, connected_components
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralCore:
-    """``L^+`` as read-only ``(E, K, 1/d_E, W, P)`` per component with an
-    edge; ``E`` and ``K`` hold ascending vertex ids."""
+    """``L^+`` of ``mask``'s graph as read-only ``(E, K, 1/d_E, W, P)`` per
+    component with an edge; ``E`` and ``K`` hold ascending vertex ids."""
 
-    n_left: int
-    n_right: int
+    mask: ObservationMask
     components: ComponentLabeling
     blocks: tuple
 
     @property
     def n_vertices(self) -> int:
-        return self.n_left + self.n_right
+        return self.mask.n_vertices
 
     def solve(self, rhs) -> np.ndarray:
         """``L^+ @ rhs`` for a ``(V,)`` or ``(V, k)`` input, block by block."""
@@ -61,40 +60,41 @@ class SpectralCore:
     def resistances(self) -> np.ndarray:
         """Read-only effective resistances of all (row, column) pairs, ``inf``
         across components: the one source of identifiability."""
-        grid = np.full((self.n_left, self.n_right), np.inf)
+        n_rows = self.mask.n_rows
+        grid = np.full((n_rows, self.mask.n_cols), np.inf)
         for elim, kept, inv_degree, w, p in self.blocks:
             wp = w @ p
             # 1/d_e + (W P W^T)_ee + P_kk - 2 (W P)_ek; tiny negatives are
             # rounding noise of the inverse
             block = np.maximum((inv_degree + np.einsum("ek,ek->e", wp, w))[:, None]
                                + np.diagonal(p) - 2.0 * wp, 0.0)
-            if elim[0] < self.n_left:
-                grid[np.ix_(elim, kept - self.n_left)] = block
+            if elim[0] < n_rows:
+                grid[np.ix_(elim, kept - n_rows)] = block
             else:
-                grid[np.ix_(kept, elim - self.n_left)] = block.T
+                grid[np.ix_(kept, elim - n_rows)] = block.T
         grid.setflags(write=False)
         return grid
 
     def resistance(self, i: int, j: int) -> float:
         """``resistances[i, j]``; a ``ValueError`` names a pair outside it."""
-        if not (0 <= i < self.n_left and 0 <= j < self.n_right):
-            raise ValueError(f"entry {(i, j)} outside the "
-                             f"{self.n_left}x{self.n_right} pattern")
+        n_rows, n_cols = self.mask.n_rows, self.mask.n_cols
+        if not (0 <= i < n_rows and 0 <= j < n_cols):
+            raise ValueError(f"entry {(i, j)} outside the {n_rows}x{n_cols} pattern")
         return float(self.resistances[i, j])
 
 
-def build_core(graph: BipartiteGraph) -> SpectralCore:
+def build_core(mask: ObservationMask) -> SpectralCore:
     """Kron-reduce each component that has an edge onto its shorter side."""
-    labels = connected_components(graph)
+    labels = connected_components(mask)
     ids = labels.component_id
-    edge_ids = ids[graph.edge_rows]
-    local = np.empty(graph.n_vertices, dtype=np.intp)
+    edge_ids = ids[mask.rows]
+    local = np.empty(mask.n_vertices, dtype=np.intp)
     blocks = []
     for cid in np.flatnonzero(np.bincount(edge_ids, minlength=labels.component_count)):
         vertices = np.flatnonzero(ids == cid)
-        elim, kept = np.split(vertices, [np.searchsorted(vertices, graph.n_left)])
+        elim, kept = np.split(vertices, [np.searchsorted(vertices, mask.n_rows)])
         edges = edge_ids == cid
-        a, b = graph.edge_rows[edges], graph.n_left + graph.edge_cols[edges]
+        a, b = mask.rows[edges], mask.n_rows + mask.cols[edges]
         if elim.size < kept.size:  # keep the shorter side
             elim, kept, a, b = kept, elim, b, a
         p, q = elim.size, kept.size
@@ -109,5 +109,4 @@ def build_core(graph: BipartiteGraph) -> SpectralCore:
         for array in block:
             array.flags.writeable = False
         blocks.append(block)
-    return SpectralCore(n_left=graph.n_left, n_right=graph.n_right,
-                        components=labels, blocks=tuple(blocks))
+    return SpectralCore(mask=mask, components=labels, blocks=tuple(blocks))

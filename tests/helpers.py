@@ -9,7 +9,6 @@ import numpy as np
 
 from flowcomplete import (
     NO_LENGTH_THREE_PATH,
-    BipartiteGraph,
     CutCertificate,
     ObservationMask,
     PanelData,
@@ -120,20 +119,20 @@ def did_loop_grid(panel: PanelData) -> np.ndarray:
     return grid
 
 
-def brute_force_min_cut(graph: BipartiteGraph, i: int, j: int) -> int:
+def brute_force_min_cut(mask: ObservationMask, i: int, j: int) -> int:
     """Smallest number of edges whose removal disconnects u_i from v_j.
 
     Exhaustive over subsets in increasing size; only for tiny graphs.
     """
-    edges = cells(graph.edge_rows, graph.edge_cols)
-    target = graph.n_left + j
+    edges = cells(mask.rows, mask.cols)
+    target = mask.n_rows + j
 
     def connected_without(removed) -> bool:
-        adjacency = [[] for _ in range(graph.n_vertices)]
+        adjacency = [[] for _ in range(mask.n_vertices)]
         for edge in edges:
             if edge in removed:
                 continue
-            u, v = edge[0], graph.n_left + edge[1]
+            u, v = edge[0], mask.n_rows + edge[1]
             adjacency[u].append(v)
             adjacency[v].append(u)
         seen = {i}
@@ -155,15 +154,15 @@ def brute_force_min_cut(graph: BipartiteGraph, i: int, j: int) -> int:
     raise AssertionError("removing all edges must disconnect the pair")
 
 
-def _sorted_neighbors(graph: BipartiteGraph) -> list:
-    neighbors = [[] for _ in range(graph.n_vertices)]
-    for i, j in cells(graph.edge_rows, graph.edge_cols):
-        neighbors[i].append(graph.n_left + j)
-        neighbors[graph.n_left + j].append(i)
+def _sorted_neighbors(mask: ObservationMask) -> list:
+    neighbors = [[] for _ in range(mask.n_vertices)]
+    for i, j in cells(mask.rows, mask.cols):
+        neighbors[i].append(mask.n_rows + j)
+        neighbors[mask.n_rows + j].append(i)
     return [sorted(ns) for ns in neighbors]
 
 
-def dict_unit_max_flow(graph: BipartiteGraph, i: int, j: int):
+def dict_unit_max_flow(mask: ObservationMask, i: int, j: int):
     """Reference max flow with flow kept per arc in a dict.
 
     Each undirected edge becomes two opposite unit arcs, arcs into the
@@ -172,8 +171,8 @@ def dict_unit_max_flow(graph: BipartiteGraph, i: int, j: int):
     Returns (flow dict on arcs, value).
     """
     source = i
-    sink = graph.n_left + j
-    adjacency = _sorted_neighbors(graph)
+    sink = mask.n_rows + j
+    adjacency = _sorted_neighbors(mask)
     flow: dict = {}
 
     def residual(u: int, v: int) -> int:
@@ -206,8 +205,8 @@ def dict_unit_max_flow(graph: BipartiteGraph, i: int, j: int):
             v = u
         value += 1
 
-    for row, col in cells(graph.edge_rows, graph.edge_cols):
-        u, v = row, graph.n_left + col
+    for row, col in cells(mask.rows, mask.cols):
+        u, v = row, mask.n_rows + col
         delta = min(flow.get((u, v), 0), flow.get((v, u), 0))
         if delta:
             flow[(u, v)] -= delta
@@ -215,12 +214,12 @@ def dict_unit_max_flow(graph: BipartiteGraph, i: int, j: int):
     return flow, value
 
 
-def dict_max_disjoint_paths(graph: BipartiteGraph, i: int, j: int) -> PathSet:
+def dict_max_disjoint_paths(mask: ObservationMask, i: int, j: int) -> PathSet:
     """Reference for ``max_disjoint_paths``: walk the dict flow from the
     source, zeroing cycles, and read off ``k`` paths."""
-    source, sink = i, graph.n_left + j
-    adjacency = _sorted_neighbors(graph)
-    flow, value = dict_unit_max_flow(graph, i, j)
+    source, sink = i, mask.n_rows + j
+    adjacency = _sorted_neighbors(mask)
+    flow, value = dict_unit_max_flow(mask, i, j)
     walks = []
     for _ in range(value):
         walk = [source]
@@ -242,17 +241,17 @@ def dict_max_disjoint_paths(graph: BipartiteGraph, i: int, j: int) -> PathSet:
         for a, b in zip(walk, walk[1:]):
             flow[(a, b)] -= 1
         walks.append(walk)
-    paths = tuple(tuple(v if s % 2 == 0 else v - graph.n_left
+    paths = tuple(tuple(v if s % 2 == 0 else v - mask.n_rows
                         for s, v in enumerate(walk)) for walk in walks)
     max_len = max((len(p) - 1 for p in paths), default=0)
     return PathSet(paths=paths, k=value, max_len=max_len, source=i, sink=j)
 
 
-def dict_min_cut(graph: BipartiteGraph, i: int, j: int) -> CutCertificate:
+def dict_min_cut(mask: ObservationMask, i: int, j: int) -> CutCertificate:
     """Reference for ``min_cut``: a second BFS over the dict residual."""
-    source, sink = i, graph.n_left + j
-    adjacency = _sorted_neighbors(graph)
-    flow, _ = dict_unit_max_flow(graph, i, j)
+    source, sink = i, mask.n_rows + j
+    adjacency = _sorted_neighbors(mask)
+    flow, _ = dict_unit_max_flow(mask, i, j)
 
     def residual(u: int, v: int) -> int:
         capacity = 0 if (v == source or u == sink) else 1
@@ -266,20 +265,20 @@ def dict_min_cut(graph: BipartiteGraph, i: int, j: int) -> CutCertificate:
             if v not in reachable and residual(u, v) > 0:
                 reachable.add(v)
                 queue.append(v)
-    edges = cells(graph.edge_rows, graph.edge_cols)
+    edges = cells(mask.rows, mask.cols)
     cut_edges = [(row, col) for row, col in edges
-                 if (row in reachable) != (graph.n_left + col in reachable)]
+                 if (row in reachable) != (mask.n_rows + col in reachable)]
     return CutCertificate(left_side=frozenset(reachable),
                           cut_edges=tuple(sorted(cut_edges)))
 
 
-def bfs_component_ids(graph: BipartiteGraph) -> tuple[list, int]:
+def bfs_component_ids(mask: ObservationMask) -> tuple[list, int]:
     """Reference for ``connected_components``: BFS from the smallest
     unlabelled vertex; returns (component id per vertex, count)."""
-    adjacency = _sorted_neighbors(graph)
-    labels = [-1] * graph.n_vertices
+    adjacency = _sorted_neighbors(mask)
+    labels = [-1] * mask.n_vertices
     count = 0
-    for start in range(graph.n_vertices):
+    for start in range(mask.n_vertices):
         if labels[start] >= 0:
             continue
         labels[start] = count

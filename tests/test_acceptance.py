@@ -19,7 +19,6 @@ from flowcomplete import (
     RankOneModel,
     SimConfig,
     build_core,
-    build_graph,
     did_estimate,
     effective_resistance,
     estimate_effects,
@@ -80,7 +79,7 @@ def test_criterion_2_variance_law_and_thomson_dominance():
     truth = a[:, None] + b[None, :]
     sigma, trials = 0.1, 10_000
     estimates = np.empty((trials, 10, 10))
-    noise_store = np.empty((trials, solver.graph.n_edges))
+    noise_store = np.empty((trials, solver.mask.n_observed))
     rows, cols = mask.rows, mask.cols
     for trial in range(trials):
         noise = rng.normal(0.0, sigma, (10, 10))
@@ -96,7 +95,7 @@ def test_criterion_2_variance_law_and_thomson_dominance():
     efe_variance = sample_variance[i, j]
     dominated = True
     for _ in range(20):
-        flow = perturbed_unit_flow(solver.graph, solver.core, int(i), int(j),
+        flow = perturbed_unit_flow(solver.core, int(i), int(j),
                                    rng, scale=0.5)
         flow_estimates = noise_store @ flow.values
         dominated &= bool(flow_estimates.var(ddof=1) >= efe_variance)
@@ -138,13 +137,12 @@ def test_criterion_4_menger_min_cut():
         mask = random_mask(rng, n, m, float(rng.uniform(0.2, 0.7)))
         if mask.n_observed > 12:
             continue
-        graph = build_graph(mask)
         i, j = int(rng.integers(n)), int(rng.integers(m))
-        oracle = brute_force_min_cut(graph, i, j)
-        if max_disjoint_paths(graph, i, j).k != oracle:
+        oracle = brute_force_min_cut(mask, i, j)
+        if max_disjoint_paths(mask, i, j).k != oracle:
             _report(4, "Menger/min-cut", False,
-                    f"k != brute-force cut on graph {cells(mask.rows, mask.cols)}")
-        if len(min_cut(graph, i, j).cut_edges) != oracle:
+                    f"k != brute-force cut on mask {cells(mask.rows, mask.cols)}")
+        if len(min_cut(mask, i, j).cut_edges) != oracle:
             _report(4, "Menger/min-cut", False, "cut certificate size mismatch")
         checked += 1
     elapsed = time.perf_counter() - started
@@ -161,7 +159,7 @@ def test_criterion_5_rank1_recovery_and_scaling():
         mask = random_connected_mask(rng, n, m)
         model = RankOneModel(rng.uniform(1.0, 10.0, n), rng.uniform(1.0, 10.0, m))
         i, j = int(rng.integers(n)), int(rng.integers(m))
-        path_set = max_disjoint_paths(build_graph(mask), i, j)
+        path_set = max_disjoint_paths(mask, i, j)
         estimate = rank1_entry(mask, model.matrix(), i, j, path_set)
         if abs(estimate - model.entry(i, j)) > 1e-10 * max(abs(model.entry(i, j)), 1.0):
             _report(5, "rank-1 recovery/scaling", False, "noiseless recovery failed")
@@ -189,7 +187,7 @@ def test_criterion_6_hard_instance_certificates():
     for _ in range(10):
         n, m = int(rng.integers(2, 9)), int(rng.integers(2, 9))
         mask = random_connected_mask(rng, n, m)
-        core = build_core(build_graph(mask))
+        core = build_core(mask)
         i, j = int(rng.integers(n)), int(rng.integers(m))
         epsilon = float(rng.uniform(0.1, 0.9))
         resistance = effective_resistance(core, i, j)
@@ -204,14 +202,14 @@ def test_criterion_6_hard_instance_certificates():
             _report(6, "hard instances", False, "target gap != eps R")
         # rank-1 construction
         first, second = hard_instance_rank1(mask, i, j, epsilon)
-        cut = min_cut(build_graph(mask), i, j)
+        cut = min_cut(mask, i, j)
         pair_diff = first.matrix() - second.matrix()
         differing = {(r, c) for r, c in cells(mask.rows, mask.cols)
                      if abs(pair_diff[r, c]) > 1e-15}
         if differing != set(cut.cut_edges):
             _report(6, "hard instances", False,
                     "rank-1 difference support is not the min cut")
-        if len(differing) != max_disjoint_paths(build_graph(mask), i, j).k:
+        if len(differing) != max_disjoint_paths(mask, i, j).k:
             _report(6, "hard instances", False, "cut count != K")
     elapsed = time.perf_counter() - started
     _report(6, "hard instances", elapsed < 10.0,

@@ -6,14 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from flowcomplete import (
     AdditiveModel,
-    BipartiteGraph,
     DisconnectedPairError,
     EfeSolver,
     InvalidFlowError,
     ObservationMask,
     UnitFlow,
     build_core,
-    build_graph,
     connected_components,
     efe_entry,
     efe_full,
@@ -67,18 +65,17 @@ def test_path_estimate_telescopes_on_additive_data(seed):
     mask = random_connected_mask(rng, n, m)
     a, b, truth = random_additive(rng, n, m)
     i, j = int(rng.integers(n)), int(rng.integers(m))
-    paths = max_disjoint_paths(build_graph(mask), i, j)
+    paths = max_disjoint_paths(mask, i, j)
     for path in paths.paths:
         estimate = path_estimate_additive(path, truth, mask)
         assert abs(estimate - (a[i] + b[j])) < 1e-9
 
 
 def test_unit_flow_estimate_path_flow_matches_path_estimate():
-    graph = build_graph(FIG_PATH_MASK)
-    values = np.zeros(graph.n_edges)
+    values = np.zeros(FIG_PATH_MASK.n_observed)
     for edge, value in [((0, 1), 1.0), ((1, 1), -1.0), ((1, 2), 1.0),
                         ((2, 2), -1.0), ((2, 0), 1.0)]:
-        values[cells(graph.edge_rows, graph.edge_cols).index(edge)] = value
+        values[cells(FIG_PATH_MASK.rows, FIG_PATH_MASK.cols).index(edge)] = value
     flow = UnitFlow(values=values, source=0, sink=0)
     rng = np.random.default_rng(1)
     data = rng.normal(size=(3, 3))
@@ -87,12 +84,11 @@ def test_unit_flow_estimate_path_flow_matches_path_estimate():
 
 
 def test_unit_flow_estimate_is_linear_in_the_flow():
-    graph = build_graph(THREE_ROUTES)
-    core = build_core(graph)
+    core = build_core(THREE_ROUTES)
     rng = np.random.default_rng(2)
     data = rng.normal(size=(4, 4))
-    flow_a = perturbed_unit_flow(graph, core, 0, 0, rng, scale=0.4)
-    flow_b = perturbed_unit_flow(graph, core, 0, 0, rng, scale=0.4)
+    flow_a = perturbed_unit_flow(core, 0, 0, rng, scale=0.4)
+    flow_b = perturbed_unit_flow(core, 0, 0, rng, scale=0.4)
     lam = 0.3
     mixed = UnitFlow(values=lam * flow_a.values + (1 - lam) * flow_b.values,
                      source=0, sink=0)
@@ -102,15 +98,14 @@ def test_unit_flow_estimate_is_linear_in_the_flow():
 
 
 def test_unit_flow_estimate_rejects_invalid_flow():
-    graph = build_graph(FIG_PATH_MASK)
-    bad = UnitFlow(values=np.zeros(graph.n_edges), source=0, sink=0)
+    bad = UnitFlow(values=np.zeros(FIG_PATH_MASK.n_observed), source=0, sink=0)
     with pytest.raises(InvalidFlowError):
         unit_flow_estimate(bad, np.zeros((3, 3)), FIG_PATH_MASK)
 
 
 def test_efe_entry_single_edge_returns_observation():
     mask = ObservationMask.from_pairs(1, 1, [(0, 0)])
-    core = build_core(build_graph(mask))
+    core = build_core(mask)
     assert abs(efe_entry(mask, [[3.25]], core, 0, 0) - 3.25) < 1e-12
 
 
@@ -118,7 +113,7 @@ def test_efe_entry_noiseless_is_exact():
     rng = np.random.default_rng(3)
     mask = random_connected_mask(rng, 6, 5)
     a, b, truth = random_additive(rng, 6, 5)
-    core = build_core(build_graph(mask))
+    core = build_core(mask)
     for i in range(6):
         for j in range(5):
             assert abs(efe_entry(mask, truth, core, i, j) - truth[i, j]) < 1e-9
@@ -128,9 +123,8 @@ def test_efe_entry_equals_electrical_unit_flow_estimate():
     rng = np.random.default_rng(4)
     mask = random_connected_mask(rng, 5, 6)
     data = rng.normal(size=(5, 6))
-    graph = build_graph(mask)
-    core = build_core(graph)
-    flow = electrical_flow(graph, core, 2, 3)
+    core = build_core(mask)
+    flow = electrical_flow(core, 2, 3)
     assert abs(unit_flow_estimate(flow, data, mask)
                - efe_entry(mask, data, core, 2, 3)) < 1e-12
 
@@ -138,7 +132,7 @@ def test_efe_entry_equals_electrical_unit_flow_estimate():
 def test_efe_entry_three_routes_averages_path_estimates():
     rng = np.random.default_rng(5)
     data = rng.normal(size=(4, 4))
-    core = build_core(build_graph(THREE_ROUTES))
+    core = build_core(THREE_ROUTES)
     path_estimates = [
         path_estimate_additive((0, k, k, 0), data, THREE_ROUTES)
         for k in (1, 2, 3)]
@@ -148,7 +142,7 @@ def test_efe_entry_three_routes_averages_path_estimates():
 
 def test_efe_entry_disconnected_raises():
     mask = ObservationMask.from_dense(np.eye(2))
-    core = build_core(build_graph(mask))
+    core = build_core(mask)
     with pytest.raises(DisconnectedPairError):
         efe_entry(mask, np.eye(2), core, 0, 1)
 
@@ -274,7 +268,7 @@ def test_per_component_gauge_shift_leaves_estimates_unchanged(seed):
     n, m = int(rng.integers(1, 9)), int(rng.integers(1, 9))
     mask = random_mask(rng, n, m, 0.3)
     a, b, truth = random_additive(rng, n, m)
-    ids = connected_components(build_graph(mask)).component_id
+    ids = connected_components(mask).component_id
     shift = rng.normal(0.0, 5.0, int(ids.max()) + 1)
     shifted = AdditiveModel(a + shift[ids[:n]], b - shift[ids[n:]]).matrix()
     solver = EfeSolver(mask)
@@ -283,10 +277,10 @@ def test_per_component_gauge_shift_leaves_estimates_unchanged(seed):
 
 
 def test_efe_full_does_not_build_the_adjacency_lists(monkeypatch):
-    def refuse(graph):
+    def refuse(mask):
         raise AssertionError("adjacency lists built")
 
-    monkeypatch.setattr(BipartiteGraph, "adjacency", property(refuse))
+    monkeypatch.setattr(ObservationMask, "adjacency", property(refuse))
     rng = np.random.default_rng(2)
     report = efe_full(random_mask(rng, 8, 6, 0.3), rng.normal(size=(8, 6)))
     assert report.identifiable.shape == (8, 6)
@@ -364,19 +358,18 @@ def _monte_carlo_estimates(flow_values, mask, truth, noise_draws):
 def test_unbiasedness_across_noise_families():
     rng = np.random.default_rng(9)
     mask = random_connected_mask(rng, 6, 6, extra=0.4)
-    graph = build_graph(mask)
-    core = build_core(graph)
+    core = build_core(mask)
     a, b, truth = random_additive(rng, 6, 6)
     i, j = 2, 4
     sigma, trials = 0.5, 20_000
-    flows = [electrical_flow(graph, core, i, j)]
-    flows += [perturbed_unit_flow(graph, core, i, j, rng, scale=0.5)
+    flows = [electrical_flow(core, i, j)]
+    flows += [perturbed_unit_flow(core, i, j, rng, scale=0.5)
               for _ in range(3)]
     draws = {
-        "gaussian": rng.normal(0.0, sigma, (trials, graph.n_edges)),
-        "rademacher": sigma * rng.choice([-1.0, 1.0], (trials, graph.n_edges)),
+        "gaussian": rng.normal(0.0, sigma, (trials, mask.n_observed)),
+        "rademacher": sigma * rng.choice([-1.0, 1.0], (trials, mask.n_observed)),
         "uniform": rng.uniform(-sigma * math.sqrt(3), sigma * math.sqrt(3),
-                               (trials, graph.n_edges)),
+                               (trials, mask.n_observed)),
     }
     for flow in flows:
         for noise in draws.values():
@@ -388,19 +381,18 @@ def test_unbiasedness_across_noise_families():
 def test_variance_identity_and_thomson_dominance():
     rng = np.random.default_rng(10)
     mask = random_connected_mask(rng, 6, 6, extra=0.4)
-    graph = build_graph(mask)
-    core = build_core(graph)
+    core = build_core(mask)
     _, _, truth = random_additive(rng, 6, 6)
     i, j = 1, 3
     sigma, trials = 0.3, 20_000
     resistance = effective_resistance(core, i, j)
-    noise = rng.normal(0.0, sigma, (trials, graph.n_edges))
-    efe_flow = electrical_flow(graph, core, i, j)
+    noise = rng.normal(0.0, sigma, (trials, mask.n_observed))
+    efe_flow = electrical_flow(core, i, j)
     efe_estimates = _monte_carlo_estimates(efe_flow.values, mask, truth, noise)
     efe_variance = efe_estimates.var(ddof=1)
     assert abs(efe_variance - sigma ** 2 * resistance) < 0.15 * sigma ** 2 * resistance
     for _ in range(10):
-        flow = perturbed_unit_flow(graph, core, i, j, rng, scale=0.5)
+        flow = perturbed_unit_flow(core, i, j, rng, scale=0.5)
         estimates = _monte_carlo_estimates(flow.values, mask, truth, noise)
         assert estimates.var(ddof=1) >= efe_variance
     # minimax sanity: the lower-bound constant is below the attained MSE
@@ -424,7 +416,7 @@ def test_hard_instance_certificates(seed):
     rng = np.random.default_rng(seed)
     n, m = int(rng.integers(2, 7)), int(rng.integers(2, 7))
     mask = random_connected_mask(rng, n, m)
-    core = build_core(build_graph(mask))
+    core = build_core(mask)
     i, j = int(rng.integers(n)), int(rng.integers(m))
     epsilon = float(rng.uniform(0.05, 0.95))
     a, b, _ = random_additive(rng, n, m)

@@ -11,7 +11,6 @@ from flowcomplete import (
     ObservationMask,
     UnitFlow,
     build_core,
-    build_graph,
     efe_entry,
     effective_resistance,
     electrical_flow,
@@ -32,7 +31,7 @@ TWO_ROUTES = ObservationMask.from_pairs(
 
 
 def _core(mask):
-    return build_core(build_graph(mask))
+    return build_core(mask)
 
 
 def test_voltage_single_edge():
@@ -52,25 +51,23 @@ def test_voltage_disconnected_raises():
 
 
 def test_electrical_flow_single_edge():
-    graph = build_graph(SINGLE_EDGE)
-    flow = electrical_flow(graph, _core(SINGLE_EDGE), 0, 0)
+    flow = electrical_flow(_core(SINGLE_EDGE), 0, 0)
     assert np.allclose(flow.values, [1.0])
 
 
 def test_electrical_flow_two_parallel_routes():
-    graph = build_graph(TWO_ROUTES)
     core = _core(TWO_ROUTES)
-    flow = electrical_flow(graph, core, 0, 0)
+    flow = electrical_flow(core, 0, 0)
     assert np.allclose(np.abs(flow.values), 0.5)
     assert abs(effective_resistance(core, 0, 0) - 1.5) < 1e-12
 
 
 def test_shorter_path_carries_more_current():
     # direct edge in parallel with a length-3 route
-    graph = build_graph(complete_mask(2, 2))
-    core = _core(complete_mask(2, 2))
-    flow = electrical_flow(graph, core, 0, 0)
-    edges = cells(graph.edge_rows, graph.edge_cols)
+    mask = complete_mask(2, 2)
+    core = _core(mask)
+    flow = electrical_flow(core, 0, 0)
+    edges = cells(mask.rows, mask.cols)
     direct = abs(flow.values[edges.index((0, 0))])
     detour = [abs(flow.values[edges.index(e)])
               for e in ((0, 1), (1, 1), (1, 0))]
@@ -111,29 +108,27 @@ def test_complete_bipartite_resistance_formula():
 
 
 def test_flow_energy_matches_resistance():
-    graph = build_graph(complete_mask(2, 2))
     core = _core(complete_mask(2, 2))
-    flow = electrical_flow(graph, core, 0, 0)
+    flow = electrical_flow(core, 0, 0)
     assert abs(flow_energy(flow) - 0.75) < 1e-12
 
 
 def test_verify_unit_flow():
-    graph = build_graph(SINGLE_EDGE)
+    mask = SINGLE_EDGE
     core = _core(SINGLE_EDGE)
-    assert verify_unit_flow(electrical_flow(graph, core, 0, 0), graph, 0, 0)
+    assert verify_unit_flow(electrical_flow(core, 0, 0), mask, 0, 0)
     zeros = UnitFlow(values=np.zeros(1), source=0, sink=0)
-    assert not verify_unit_flow(zeros, graph, 0, 0)
+    assert not verify_unit_flow(zeros, mask, 0, 0)
 
 
 def test_verify_unit_flow_alternating_path():
     mask = ObservationMask.from_pairs(3, 3, [(0, 1), (1, 1), (1, 2), (2, 2), (2, 0)])
-    graph = build_graph(mask)
     # +1 on forward steps, -1 on backward steps of the length-5 path
-    values = np.zeros(graph.n_edges)
+    values = np.zeros(mask.n_observed)
     for edge, value in [((0, 1), 1.0), ((1, 1), -1.0), ((1, 2), 1.0),
                         ((2, 2), -1.0), ((2, 0), 1.0)]:
-        values[cells(graph.edge_rows, graph.edge_cols).index(edge)] = value
-    assert verify_unit_flow(UnitFlow(values=values, source=0, sink=0), graph, 0, 0)
+        values[cells(mask.rows, mask.cols).index(edge)] = value
+    assert verify_unit_flow(UnitFlow(values=values, source=0, sink=0), mask, 0, 0)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -154,20 +149,19 @@ def test_thomson_principle():
     for _ in range(4):
         n, m = int(rng.integers(3, 8)), int(rng.integers(3, 8))
         mask = random_connected_mask(rng, n, m, extra=0.5)
-        graph = build_graph(mask)
         core = _core(mask)
         i, j = int(rng.integers(n)), int(rng.integers(m))
         resistance = effective_resistance(core, i, j)
-        electrical = electrical_flow(graph, core, i, j)
+        electrical = electrical_flow(core, i, j)
         for _ in range(100):
-            flow = perturbed_unit_flow(graph, core, i, j, rng, scale=0.5)
-            assert verify_unit_flow(flow, graph, i, j)
+            flow = perturbed_unit_flow(core, i, j, rng, scale=0.5)
+            assert verify_unit_flow(flow, mask, i, j)
             energy = flow_energy(flow)
             assert energy >= resistance - 1e-10
             if np.max(np.abs(flow.values - electrical.values)) > 1e-8:
                 assert energy > resistance
         # zero perturbation: equality case
-        untouched = perturbed_unit_flow(graph, core, i, j, rng, scale=0.0)
+        untouched = perturbed_unit_flow(core, i, j, rng, scale=0.0)
         assert abs(flow_energy(untouched) - resistance) < 1e-8
 
 
@@ -195,12 +189,11 @@ def test_resistance_upper_bounds():
     for _ in range(10):
         n, m = int(rng.integers(2, 7)), int(rng.integers(2, 7))
         mask = random_connected_mask(rng, n, m, extra=0.4)
-        graph = build_graph(mask)
         core = _core(mask)
         for i, j in cells(mask.rows, mask.cols):
             assert effective_resistance(core, i, j) <= 1.0 + 1e-10
         i, j = int(rng.integers(n)), int(rng.integers(m))
-        paths = max_disjoint_paths(graph, i, j)
+        paths = max_disjoint_paths(mask, i, j)
         for path in paths.paths:
             assert effective_resistance(core, i, j) <= (len(path) - 1) + 1e-10
 
@@ -222,14 +215,12 @@ def _simulate_commute_time(adjacency, start, target, rng, n_walks):
 def test_commute_time_identity():
     # commute time = 2 * n_e * R(s, t), estimated by simulated random walks
     rng = np.random.default_rng(123)
-    graph = build_graph(SINGLE_EDGE)
-    assert _simulate_commute_time(graph.adjacency, 0, 1, rng, 100) == 2.0
+    assert _simulate_commute_time(SINGLE_EDGE.adjacency, 0, 1, rng, 100) == 2.0
 
     mask = complete_mask(2, 2)
-    graph = build_graph(mask)
     core = _core(mask)
-    expected = 2 * graph.n_edges * effective_resistance(core, 0, 2 - 2)
-    estimate = _simulate_commute_time(graph.adjacency, 0, 2, rng, 30_000)
+    expected = 2 * mask.n_observed * effective_resistance(core, 0, 2 - 2)
+    estimate = _simulate_commute_time(mask.adjacency, 0, 2, rng, 30_000)
     assert abs(estimate - expected) / expected < 0.05
 
 
@@ -238,13 +229,13 @@ def test_per_pair_functions_reject_pairs_outside_the_pattern(pair):
     # a 2x3 pattern: (2, 0) must not read column vertex v_0 as row 2, and
     # negative indices must not wrap around
     mask = complete_mask(2, 3)
-    graph, core = build_graph(mask), _core(mask)
+    core = _core(mask)
     base = AdditiveModel(np.zeros(2), np.zeros(3))
     rng = np.random.default_rng(0)
     calls = [lambda: effective_resistance(core, *pair),
              lambda: voltage_vector(core, *pair),
-             lambda: electrical_flow(graph, core, *pair),
-             lambda: perturbed_unit_flow(graph, core, *pair, rng),
+             lambda: electrical_flow(core, *pair),
+             lambda: perturbed_unit_flow(core, *pair, rng),
              lambda: efe_entry(mask, np.zeros((2, 3)), core, *pair),
              lambda: hard_instance_additive(base, mask, *pair, 0.5)]
     message = re.escape(f"entry {pair} outside the 2x3 pattern")

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from flowcomplete import (
     InvalidPathError,
     ObservationMask,
-    build_graph,
     connected_components,
     incidence_matrix,
     laplacian,
@@ -18,31 +17,27 @@ from helpers import bfs_component_ids, cells, random_mask
 PATH_MASK = ObservationMask.from_pairs(3, 3, [(0, 1), (1, 1), (1, 2), (2, 2), (2, 0)])
 
 
-def test_build_graph_path_mask():
-    graph = build_graph(PATH_MASK)
-    assert graph.n_left == 3 and graph.n_right == 3
-    assert graph.n_edges == 5
-    assert cells(graph.edge_rows, graph.edge_cols) == [
+def test_mask_graph_of_path_mask():
+    assert PATH_MASK.n_rows == 3 and PATH_MASK.n_cols == 3
+    assert PATH_MASK.n_observed == 5
+    # the edges are the mask's read-only, row-major index arrays
+    assert cells(PATH_MASK.rows, PATH_MASK.cols) == [
         (0, 1), (1, 1), (1, 2), (2, 0), (2, 2)]
-    # the graph shares the mask's read-only index arrays
-    assert graph.edge_rows is PATH_MASK.rows and graph.edge_cols is PATH_MASK.cols
     assert PATH_MASK.rows.dtype == np.intp and not PATH_MASK.rows.flags.writeable
-    degrees = [graph.degree(v) for v in range(graph.n_vertices)]
+    degrees = [PATH_MASK.degree(v) for v in range(PATH_MASK.n_vertices)]
     assert sorted(degrees) == [1, 1, 2, 2, 2, 2]
 
 
-def test_build_graph_empty_mask():
+def test_mask_graph_of_empty_mask():
     mask = ObservationMask.from_pairs(2, 2, [])
-    graph = build_graph(mask)
-    assert graph.n_vertices == 4
-    assert graph.n_edges == 0
+    assert mask.n_vertices == 4
+    assert mask.n_observed == 0
 
 
-def test_build_graph_complete_2x2():
+def test_mask_graph_of_complete_2x2():
     mask = ObservationMask.from_dense(np.ones((2, 2)))
-    graph = build_graph(mask)
-    assert graph.n_edges == 4
-    assert all(graph.degree(v) == 2 for v in range(4))
+    assert mask.n_observed == 4
+    assert all(mask.degree(v) == 2 for v in range(4))
 
 
 def test_mask_rejects_out_of_bounds():
@@ -85,14 +80,14 @@ def test_from_pairs_in_any_order_with_repeats_equals_from_dense(data):
 
 
 def test_components_edgeless():
-    labeling = connected_components(build_graph(ObservationMask.from_pairs(2, 2, [])))
+    labeling = connected_components(ObservationMask.from_pairs(2, 2, []))
     assert labeling.component_count == 4
     assert labeling.component_id.tolist() == [0, 1, 2, 3]
 
 
 def test_components_block_diagonal():
     mask = ObservationMask.from_dense(np.eye(2))
-    labeling = connected_components(build_graph(mask))
+    labeling = connected_components(mask)
     assert labeling.component_count == 2
     # vertex order u_0, u_1, v_0, v_1
     assert labeling.component_id.tolist() == [0, 1, 0, 1]
@@ -100,18 +95,18 @@ def test_components_block_diagonal():
 
 def test_components_complete():
     mask = ObservationMask.from_dense(np.ones((2, 2)))
-    labeling = connected_components(build_graph(mask))
+    labeling = connected_components(mask)
     assert labeling.component_count == 1
 
 
 def test_incidence_single_edge():
     mask = ObservationMask.from_pairs(1, 1, [(0, 0)])
-    assert np.array_equal(incidence_matrix(build_graph(mask)), [[1.0, -1.0]])
+    assert np.array_equal(incidence_matrix(mask), [[1.0, -1.0]])
 
 
 def test_incidence_complete_2x2():
-    graph = build_graph(ObservationMask.from_dense(np.ones((2, 2))))
-    b = incidence_matrix(graph)
+    mask = ObservationMask.from_dense(np.ones((2, 2)))
+    b = incidence_matrix(mask)
     assert b.shape == (4, 4)
     assert np.all(b[:, :2].sum(axis=1) == 1)
     assert np.all(b[:, 2:].sum(axis=1) == -1)
@@ -120,12 +115,12 @@ def test_incidence_complete_2x2():
 
 def test_laplacian_single_edge():
     mask = ObservationMask.from_pairs(1, 1, [(0, 0)])
-    assert np.array_equal(laplacian(build_graph(mask)), [[1, -1], [-1, 1]])
+    assert np.array_equal(laplacian(mask), [[1, -1], [-1, 1]])
 
 
 def test_laplacian_complete_2x2():
-    graph = build_graph(ObservationMask.from_dense(np.ones((2, 2))))
-    lap = laplacian(graph)
+    mask = ObservationMask.from_dense(np.ones((2, 2)))
+    lap = laplacian(mask)
     adjacency = np.array([[0, 0, 1, 1], [0, 0, 1, 1],
                           [1, 1, 0, 0], [1, 1, 0, 0]], dtype=float)
     assert np.array_equal(lap, 2 * np.eye(4) - adjacency)
@@ -168,18 +163,17 @@ def test_validate_path_rejects_bad_paths():
 def test_incidence_laplacian_and_ordering(seed, n, m):
     rng = np.random.default_rng(seed)
     mask = random_mask(rng, n, m, 0.4)
-    graph = build_graph(mask)
-    assert graph.n_edges == mask.n_observed
-    b = incidence_matrix(graph)
+    assert mask.n_observed == mask.n_observed
+    b = incidence_matrix(mask)
     # exact integer identity B^T B = L
-    assert np.array_equal(b.T @ b, laplacian(graph))
-    assert np.all(laplacian(graph).sum(axis=1) == 0)
+    assert np.array_equal(b.T @ b, laplacian(mask))
+    assert np.all(laplacian(mask).sum(axis=1) == 0)
     # edge ordering of incidence rows equals vec_omega element ordering
     data = rng.normal(size=(n, m))
     vec = vec_omega(mask, data)
-    for pos, (i, j) in enumerate(cells(graph.edge_rows, graph.edge_cols)):
+    for pos, (i, j) in enumerate(cells(mask.rows, mask.cols)):
         assert vec[pos] == data[i, j]
-        assert b[pos, i] == 1.0 and b[pos, graph.n_left + j] == -1.0
+        assert b[pos, i] == 1.0 and b[pos, mask.n_rows + j] == -1.0
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), m=st.integers(1, 8))
@@ -187,36 +181,35 @@ def test_incidence_laplacian_and_ordering(seed, n, m):
 def test_components_form_partition(seed, n, m):
     rng = np.random.default_rng(seed)
     mask = random_mask(rng, n, m, 0.25)
-    graph = build_graph(mask)
-    labeling = connected_components(graph)
-    assert len(labeling.component_id) == graph.n_vertices
+    labeling = connected_components(mask)
+    assert len(labeling.component_id) == mask.n_vertices
     assert set(labeling.component_id.tolist()) == set(range(labeling.component_count))
     ids = labeling.component_id
-    assert np.array_equal(ids[graph.edge_rows], ids[graph.n_left + graph.edge_cols])
+    assert np.array_equal(ids[mask.rows], ids[mask.n_rows + mask.cols])
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
        m=st.integers(1, 12), p=st.floats(0.0, 0.5))
 @settings(max_examples=60, deadline=None)
 def test_components_match_bfs_oracle(seed, n, m, p):
-    graph = build_graph(random_mask(np.random.default_rng(seed), n, m, p))
-    labeling = connected_components(graph)
+    mask = random_mask(np.random.default_rng(seed), n, m, p)
+    labeling = connected_components(mask)
     assert (labeling.component_id.tolist(),
-            labeling.component_count) == bfs_component_ids(graph)
+            labeling.component_count) == bfs_component_ids(mask)
     assert not labeling.component_id.flags.writeable
 
 
 def test_components_long_shuffled_chain():
-    # a 400-row path graph with shuffled row and column labels; its labels
+    # a 400-row path mask with shuffled row and column labels; its labels
     # settle only after several rounds of hooking (6 here)
     rng = np.random.default_rng(5)
     p, q = rng.permutation(401), rng.permutation(400)
     rows = np.concatenate([p[:-1], p[1:]])
-    graph = build_graph(ObservationMask(401, 400, rows, np.tile(q, 2)))
-    labeling = connected_components(graph)
+    mask = ObservationMask(401, 400, rows, np.tile(q, 2))
+    labeling = connected_components(mask)
     assert labeling.component_count == 1
     assert (labeling.component_id.tolist(),
-            labeling.component_count) == bfs_component_ids(graph)
+            labeling.component_count) == bfs_component_ids(mask)
 
 
 def test_vec_omega_scatter_round_trip():

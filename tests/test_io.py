@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from flowcomplete.io_utils import (
-    format_float,
     matrix_to_jsonable,
     read_grid_csv,
     read_mask_csv,
+    resistance_csv_text,
     write_grid_csv,
     write_json,
     write_mask_csv,
@@ -16,11 +16,31 @@ from flowcomplete.io_utils import (
 from flowcomplete import ObservationMask
 
 
-def test_format_float_specials():
-    assert format_float(math.inf) == "inf"
-    assert format_float(-math.inf) == "-inf"
-    assert format_float(math.nan) == "nan"
-    assert float(format_float(1 / 3)) == 1 / 3
+def test_grid_csv_specials(tmp_path):
+    path = tmp_path / "grid.csv"
+    write_grid_csv(path, [[math.inf, -math.inf, math.nan, 1 / 3]])
+    text = path.read_text()
+    assert text == "inf,-inf,nan,0.33333333333333331\n"
+    assert float(text.split(",")[-1]) == 1 / 3
+
+
+def test_grid_writers_match_cell_by_cell_reference(tmp_path):
+    # the templates print what a per-cell ``f"{v:.17g}"`` and ``np.savetxt``
+    # printed, on doubles across the whole exponent range and the specials
+    rng = np.random.default_rng(5)
+    grid = rng.standard_normal((9, 7)) * 10.0 ** rng.integers(-300, 300, (9, 7))
+    grid[0, :5] = math.nan, math.inf, -math.inf, -0.0, 0.0
+    grid[1, :3] = 1.0, 5e-324, 1.7976931348623157e308
+    path, saved = tmp_path / "grid.csv", tmp_path / "saved.csv"
+    write_grid_csv(path, grid)
+    np.savetxt(saved, grid, fmt="%.17g", delimiter=",")
+    cells = [[f"{v:.17g}" for v in row] for row in grid.tolist()]
+    assert path.read_text() == "".join(",".join(row) + "\n" for row in cells)
+    assert path.read_bytes() == saved.read_bytes()
+    expected = "row,col,effective_resistance\n" + "".join(
+        f"{i + 1},{j + 1},{value}\n"
+        for i, row in enumerate(cells) for j, value in enumerate(row))
+    assert resistance_csv_text(grid) == expected
 
 
 def test_mask_round_trip(tmp_path):

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from flowcomplete import (
     ObservationMask,
-    build_graph,
     max_disjoint_paths,
     min_cut,
     validate_path,
@@ -35,8 +34,7 @@ def _path_edges(path):
 
 def test_extreme_sparsity_paths():
     mask = extreme_sparsity_mask(4)
-    graph = build_graph(mask)
-    path_set = max_disjoint_paths(graph, 0, 0)
+    path_set = max_disjoint_paths(mask, 0, 0)
     assert path_set.k == 3
     assert path_set.max_len == 3
     assert sorted(path_set.paths) == [(0, 1, 1, 0), (0, 2, 2, 0), (0, 3, 3, 0)]
@@ -44,8 +42,7 @@ def test_extreme_sparsity_paths():
 
 def test_dense_submatrix_matching_paths():
     mask = dense_submatrix_mask(8, 9, block_rows=4, block_cols=3)
-    graph = build_graph(mask)
-    path_set = max_disjoint_paths(graph, 0, 0)
+    path_set = max_disjoint_paths(mask, 0, 0)
     assert path_set.k == 3  # min(|I|, |J|)
     assert path_set.max_len == 3
     assert all(len(p) == 4 for p in path_set.paths)
@@ -53,31 +50,30 @@ def test_dense_submatrix_matching_paths():
 
 def test_disconnected_pair():
     mask = ObservationMask.from_dense(np.eye(2))
-    graph = build_graph(mask)
-    path_set = max_disjoint_paths(graph, 0, 1)
+    path_set = max_disjoint_paths(mask, 0, 1)
     assert path_set.k == 0 and path_set.max_len == 0 and path_set.paths == ()
-    cut = min_cut(graph, 0, 1)
+    cut = min_cut(mask, 0, 1)
     assert cut.cut_edges == ()
 
 
 def test_entries_outside_the_pattern_raise():
-    graph = build_graph(ObservationMask.from_dense(np.ones((2, 3))))
+    mask = ObservationMask.from_dense(np.ones((2, 3)))
     for i, j in ((-1, 0), (0, -1), (2, 0), (0, 3)):
         for solve in (max_disjoint_paths, min_cut):
             with pytest.raises(ValueError, match="outside the 2x3 pattern"):
-                solve(graph, i, j)
+                solve(mask, i, j)
 
 
 def test_min_cut_single_edge():
-    graph = build_graph(ObservationMask.from_pairs(1, 1, [(0, 0)]))
-    cut = min_cut(graph, 0, 0)
+    mask = ObservationMask.from_pairs(1, 1, [(0, 0)])
+    cut = min_cut(mask, 0, 0)
     assert cut.cut_edges == ((0, 0),)
     assert 0 in cut.left_side and 1 not in cut.left_side
 
 
 def test_min_cut_extreme_sparsity():
-    graph = build_graph(extreme_sparsity_mask(4))
-    assert len(min_cut(graph, 0, 0).cut_edges) == 3
+    mask = extreme_sparsity_mask(4)
+    assert len(min_cut(mask, 0, 0).cut_edges) == 3
 
 
 def test_min_cut_matches_brute_force():
@@ -88,11 +84,10 @@ def test_min_cut_matches_brute_force():
         mask = random_mask(rng, n, m, 0.45)
         if mask.n_observed > 12 or mask.n_observed == 0:
             continue
-        graph = build_graph(mask)
         i, j = int(rng.integers(n)), int(rng.integers(m))
-        expected = brute_force_min_cut(graph, i, j)
-        assert max_disjoint_paths(graph, i, j).k == expected
-        assert len(min_cut(graph, i, j).cut_edges) == expected
+        expected = brute_force_min_cut(mask, i, j)
+        assert max_disjoint_paths(mask, i, j).k == expected
+        assert len(min_cut(mask, i, j).cut_edges) == expected
         checked += 1
 
 
@@ -102,10 +97,9 @@ def test_path_set_properties(seed):
     rng = np.random.default_rng(seed)
     n, m = int(rng.integers(2, 7)), int(rng.integers(2, 7))
     mask = random_mask(rng, n, m, 0.5)
-    graph = build_graph(mask)
     i, j = int(rng.integers(n)), int(rng.integers(m))
-    path_set = max_disjoint_paths(graph, i, j)
-    cut = min_cut(graph, i, j)
+    path_set = max_disjoint_paths(mask, i, j)
+    cut = min_cut(mask, i, j)
     # Menger: path count equals cut size
     assert path_set.k == len(cut.cut_edges)
     # paths are valid, edge-disjoint, and terminate correctly
@@ -119,7 +113,7 @@ def test_path_set_properties(seed):
     if path_set.k:
         assert path_set.max_len == max(len(p) - 1 for p in path_set.paths)
         # degree bound on the cut size
-        assert path_set.k <= min(graph.degree(i), graph.degree(graph.n_left + j))
+        assert path_set.k <= min(mask.degree(i), mask.degree(mask.n_rows + j))
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -129,24 +123,23 @@ def test_adding_edge_never_decreases_k(seed):
     n, m = int(rng.integers(2, 6)), int(rng.integers(2, 6))
     mask = random_mask(rng, n, m, 0.4)
     i, j = int(rng.integers(n)), int(rng.integers(m))
-    before = max_disjoint_paths(build_graph(mask), i, j).k
+    before = max_disjoint_paths(mask, i, j).k
     unobserved = [(r, c) for r in range(n) for c in range(m)
                   if not mask.is_observed(r, c)]
     if not unobserved:
         return
     extra = unobserved[int(rng.integers(len(unobserved)))]
     bigger = ObservationMask.from_pairs(n, m, cells(mask.rows, mask.cols) + [extra])
-    assert max_disjoint_paths(build_graph(bigger), i, j).k >= before
+    assert max_disjoint_paths(bigger, i, j).k >= before
 
 
 def _assert_matches_dict_oracle(mask):
-    graph = build_graph(mask)
     for i in range(mask.n_rows):
         for j in range(mask.n_cols):
-            assert max_disjoint_paths(graph, i, j) == dict_max_disjoint_paths(graph, i, j)
-            assert min_cut(graph, i, j) == dict_min_cut(graph, i, j)
-            assert paths_and_cut(graph, i, j) == (
-                dict_max_disjoint_paths(graph, i, j), dict_min_cut(graph, i, j))
+            assert max_disjoint_paths(mask, i, j) == dict_max_disjoint_paths(mask, i, j)
+            assert min_cut(mask, i, j) == dict_min_cut(mask, i, j)
+            assert paths_and_cut(mask, i, j) == (
+                dict_max_disjoint_paths(mask, i, j), dict_min_cut(mask, i, j))
 
 
 @given(seed=st.integers(0, 2**32 - 1), p=st.floats(0.05, 0.95))
@@ -182,23 +175,22 @@ def test_walk_zeroes_a_cycle_of_the_max_flow():
     chain_b = [(6, 0), (6, 7), (7, 7), (7, 8), (8, 8), (8, 3)]
     mask = ObservationMask.from_pairs(
         9, 9, [(0, 0), (3, 3)] + route_r + route_s + chain_a + chain_b)
-    graph = build_graph(mask)
-    assert dict_max_disjoint_paths(graph, 0, 3).k == 2
-    net, value, _ = _unit_max_flow(graph, 0, 3)
+    assert dict_max_disjoint_paths(mask, 0, 3).k == 2
+    net, value, _ = _unit_max_flow(mask, 0, 3)
     assert value == 2 and sum(map(abs, net)) == 20
     # a walk that never zeroes the cycle would go round it forever: bound
     # its steps so that such a walk fails here instead of hanging
-    bounded = SimpleNamespace(n_left=graph.n_left,
-                              adjacency=_StepBudget(graph.adjacency, 200))
-    walks = _walk_paths(bounded, list(net), 0, graph.n_left + 3, value)
+    bounded = SimpleNamespace(n_rows=mask.n_rows,
+                              adjacency=_StepBudget(mask.adjacency, 200))
+    walks = _walk_paths(bounded, list(net), 0, mask.n_rows + 3, value)
     assert len(walks) == 2
-    path_set, cut = paths_and_cut(graph, 0, 3)
+    path_set, cut = paths_and_cut(mask, 0, 3)
     assert path_set.paths == ((0, 0, 6, 7, 7, 8, 8, 3), (0, 4, 4, 5, 5, 6, 3, 3))
     # the six cycle edges carry net flow but lie on no path
     assert sum(len(p) - 1 for p in path_set.paths) == 20 - 6
     for path in path_set.paths:
         validate_path(path, mask)
-    assert len(cut.cut_edges) == brute_force_min_cut(graph, 0, 3) == 2
+    assert len(cut.cut_edges) == brute_force_min_cut(mask, 0, 3) == 2
     _assert_matches_dict_oracle(mask)
 
 

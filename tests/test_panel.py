@@ -11,7 +11,6 @@ from flowcomplete import (
     PanelData,
     TargetNotObservedError,
     build_core,
-    build_graph,
     did_estimate,
     did_grid,
     effective_resistance,
@@ -34,8 +33,8 @@ def _random_panel(rng, n_units, n_periods, sigma=0.0):
         treatment = (rng.random(shape) < 0.5).astype(int)
         control, treated = split_masks(
             PanelData(outcomes=np.zeros(shape), treatment=treatment))
-        if (connected_components(build_graph(control)).component_count == 1
-                and connected_components(build_graph(treated)).component_count == 1):
+        if (connected_components(control).component_count == 1
+                and connected_components(treated).component_count == 1):
             break
     alpha = rng.normal(size=n_units)
     gamma = rng.normal(size=n_periods)
@@ -256,8 +255,8 @@ def test_variance_matches_resistance_sum():
     rng = np.random.default_rng(6)
     base_panel, beta = _random_panel(rng, 5, 5)
     control, treated = split_masks(base_panel)
-    r0 = effective_resistance(build_core(build_graph(control)), 1, 2)
-    r1 = effective_resistance(build_core(build_graph(treated)), 1, 2)
+    r0 = effective_resistance(build_core(control), 1, 2)
+    r1 = effective_resistance(build_core(treated), 1, 2)
     sigma, trials = 0.2, 1500
     signal = base_panel.outcomes
     estimates = np.empty(trials)
@@ -285,8 +284,8 @@ def test_did_variance_dominates_flow_variance():
             break
     i, t = target
     control, treated = split_masks(base_panel)
-    r_sum = (effective_resistance(build_core(build_graph(control)), i, t)
-             + effective_resistance(build_core(build_graph(treated)), i, t))
+    r_sum = (effective_resistance(build_core(control), i, t)
+             + effective_resistance(build_core(treated), i, t))
     sigma, trials = 0.2, 2000
     did_draws = np.empty(trials)
     for trial in range(trials):

@@ -11,7 +11,6 @@ from flowcomplete import (
     NoPathError,
     ObservationMask,
     RankOneModel,
-    build_graph,
     hard_instance_rank1,
     max_disjoint_paths,
     min_cut,
@@ -61,7 +60,7 @@ def test_ratio_telescopes_noiseless(seed):
     model = RankOneModel(_random_factors(rng, n), _random_factors(rng, m))
     truth = model.matrix()
     i, j = int(rng.integers(n)), int(rng.integers(m))
-    for path in max_disjoint_paths(build_graph(mask), i, j).paths:
+    for path in max_disjoint_paths(mask, i, j).paths:
         stats = path_alpha_beta(path, truth, mask)
         assert abs(stats.alpha / stats.beta - model.entry(i, j)) < 1e-9 * abs(
             model.entry(i, j))
@@ -70,7 +69,7 @@ def test_ratio_telescopes_noiseless(seed):
 def test_rank1_entry_single_path_is_plain_ratio():
     mask = ObservationMask.from_pairs(2, 2, [(0, 1), (1, 1), (1, 0)])
     data = np.array([[0.0, 2.0], [3.0, 5.0]])
-    path_set = max_disjoint_paths(build_graph(mask), 0, 0)
+    path_set = max_disjoint_paths(mask, 0, 0)
     assert path_set.k == 1
     stats = path_alpha_beta(path_set.paths[0], data, mask)
     assert abs(rank1_entry(mask, data, 0, 0, path_set)
@@ -85,23 +84,21 @@ def test_rank1_entry_exact_recovery(seed):
     mask = random_connected_mask(rng, n, m)
     model = RankOneModel(_random_factors(rng, n), _random_factors(rng, m))
     truth = model.matrix()
-    graph = build_graph(mask)
     i, j = int(rng.integers(n)), int(rng.integers(m))
-    path_set = max_disjoint_paths(graph, i, j)
+    path_set = max_disjoint_paths(mask, i, j)
     estimate = rank1_entry(mask, truth, i, j, path_set)
     assert abs(estimate - model.entry(i, j)) < 1e-10 * max(abs(model.entry(i, j)), 1.0)
 
 
 def test_rank1_entry_errors():
     mask = ObservationMask.from_dense(np.eye(2))
-    graph = build_graph(mask)
-    empty = max_disjoint_paths(graph, 0, 1)
+    empty = max_disjoint_paths(mask, 0, 1)
     with pytest.raises(NoPathError):
         rank1_entry(mask, np.eye(2), 0, 1, empty)
     # zero backward observation collapses the denominator
     chain = ObservationMask.from_pairs(2, 2, [(0, 1), (1, 1), (1, 0)])
     data = np.array([[0.0, 2.0], [3.0, 0.0]])
-    path_set = max_disjoint_paths(build_graph(chain), 0, 0)
+    path_set = max_disjoint_paths(chain, 0, 0)
     with pytest.raises(DegenerateDenominatorError):
         rank1_entry(chain, data, 0, 0, path_set)
 
@@ -218,7 +215,7 @@ def test_stability_of_denominator():
     # stays above 0.5 essentially always once K >= 30
     n = 31
     mask = extreme_sparsity_mask(n)
-    path_set = max_disjoint_paths(build_graph(mask), 0, 0)
+    path_set = max_disjoint_paths(mask, 0, 0)
     assert path_set.k == 30
     rng = np.random.default_rng(14)
     trials, sigma, delta = 2000, 0.1, 0.05
@@ -231,7 +228,7 @@ def test_path_statistics_independent_across_paths():
     # alpha_k * beta_k across disjoint paths are uncorrelated under iid noise
     n = 5
     mask = extreme_sparsity_mask(n)
-    path_set = max_disjoint_paths(build_graph(mask), 0, 0)
+    path_set = max_disjoint_paths(mask, 0, 0)
     rng = np.random.default_rng(15)
     trials, sigma = 10_000, 0.1
     products = np.empty((trials, path_set.k))
@@ -290,13 +287,12 @@ def test_hard_instance_structure(seed):
     i, j = int(rng.integers(n)), int(rng.integers(m))
     epsilon = float(rng.uniform(0.1, 0.9))
     base, flipped = hard_instance_rank1(mask, i, j, epsilon)
-    graph = build_graph(mask)
-    cut = min_cut(graph, i, j)
+    cut = min_cut(mask, i, j)
     diff = base.matrix() - flipped.matrix()
     observed_differing = {
         (r, c) for r, c in cells(mask.rows, mask.cols) if abs(diff[r, c]) > 1e-15}
     assert observed_differing == set(cut.cut_edges)
-    assert len(observed_differing) == max_disjoint_paths(graph, i, j).k
+    assert len(observed_differing) == max_disjoint_paths(mask, i, j).k
     # target entry flips from eps^2 to -eps^2
     assert abs(diff[i, j] - 2 * epsilon ** 2) < 1e-12
 

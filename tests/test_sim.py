@@ -7,13 +7,15 @@ from flowcomplete import (
     ObservationMask,
     PanelData,
     SimConfig,
-    build_graph,
     connected_components,
     export_result,
     generate_pattern,
+    max_disjoint_paths,
     run_experiment,
     split_masks,
 )
+from flowcomplete.rank1 import DENOMINATOR_FLOOR, _path_products
+from flowcomplete.spectral import build_core
 from flowcomplete.patterns import (
     extreme_sparsity_mask,
     staggered_exposure_pattern,
@@ -58,8 +60,8 @@ def test_staircase_treatment_graph_connected():
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
         _, treatment = staircase_pattern(30, 30, 6, rng)
-        graph = build_graph(ObservationMask.from_dense(treatment))
-        assert connected_components(graph).component_count == 1
+        mask = ObservationMask.from_dense(treatment)
+        assert connected_components(mask).component_count == 1
 
 
 def test_generate_pattern_deterministic():
@@ -177,6 +179,48 @@ def test_batched_loop_matches_per_trial_loop(pattern, model, extra, trials):
     assert (~np.isnan(expected)).any()
     assert np.allclose(result.per_entry_mse, expected, rtol=1e-10, atol=0.0,
                        equal_nan=True)
+
+
+def _per_trial_rank1_mse(config):
+    """Trial-by-trial rank-1 reference: unit factors plus
+    ``rng.normal(0, sigma)`` noise, each ratio rebuilt from the path
+    products; degenerate trials are skipped."""
+    children = np.random.SeedSequence(config.seed).spawn(2 + config.trials)
+    mask = generate_pattern(config).mask
+    shape = (config.n_rows, config.n_cols)
+    path_sets = [max_disjoint_paths(mask, i, j) for i, j in np.ndindex(shape)]
+    accum, counts = np.zeros(shape), np.zeros(shape)
+    for child in children[2:]:
+        data = 1.0 + np.random.default_rng(child).normal(0.0, config.noise_sigma,
+                                                         shape)
+        for path_set in path_sets:
+            if path_set.k == 0:
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                products = [_path_products(data, path) for path in path_set.paths]
+            numerator = sum(alpha * beta for alpha, beta in products) / path_set.k
+            denominator = sum(beta ** 2 for _, beta in products) / path_set.k
+            if not (np.isfinite([numerator, denominator]).all()
+                    and denominator >= DENOMINATOR_FLOOR):
+                continue
+            entry = path_set.source, path_set.sink
+            accum[entry] += (numerator / denominator - 1.0) ** 2
+            counts[entry] += 1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(counts > 0, accum / counts, np.nan)
+
+
+def test_rank1_loop_matches_per_trial_oracle():
+    # exact equality pins the rank-1 noise stream and the ratio arithmetic
+    config = SimConfig(pattern="uniform_bernoulli", model="rank1", n_rows=7,
+                       n_cols=6, noise_sigma=0.3, trials=40, seed=17,
+                       bernoulli_p=0.3)
+    result = run_experiment(config)
+    expected = _per_trial_rank1_mse(config)
+    assert np.isfinite(expected).any() and np.isnan(expected).any()
+    assert np.array_equal(result.per_entry_mse, expected, equal_nan=True)
+    resistances = build_core(generate_pattern(config).mask).resistances
+    assert np.array_equal(result.resistance_reference, resistances)
 
 
 def test_histogram_counts_sum_to_identifiable():

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from flowcomplete import (
     ObservationMask,
     build_core,
-    build_graph,
     laplacian,
     resistance_matrix,
 )
@@ -16,13 +15,13 @@ from helpers import (complete_mask, pseudo_inverse, random_connected_mask,
 
 
 def test_single_edge_pseudo_inverse():
-    core = build_core(build_graph(ObservationMask.from_pairs(1, 1, [(0, 0)])))
+    core = build_core(ObservationMask.from_pairs(1, 1, [(0, 0)]))
     expected = np.array([[0.25, -0.25], [-0.25, 0.25]])
     assert np.allclose(pseudo_inverse(core), expected, atol=1e-12)
 
 
 def test_complete_2x2_quadratic_form():
-    core = build_core(build_graph(complete_mask(2, 2)))
+    core = build_core(complete_mask(2, 2))
     d = np.zeros(4)
     d[0], d[2] = 1.0, -1.0  # u_0 and v_0
     assert abs(d @ pseudo_inverse(core) @ d - 0.75) < 1e-12
@@ -38,11 +37,10 @@ def test_pseudo_inverse_matches_svd_route():
               ObservationMask.from_pairs(4, 3, [(0, 0), (2, 1), (2, 2)]),
               ObservationMask.from_pairs(3, 2, [])]
     for mask in masks:
-        graph = build_graph(mask)
-        pinv = pseudo_inverse(build_core(graph))
-        assert np.allclose(pinv, np.linalg.pinv(laplacian(graph)),
+        pinv = pseudo_inverse(build_core(mask))
+        assert np.allclose(pinv, np.linalg.pinv(laplacian(mask)),
                            rtol=0.0, atol=1e-10)
-    assert not pseudo_inverse(build_core(build_graph(masks[-1]))).any()
+    assert not pseudo_inverse(build_core(masks[-1])).any()
 
 
 def _assert_penrose(lap, pinv, tol=1e-8):
@@ -64,10 +62,9 @@ def test_penrose_conditions_and_blocks(seed):
     n = int(rng.integers(2, 9))
     m = int(rng.integers(2, 9))
     mask = random_connected_mask(rng, n, m)
-    graph = build_graph(mask)
-    core = build_core(graph)
+    core = build_core(mask)
     pinv = pseudo_inverse(core)
-    _assert_penrose(laplacian(graph), pinv)
+    _assert_penrose(laplacian(mask), pinv)
     assert np.max(np.abs(pinv - pinv.T)) < 1e-10 * max(np.max(np.abs(pinv)), 1.0)
     # connected graph: pinv annihilates the constant vector
     assert np.max(np.abs(pinv @ np.ones(core.n_vertices))) < 1e-8
@@ -82,9 +79,8 @@ def test_penrose_conditions_and_blocks(seed):
 def test_null_space_matches_component_count(seed, n, m):
     rng = np.random.default_rng(seed)
     mask = random_mask(rng, n, m, 0.3)
-    graph = build_graph(mask)
-    core = build_core(graph)
-    lap = laplacian(graph)
+    core = build_core(mask)
+    lap = laplacian(mask)
     eigenvalues = np.linalg.eigvalsh(lap)
     cutoff = 1e-9 * np.max(np.abs(eigenvalues), initial=0.0)
     n_zero = int(np.count_nonzero(np.abs(eigenvalues) <= max(cutoff, 1e-12)))
@@ -101,18 +97,17 @@ def test_desk_scale_connected_graph():
     # 200 vertices: all four Penrose conditions at 1e-8 relative
     rng = np.random.default_rng(11)
     mask = random_connected_mask(rng, 100, 100, extra=0.05)
-    graph = build_graph(mask)
-    core = build_core(graph)
+    core = build_core(mask)
     assert core.components.component_count == 1
-    _assert_penrose(laplacian(graph), pseudo_inverse(core))
+    _assert_penrose(laplacian(mask), pseudo_inverse(core))
 
 
 def test_solve_and_resistances_read_the_blocks():
     rng = np.random.default_rng(4)
     mask = random_mask(rng, 9, 7, 0.15)  # several components, isolated ones
-    core = build_core(build_graph(mask))
+    core = build_core(mask)
     assert not hasattr(core, "pinv")
-    full = np.linalg.pinv(laplacian(build_graph(mask)))
+    full = np.linalg.pinv(laplacian(mask))
     vector, block = rng.normal(size=16), rng.normal(size=(16, 3))
     assert np.allclose(core.solve(vector), full @ vector, rtol=0.0, atol=1e-10)
     assert np.allclose(core.solve(block), full @ block, rtol=0.0, atol=1e-10)
@@ -146,10 +141,9 @@ def _star_and_edge_cases():
 
 @pytest.mark.parametrize("mask", _star_and_edge_cases())
 def test_reduced_core_matches_svd_route_on_every_shape(mask):
-    graph = build_graph(mask)
-    core = build_core(graph)
+    core = build_core(mask)
     n = mask.n_rows
-    full = np.linalg.pinv(laplacian(graph))
+    full = np.linalg.pinv(laplacian(mask))
     assert np.allclose(pseudo_inverse(core), full, rtol=0.0, atol=1e-10)
     for eliminated, kept, *_ in core.blocks:  # the shorter side stays
         assert kept.size <= eliminated.size
@@ -171,9 +165,8 @@ def test_solve_projects_rhs_with_nonzero_component_sums(seed, k):
     rng = np.random.default_rng(seed)
     n, m = int(rng.integers(1, 10)), int(rng.integers(1, 10))
     mask = random_mask(rng, n, m, float(rng.uniform(0.1, 0.6)))
-    graph = build_graph(mask)
-    core = build_core(graph)
-    full = np.linalg.pinv(laplacian(graph))
+    core = build_core(mask)
+    full = np.linalg.pinv(laplacian(mask))
     materialised = pseudo_inverse(core)
     vector = rng.normal(3.0, 1.0, n + m)  # component sums far from zero
     block = rng.normal(-2.0, 1.0, (n + m, k))
@@ -195,8 +188,8 @@ def test_resistances_of_the_transpose_are_the_transpose(seed):
     n, m = int(rng.integers(1, 12)), int(rng.integers(1, 12))
     mask = random_mask(rng, n, m, float(rng.uniform(0.1, 0.6)))
     flipped = ObservationMask(m, n, mask.cols, mask.rows)
-    grid = build_core(build_graph(mask)).resistances
-    flipped_grid = build_core(build_graph(flipped)).resistances
+    grid = build_core(mask).resistances
+    flipped_grid = build_core(flipped).resistances
     assert np.array_equal(np.isinf(flipped_grid), np.isinf(grid.T))
     assert np.allclose(flipped_grid, grid.T, rtol=0.0, atol=1e-12)
 
@@ -205,11 +198,10 @@ def test_reduced_core_memory_stays_below_one_vertex_square_matrix():
     # a connected 2000x60 pattern: one (n+m)^2 float64 matrix is 34 MB
     rng = np.random.default_rng(2)
     mask = random_connected_mask(rng, 2000, 60, extra=0.02)
-    graph = build_graph(mask)
-    vertex_square = 8 * graph.n_vertices ** 2
+    vertex_square = 8 * mask.n_vertices ** 2
     tracemalloc.start()
     try:
-        core = build_core(graph)
+        core = build_core(mask)
         grid = core.resistances
         _, peak = tracemalloc.get_traced_memory()
     finally:
