@@ -15,13 +15,13 @@ __version__ = "0.1.0"
 
 from .additive import (
     AdditiveModel,
-    EfeSolver,
     EstimateReport,
     efe_entry,
     efe_full,
     estimate_noise_variance,
     hard_instance_additive,
     lse_factors,
+    observation_factors,
     path_estimate_additive,
     unit_flow_estimate,
     verify_equivalence,
@@ -29,11 +29,9 @@ from .additive import (
 from .electrical import (
     UnitFlow,
     VoltageVector,
-    effective_resistance,
     electrical_flow,
     flow_energy,
     perturbed_unit_flow,
-    resistance_matrix,
     verify_unit_flow,
     voltage_vector,
 )

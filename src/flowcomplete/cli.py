@@ -15,9 +15,8 @@ import numpy as np
 
 from . import __version__
 from .additive import efe_full
-from .electrical import effective_resistance, resistance_matrix
 from .errors import FlowCompleteError
-from .graph import ObservationMask, vec_omega
+from .graph import ObservationMask, check_noise, vec_omega
 from .io_utils import (
     matrix_to_jsonable,
     read_config_file,
@@ -170,7 +169,7 @@ def _parse_pair(text: str, n_rows: int, n_cols: int) -> tuple[int, int]:
 
 def _cmd_estimate_additive(args) -> int:
     mask, data = _load_mask_and_data(args)
-    report = efe_full(mask, data, sigma=args.sigma, delta=args.delta)
+    report = efe_full(build_core(mask), data, sigma=args.sigma, delta=args.delta)
     keep = report.identifiable
     payload = {
         "n_rows": mask.n_rows,
@@ -191,6 +190,7 @@ def _cmd_estimate_additive(args) -> int:
 
 
 def _cmd_estimate_rank1(args) -> int:
+    check_noise(args.sigma, args.delta)  # also when no bound is computed
     mask, data = _load_mask_and_data(args)
     report = rank1_full(mask, data)
     keep = report.identifiable & ~report.degenerate
@@ -224,10 +224,10 @@ def _cmd_resistance(args) -> int:
     mask = _read_mask(args.mask, args.rows, args.cols)
     core = build_core(mask)
     if args.all:
-        text = resistance_csv_text(resistance_matrix(core))
+        text = resistance_csv_text(core.resistances)
     else:
         i, j = _parse_pair(args.pair, mask.n_rows, mask.n_cols)
-        value = effective_resistance(core, i, j)
+        value = core.resistance(i, j)
         text = ("row,col,effective_resistance\n"
                 f"{i + 1},{j + 1},{value:.17g}\n")
     if args.out:

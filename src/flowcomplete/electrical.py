@@ -1,11 +1,12 @@
-"""Voltages, unit electrical currents, effective resistance, flow energy.
+"""Voltages, unit electrical currents and flow energy.
 
 The observation graph is read as a resistor network with unit resistance on
 every edge.  Sending one unit of current from ``u_i`` to ``v_j`` induces a
 voltage vector, an edge current (the electrical flow), and the effective
-resistance between the pair.  Disconnected pairs have infinite resistance,
-represented in-process as ``math.inf``; file formats spell it ``inf`` (CSV)
-or ``null`` plus an identifiability flag (JSON).
+resistance between the pair, which :class:`SpectralCore` holds.
+Disconnected pairs have infinite resistance, represented in-process as
+``math.inf``; file formats spell it ``inf`` (CSV) or ``null`` plus an
+identifiability flag (JSON).
 """
 
 from __future__ import annotations
@@ -55,16 +56,6 @@ def electrical_flow(core: SpectralCore, i: int, j: int) -> UnitFlow:
     potentials, mask = voltage_vector(core, i, j).potentials, core.mask
     values = potentials[mask.rows] - potentials[mask.n_rows + mask.cols]
     return UnitFlow(values=values, source=i, sink=j)
-
-
-def effective_resistance(core: SpectralCore, i: int, j: int) -> float:
-    """Effective resistance between ``u_i`` and ``v_j``; inf if disconnected."""
-    return core.resistance(i, j)
-
-
-def resistance_matrix(core: SpectralCore) -> np.ndarray:
-    """All-pairs effective resistances (read-only), ``inf`` across components."""
-    return core.resistances
 
 
 def flow_energy(flow: UnitFlow) -> float:

@@ -222,6 +222,15 @@ def checked_vec_omega(mask: ObservationMask, data) -> np.ndarray:
     return observations
 
 
+def check_noise(sigma: float | None, delta: float | None) -> None:
+    """Reject a given noise ``sigma`` that is negative or NaN and a given
+    confidence ``delta`` outside (0, 1)."""
+    if sigma is not None and not sigma >= 0:
+        raise ValueError("sigma must be non-negative")
+    if delta is not None and not 0 < delta < 1:
+        raise ValueError("delta must lie in (0, 1)")
+
+
 def validate_path(path: Sequence[int], mask: ObservationMask) -> None:
     """Check that ``path`` is a simple, observed, alternating walk.
 

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .additive import EfeSolver
-from .electrical import effective_resistance
+from .additive import efe_full
 from .errors import TargetNotObservedError
-from .graph import ObservationMask
+from .graph import ObservationMask, check_noise
 from .patterns import staggered_exposure_pattern
 from .spectral import build_core
 
@@ -121,28 +120,22 @@ def estimate_effects(panel: PanelData, sigma: float | None = None,
     An entry is identifiable exactly when its row and column are connected
     in both graphs.  With ``sigma`` and ``delta`` supplied, the report
     carries ``2 * sigma**2 * (R0 + R1) * log(N*T/delta)``; the factor 2
-    covers the two single-graph bounds combined.
+    covers the two single-graph bounds combined.  Each of ``sigma`` and
+    ``delta`` is checked whenever it is given.
     """
-    control_mask, treated_mask = split_masks(panel)
-    control_solver = EfeSolver(control_mask)
-    treated_solver = EfeSolver(treated_mask)
-    control_fit = control_solver.estimates(panel.outcomes)
-    treated_fit = treated_solver.estimates(panel.outcomes)
-    beta_hat = treated_fit - control_fit
-    resistance_sum = control_solver.resistances + treated_solver.resistances
-    identifiable = np.isfinite(resistance_sum)
+    check_noise(sigma, delta)
+    control, treated = (efe_full(build_core(mask), panel.outcomes)
+                        for mask in split_masks(panel))
+    resistance_sum = control.effective_resistances + treated.effective_resistances
     high_prob = None
     if sigma is not None and delta is not None:
-        if sigma < 0:
-            raise ValueError("sigma must be non-negative")
-        if not 0 < delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
         cells = panel.n_units * panel.n_periods
         high_prob = 2.0 * sigma ** 2 * resistance_sum * math.log(cells / delta)
-    return CausalReport(beta_hat=beta_hat, control_estimates=control_fit,
-                        treatment_estimates=treated_fit,
+    return CausalReport(beta_hat=treated.estimates - control.estimates,
+                        control_estimates=control.estimates,
+                        treatment_estimates=treated.estimates,
                         resistance_sum=resistance_sum,
-                        identifiable=identifiable,
+                        identifiable=np.isfinite(resistance_sum),
                         high_prob_bounds=high_prob)
 
 
@@ -225,7 +218,7 @@ def staggered_exposure_certificate(n_units: int, n_groups: int) -> StaggeredExpo
     control_mask, treated_mask = split_masks(panel)
     target = (0, n_units - 1)
     r1_exact, r0_exact = (
-        effective_resistance(build_core(mask), *target)
+        build_core(mask).resistance(*target)
         for mask in (treated_mask, control_mask))
     group_size = n_units // n_groups
     r1_bound = 2.0 * n_groups ** 2 / n_units

@@ -21,7 +21,8 @@ from .errors import (
     InvalidPathError,
     NoPathError,
 )
-from .graph import ObservationMask, checked_vec_omega, validate_path
+from .graph import (ObservationMask, check_noise, checked_vec_omega,
+                    validate_path, vec_omega)
 from .maxflow import PathSet, max_disjoint_paths, min_cut
 
 DENOMINATOR_FLOOR = 1e-12
@@ -86,13 +87,16 @@ def _path_products(arr: np.ndarray, path) -> tuple[float, float]:
 def path_alpha_beta(path, data, mask: ObservationMask | None = None) -> PathStatistics:
     """Products of forward (row->col) and backward (col->row) observations.
 
-    A length-1 path has an empty backward product, so ``beta == 1``.
+    A length-1 path has an empty backward product, so ``beta == 1``.  With
+    a ``mask``, the path must be observed in it and ``data`` have its shape.
     """
+    arr = np.asarray(data, dtype=float)
     if mask is not None:
         validate_path(path, mask)
+        vec_omega(mask, arr)  # rejects a grid of another shape
     elif len(path) < 2 or len(path) % 2 != 0:
         raise InvalidPathError("path must have an odd number of edges")
-    alpha, beta = _path_products(np.asarray(data, dtype=float), path)
+    alpha, beta = _path_products(arr, path)
     return PathStatistics(alpha=alpha, beta=beta, length=len(path) - 1)
 
 
@@ -135,12 +139,15 @@ def rank1_entry(mask: ObservationMask, data, i: int, j: int,
     Raises :class:`NoPathError` when the path set is empty and
     :class:`DegenerateDenominatorError` when the averaged squared backward
     product falls below ``DENOMINATOR_FLOOR`` or a path product overflows.
+    ``data`` is checked as in :func:`rank1_full`.
     """
     if path_set.k == 0:
         raise NoPathError(f"no connecting path for entry {(i, j)}")
     if path_set.source != i or path_set.sink != j:
         raise ValueError("path set endpoints do not match the requested entry")
-    return _ratio(np.asarray(data, dtype=float), _validated(mask, path_set))
+    arr = np.asarray(data, dtype=float)
+    checked_vec_omega(mask, arr)
+    return _ratio(arr, _validated(mask, path_set))
 
 
 def rank1_full(mask: ObservationMask, data) -> Rank1Report:
@@ -186,8 +193,7 @@ def rank1_error_bound(k: int, max_len: int, sigma: float, m_inf: float,
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+    check_noise(sigma, delta)
     log_term = math.log(n_rows * n_cols / delta)
     try:
         return float(constant * sigma ** max_len * (1.0 + m_inf ** max_len)

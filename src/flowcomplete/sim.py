@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import patterns
-from .additive import EfeSolver
+from .additive import observation_factors
 from .errors import DegenerateDenominatorError
 from .graph import ObservationMask
 from .io_utils import write_grid_csv
@@ -190,7 +190,7 @@ def run_experiment(config: SimConfig) -> SimResult:
 
 
 def _run_additive(config, realized, trial_rngs):
-    return _run_linear(config, trial_rngs, [(EfeSolver(realized.mask), 1.0)])
+    return _run_linear(config, trial_rngs, [(build_core(realized.mask), 1.0)])
 
 
 def _run_panel(config, realized, trial_rngs):
@@ -199,15 +199,15 @@ def _run_panel(config, realized, trial_rngs):
                            observed=realized.mask.grid.astype(np.int8))
     control_mask, treated_mask = split_masks(base_panel)
     # the effect estimate is the treated fit minus the control fit
-    arms = [(EfeSolver(control_mask), -1.0), (EfeSolver(treated_mask), 1.0)]
+    arms = [(build_core(control_mask), -1.0), (build_core(treated_mask), 1.0)]
     return _run_linear(config, trial_rngs, arms)
 
 
 def _run_linear(config, trial_rngs, arms):
     """Per-entry mean squared error of a signed sum of additive estimators.
 
-    ``arms`` pairs each :class:`EfeSolver` with its sign; the reference is
-    the sum of the arms' resistances.  The estimators are linear and exact
+    ``arms`` pairs each :class:`SpectralCore` with its sign; the reference
+    is the sum of the arms' resistances.  The estimators are linear and exact
     on additive matrices, so on identifiable entries a trial's error is the
     estimate from its noise alone: ``da[i] + db[j]``.  Noise is drawn per
     trial as a full standard-normal grid; the observed cells of
@@ -215,22 +215,22 @@ def _run_linear(config, trial_rngs, arms):
     ``rng.normal(0, sigma, shape)``) and solved together, and the squared
     errors summed as ``sum da[i]^2 + sum db[j]^2 + 2 (da db^T)[i, j]``.
     """
-    reference = sum(solver.resistances for solver, _ in arms)
+    reference = sum(core.resistances for core, _ in arms)
     identifiable = np.isfinite(reference)
     shape = (config.n_rows, config.n_cols)
     row_squares, col_squares = np.zeros(shape[0]), np.zeros(shape[1])
     cross, noise = np.zeros(shape), np.empty(shape)
     for start in range(0, config.trials, _TRIAL_CHUNK):
         rngs = trial_rngs[start:start + _TRIAL_CHUNK]
-        observed = [np.empty((solver.mask.n_observed, len(rngs)))
-                    for solver, _ in arms]
+        observed = [np.empty((core.mask.n_observed, len(rngs)))
+                    for core, _ in arms]
         for t, rng in enumerate(rngs):
             rng.standard_normal(out=noise)
-            for (solver, _), values in zip(arms, observed):
-                values[:, t] = noise[solver.mask.rows, solver.mask.cols]
+            for (core, _), values in zip(arms, observed):
+                values[:, t] = noise[core.mask.rows, core.mask.cols]
         da, db = 0.0, 0.0
-        for (solver, sign), values in zip(arms, observed):
-            a_hat, b_hat = solver.observation_factors(config.noise_sigma * values)
+        for (core, sign), values in zip(arms, observed):
+            a_hat, b_hat = observation_factors(core, config.noise_sigma * values)
             da, db = da + sign * a_hat, db + sign * b_hat
         row_squares += np.sum(da ** 2, axis=1)
         col_squares += np.sum(db ** 2, axis=1)

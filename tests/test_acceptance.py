@@ -13,14 +13,13 @@ from scipy import stats
 from flowcomplete import (
     NO_LENGTH_THREE_PATH,
     AdditiveModel,
-    EfeSolver,
     ObservationMask,
     PanelData,
     RankOneModel,
     SimConfig,
     build_core,
     did_estimate,
-    effective_resistance,
+    efe_full,
     estimate_effects,
     hard_instance_additive,
     hard_instance_rank1,
@@ -56,7 +55,7 @@ def test_criterion_1_efe_equals_lse():
         m = int(rng.integers(2, 51))
         mask = random_connected_mask(rng, n, m, extra=float(rng.uniform(0.05, 0.4)))
         data = rng.normal(size=(n, m))
-        if not verify_equivalence(mask, data, tol=1e-8):
+        if not verify_equivalence(build_core(mask), data, tol=1e-8):
             _report(1, "EFE=LSE", False, f"disagreement on a {n}x{m} mask")
     elapsed = time.perf_counter() - started
     _report(1, "EFE=LSE", elapsed < 30.0,
@@ -72,31 +71,30 @@ def _fixed_10x10():
 def test_criterion_2_variance_law_and_thomson_dominance():
     started = time.perf_counter()
     mask, rng = _fixed_10x10()
-    solver = EfeSolver(mask)
-    assert solver.identifiable.all()
+    core = build_core(mask)
+    assert np.isfinite(core.resistances).all()
     a = rng.normal(size=10)
     b = rng.normal(size=10)
     truth = a[:, None] + b[None, :]
     sigma, trials = 0.1, 10_000
     estimates = np.empty((trials, 10, 10))
-    noise_store = np.empty((trials, solver.mask.n_observed))
+    noise_store = np.empty((trials, core.mask.n_observed))
     rows, cols = mask.rows, mask.cols
     for trial in range(trials):
         noise = rng.normal(0.0, sigma, (10, 10))
         noise_store[trial] = noise[rows, cols]
-        estimates[trial] = solver.estimates(truth + noise)
+        estimates[trial] = efe_full(core, truth + noise).estimates
     sample_variance = estimates.var(axis=0, ddof=1)
-    target = sigma ** 2 * solver.resistances
+    target = sigma ** 2 * core.resistances
     relative = np.abs(sample_variance - target) / target
     variance_ok = bool(np.max(relative) < 0.15)
 
     # Thomson dominance at the hardest entry
-    i, j = np.unravel_index(np.argmax(solver.resistances), (10, 10))
+    i, j = np.unravel_index(np.argmax(core.resistances), (10, 10))
     efe_variance = sample_variance[i, j]
     dominated = True
     for _ in range(20):
-        flow = perturbed_unit_flow(solver.core, int(i), int(j),
-                                   rng, scale=0.5)
+        flow = perturbed_unit_flow(core, int(i), int(j), rng, scale=0.5)
         flow_estimates = noise_store @ flow.values
         dominated &= bool(flow_estimates.var(ddof=1) >= efe_variance)
     elapsed = time.perf_counter() - started
@@ -190,10 +188,10 @@ def test_criterion_6_hard_instance_certificates():
         core = build_core(mask)
         i, j = int(rng.integers(n)), int(rng.integers(m))
         epsilon = float(rng.uniform(0.1, 0.9))
-        resistance = effective_resistance(core, i, j)
+        resistance = core.resistance(i, j)
         # additive construction
         base = AdditiveModel(rng.normal(size=n), rng.normal(size=m))
-        alt = hard_instance_additive(base, mask, i, j, epsilon)
+        alt = hard_instance_additive(base, core, i, j, epsilon)
         diff = alt.matrix() - base.matrix()
         observed_mass = float(np.sum(diff[mask.grid] ** 2))
         if abs(observed_mass - epsilon ** 2 * resistance) > 1e-9:
@@ -243,13 +241,13 @@ def test_criterion_7_staggered_exposure():
 def test_criterion_8_high_probability_bound():
     started = time.perf_counter()
     mask, rng = _fixed_10x10()
-    solver = EfeSolver(mask)
+    core = build_core(mask)
     truth = rng.normal(size=10)[:, None] + rng.normal(size=10)[None, :]
     sigma, delta, trials = 0.1, 0.05, 10_000
-    bound = 2.0 * sigma ** 2 * solver.resistances * math.log(2 * 100 / delta)
+    bound = 2.0 * sigma ** 2 * core.resistances * math.log(2 * 100 / delta)
     exceedances = np.zeros((10, 10))
     for _ in range(trials):
-        estimate = solver.estimates(truth + rng.normal(0.0, sigma, (10, 10)))
+        estimate = efe_full(core, truth + rng.normal(0.0, sigma, (10, 10))).estimates
         exceedances += ((estimate - truth) ** 2 > bound)
     frequency = exceedances / trials
     worst = float(np.max(frequency))

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from flowcomplete import (
     AdditiveModel,
     DisconnectedPairError,
-    EfeSolver,
     InvalidFlowError,
     ObservationMask,
     UnitFlow,
@@ -15,7 +14,6 @@ from flowcomplete import (
     connected_components,
     efe_entry,
     efe_full,
-    effective_resistance,
     electrical_flow,
     estimate_noise_variance,
     hard_instance_additive,
@@ -71,6 +69,12 @@ def test_path_estimate_telescopes_on_additive_data(seed):
         assert abs(estimate - (a[i] + b[j])) < 1e-9
 
 
+def test_path_estimate_rejects_grid_of_another_shape():
+    with pytest.raises(ValueError,
+                       match=r"data shape \(3, 4\) does not match mask \(3, 3\)"):
+        path_estimate_additive(FIG_PATH, np.ones((3, 4)), FIG_PATH_MASK)
+
+
 def test_unit_flow_estimate_path_flow_matches_path_estimate():
     values = np.zeros(FIG_PATH_MASK.n_observed)
     for edge, value in [((0, 1), 1.0), ((1, 1), -1.0), ((1, 2), 1.0),
@@ -106,7 +110,7 @@ def test_unit_flow_estimate_rejects_invalid_flow():
 def test_efe_entry_single_edge_returns_observation():
     mask = ObservationMask.from_pairs(1, 1, [(0, 0)])
     core = build_core(mask)
-    assert abs(efe_entry(mask, [[3.25]], core, 0, 0) - 3.25) < 1e-12
+    assert abs(efe_entry(core, [[3.25]], 0, 0) - 3.25) < 1e-12
 
 
 def test_efe_entry_noiseless_is_exact():
@@ -116,7 +120,7 @@ def test_efe_entry_noiseless_is_exact():
     core = build_core(mask)
     for i in range(6):
         for j in range(5):
-            assert abs(efe_entry(mask, truth, core, i, j) - truth[i, j]) < 1e-9
+            assert abs(efe_entry(core, truth, i, j) - truth[i, j]) < 1e-9
 
 
 def test_efe_entry_equals_electrical_unit_flow_estimate():
@@ -126,7 +130,7 @@ def test_efe_entry_equals_electrical_unit_flow_estimate():
     core = build_core(mask)
     flow = electrical_flow(core, 2, 3)
     assert abs(unit_flow_estimate(flow, data, mask)
-               - efe_entry(mask, data, core, 2, 3)) < 1e-12
+               - efe_entry(core, data, 2, 3)) < 1e-12
 
 
 def test_efe_entry_three_routes_averages_path_estimates():
@@ -136,7 +140,7 @@ def test_efe_entry_three_routes_averages_path_estimates():
     path_estimates = [
         path_estimate_additive((0, k, k, 0), data, THREE_ROUTES)
         for k in (1, 2, 3)]
-    assert abs(efe_entry(THREE_ROUTES, data, core, 0, 0)
+    assert abs(efe_entry(core, data, 0, 0)
                - np.mean(path_estimates)) < 1e-10
 
 
@@ -144,12 +148,24 @@ def test_efe_entry_disconnected_raises():
     mask = ObservationMask.from_dense(np.eye(2))
     core = build_core(mask)
     with pytest.raises(DisconnectedPairError):
-        efe_entry(mask, np.eye(2), core, 0, 1)
+        efe_entry(core, np.eye(2), 0, 1)
+
+
+def test_efe_entry_rejects_non_finite_observed_cell():
+    # a defect in one component must not leak into another component's entry
+    core = build_core(ObservationMask.from_dense(np.eye(2)))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError,
+                           match=r"not finite at observed cell \(1, 1\)"):
+            efe_entry(core, np.diag([4.0, bad]), 0, 0)
+    # unobserved cells are ignored, whatever they hold
+    data = np.array([[4.0, math.nan], [math.inf, 6.0]])
+    assert efe_entry(core, data, 0, 0) == pytest.approx(4.0)
 
 
 def test_lse_min_norm_split_single_observation():
     mask = ObservationMask.from_pairs(1, 1, [(0, 0)])
-    a_hat, b_hat = lse_factors(mask, [[4.0]])
+    a_hat, b_hat = lse_factors(build_core(mask), [[4.0]])
     assert abs(a_hat[0] - 2.0) < 1e-12
     assert abs(b_hat[0] - 2.0) < 1e-12
 
@@ -158,7 +174,7 @@ def test_lse_recovers_fully_observed_up_to_shift():
     rng = np.random.default_rng(6)
     a, b, truth = random_additive(rng, 5, 7)
     mask = complete_mask(5, 7)
-    a_hat, b_hat = lse_factors(mask, truth)
+    a_hat, b_hat = lse_factors(build_core(mask), truth)
     sums = a_hat[:, None] + b_hat[None, :]
     assert np.max(np.abs(sums - truth)) < 1e-9
     shift = a_hat - a
@@ -181,7 +197,7 @@ def test_lse_matches_design_matrix_least_squares():
             design[pos, n + j] = 1.0
             rhs[pos] = data[i, j]
         oracle, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-        a_hat, b_hat = lse_factors(mask, data)
+        a_hat, b_hat = lse_factors(build_core(mask), data)
         # lstsq returns the same minimum-norm solution
         assert np.max(np.abs(np.concatenate([a_hat, b_hat]) - oracle)) < 1e-8
 
@@ -194,7 +210,7 @@ def test_lse_first_order_conditions(seed):
     n, m = int(rng.integers(2, 7)), int(rng.integers(2, 7))
     mask = random_connected_mask(rng, n, m)
     data = rng.normal(size=(n, m))
-    a_hat, b_hat = lse_factors(mask, data)
+    a_hat, b_hat = lse_factors(build_core(mask), data)
     residual = np.where(mask.grid, a_hat[:, None] + b_hat[None, :] - data, 0.0)
     assert np.max(np.abs(residual.sum(axis=1))) < 1e-8
     assert np.max(np.abs(residual.sum(axis=0))) < 1e-8
@@ -204,14 +220,14 @@ def test_efe_full_noiseless_exact_and_connected():
     rng = np.random.default_rng(7)
     mask = random_connected_mask(rng, 8, 6)
     _, _, truth = random_additive(rng, 8, 6)
-    report = efe_full(mask, truth)
+    report = efe_full(build_core(mask), truth)
     assert report.identifiable.all()
     assert np.max(np.abs(report.estimates - truth)) < 1e-8
 
 
 def test_efe_full_marks_cross_component_entries():
     mask = ObservationMask.from_dense(np.eye(2))
-    report = efe_full(mask, np.diag([4.0, 6.0]))
+    report = efe_full(build_core(mask), np.diag([4.0, 6.0]))
     assert np.isnan(report.estimates[0, 1]) and np.isnan(report.estimates[1, 0])
     assert report.effective_resistances[0, 1] == math.inf
     assert abs(report.estimates[0, 0] - 4.0) < 1e-12
@@ -230,8 +246,8 @@ def test_efe_full_commutes_with_row_and_column_permutations(seed):
     data = rng.normal(size=(n, m))
     p, q = rng.permutation(n), rng.permutation(m)
     perm = np.ix_(p, q)
-    base = efe_full(mask, data)
-    moved = efe_full(permuted(mask, p, q), data[perm])
+    base = efe_full(build_core(mask), data)
+    moved = efe_full(build_core(permuted(mask, p, q)), data[perm])
     assert np.array_equal(moved.identifiable, base.identifiable[perm])
     np.testing.assert_allclose(moved.estimates, base.estimates[perm],
                                rtol=0, atol=1e-10)
@@ -252,7 +268,8 @@ def test_disjoint_component_leaves_old_entries_bit_identical(seed):
     grown = ObservationMask(n + 1, m + 1, np.append(mask.rows, n),
                             np.append(mask.cols, m))
     grown_data = np.pad(data, ((0, 1), (0, 1)), constant_values=rng.normal())
-    base, wide = efe_full(mask, data), efe_full(grown, grown_data)
+    base = efe_full(build_core(mask), data)
+    wide = efe_full(build_core(grown), grown_data)
     assert np.array_equal(wide.estimates[:n, :m], base.estimates,
                           equal_nan=True)
     assert np.array_equal(wide.effective_resistances[:n, :m],
@@ -271,9 +288,9 @@ def test_per_component_gauge_shift_leaves_estimates_unchanged(seed):
     ids = connected_components(mask).component_id
     shift = rng.normal(0.0, 5.0, int(ids.max()) + 1)
     shifted = AdditiveModel(a + shift[ids[:n]], b - shift[ids[n:]]).matrix()
-    solver = EfeSolver(mask)
-    np.testing.assert_allclose(solver.estimates(shifted),
-                               solver.estimates(truth), rtol=0, atol=1e-9)
+    core = build_core(mask)
+    np.testing.assert_allclose(efe_full(core, shifted).estimates,
+                               efe_full(core, truth).estimates, rtol=0, atol=1e-9)
 
 
 def test_efe_full_does_not_build_the_adjacency_lists(monkeypatch):
@@ -282,17 +299,18 @@ def test_efe_full_does_not_build_the_adjacency_lists(monkeypatch):
 
     monkeypatch.setattr(ObservationMask, "adjacency", property(refuse))
     rng = np.random.default_rng(2)
-    report = efe_full(random_mask(rng, 8, 6, 0.3), rng.normal(size=(8, 6)))
+    report = efe_full(build_core(random_mask(rng, 8, 6, 0.3)),
+                      rng.normal(size=(8, 6)))
     assert report.identifiable.shape == (8, 6)
 
 
 def test_factors_reject_shape_mismatch():
-    solver = EfeSolver(FIG_PATH_MASK)
+    core = build_core(FIG_PATH_MASK)
     with pytest.raises(ValueError,
                        match=r"data shape \(3, 4\) does not match mask \(3, 3\)"):
-        solver.factors(np.zeros((3, 4)))
+        lse_factors(core, np.zeros((3, 4)))
     with pytest.raises(ValueError, match="does not match mask"):
-        efe_full(FIG_PATH_MASK, np.zeros(9))
+        efe_full(core, np.zeros(9))
 
 
 def test_factors_reject_non_finite_observed_cell():
@@ -302,37 +320,50 @@ def test_factors_reject_non_finite_observed_cell():
         data = np.diag([4.0, bad])
         with pytest.raises(ValueError,
                            match=r"not finite at observed cell \(1, 1\)"):
-            efe_full(mask, data)
+            efe_full(build_core(mask), data)
         with pytest.raises(ValueError, match=r"\(1, 1\)"):
-            lse_factors(mask, data)
+            lse_factors(build_core(mask), data)
     # unobserved cells are ignored, whatever they hold
     data = np.array([[4.0, math.nan], [math.inf, 6.0]])
-    report = efe_full(mask, data)
+    report = efe_full(build_core(mask), data)
     assert report.estimates[0, 0] == pytest.approx(4.0)
     assert report.estimates[1, 1] == pytest.approx(6.0)
 
 
 def test_efe_full_bound_matrices():
     mask = complete_mask(3, 3)
-    report = efe_full(mask, np.zeros((3, 3)), sigma=0.5, delta=0.1)
+    report = efe_full(build_core(mask), np.zeros((3, 3)), sigma=0.5, delta=0.1)
     resist = report.effective_resistances
     assert np.allclose(report.variance_bounds, 0.25 * resist)
     assert np.allclose(report.high_prob_bounds,
                        2 * 0.25 * resist * math.log(2 * 9 / 0.1))
 
 
+@pytest.mark.parametrize("noise, message", [
+    ({"sigma": -0.1}, "sigma must be non-negative"),
+    ({"sigma": math.nan, "delta": 0.05}, "sigma must be non-negative"),
+    ({"delta": 5.0}, r"delta must lie in \(0, 1\)"),
+    ({"sigma": 0.1, "delta": 0.0}, r"delta must lie in \(0, 1\)"),
+])
+def test_efe_full_checks_noise_parameters_whenever_given(noise, message):
+    with pytest.raises(ValueError, match=message):
+        efe_full(build_core(complete_mask(2, 2)), np.zeros((2, 2)), **noise)
+
+
 def test_verify_equivalence_cases():
     rng = np.random.default_rng(8)
     # single edge
-    assert verify_equivalence(ObservationMask.from_pairs(1, 1, [(0, 0)]),
+    assert verify_equivalence(build_core(ObservationMask.from_pairs(1, 1, [(0, 0)])),
                               [[2.0]], tol=1e-10)
     # figure pattern
-    assert verify_equivalence(FIG_PATH_MASK, rng.normal(size=(3, 3)), tol=1e-8)
+    assert verify_equivalence(build_core(FIG_PATH_MASK), rng.normal(size=(3, 3)),
+                              tol=1e-8)
     # random masks, random data
     for _ in range(20):
         n, m = int(rng.integers(2, 16)), int(rng.integers(2, 13))
         mask = random_connected_mask(rng, n, m)
-        assert verify_equivalence(mask, rng.normal(size=(n, m)), tol=1e-8)
+        assert verify_equivalence(build_core(mask), rng.normal(size=(n, m)),
+                                  tol=1e-8)
 
 
 @given(seed=st.integers(0, 2**32 - 1), shift=st.floats(-5, 5))
@@ -345,9 +376,9 @@ def test_shift_invariance(seed, shift):
     original = AdditiveModel(a, b).matrix()
     shifted = AdditiveModel(a + shift, b - shift).matrix()
     assert np.max(np.abs(original - shifted)) < 1e-9
-    solver = EfeSolver(mask)
-    assert np.max(np.abs(solver.estimates(original)
-                         - solver.estimates(shifted))) < 1e-9
+    core = build_core(mask)
+    assert np.max(np.abs(efe_full(core, original).estimates
+                         - efe_full(core, shifted).estimates)) < 1e-9
 
 
 def _monte_carlo_estimates(flow_values, mask, truth, noise_draws):
@@ -385,7 +416,7 @@ def test_variance_identity_and_thomson_dominance():
     _, _, truth = random_additive(rng, 6, 6)
     i, j = 1, 3
     sigma, trials = 0.3, 20_000
-    resistance = effective_resistance(core, i, j)
+    resistance = core.resistance(i, j)
     noise = rng.normal(0.0, sigma, (trials, mask.n_observed))
     efe_flow = electrical_flow(core, i, j)
     efe_estimates = _monte_carlo_estimates(efe_flow.values, mask, truth, noise)
@@ -403,7 +434,7 @@ def test_variance_identity_and_thomson_dominance():
 def test_hard_instance_single_edge():
     mask = ObservationMask.from_pairs(1, 1, [(0, 0)])
     base = AdditiveModel(np.zeros(1), np.zeros(1))
-    alt = hard_instance_additive(base, mask, 0, 0, epsilon=0.5)
+    alt = hard_instance_additive(base, build_core(mask), 0, 0, epsilon=0.5)
     diff = alt.matrix() - base.matrix()
     assert abs(diff[0, 0] - 0.5) < 1e-12  # epsilon * R with R = 1
     kl = float(np.sum(diff[mask.grid] ** 2)) / (2 * 1.0 ** 2)
@@ -421,8 +452,8 @@ def test_hard_instance_certificates(seed):
     epsilon = float(rng.uniform(0.05, 0.95))
     a, b, _ = random_additive(rng, n, m)
     base = AdditiveModel(a, b)
-    alt = hard_instance_additive(base, mask, i, j, epsilon)
-    resistance = effective_resistance(core, i, j)
+    alt = hard_instance_additive(base, core, i, j, epsilon)
+    resistance = core.resistance(i, j)
     diff = alt.matrix() - base.matrix()
     observed_mass = float(np.sum(diff[mask.grid] ** 2))
     assert abs(observed_mass - epsilon ** 2 * resistance) < 1e-9
@@ -432,10 +463,11 @@ def test_hard_instance_certificates(seed):
 def test_hard_instance_rejects_bad_epsilon_and_disconnected():
     mask = ObservationMask.from_dense(np.eye(2))
     base = AdditiveModel(np.zeros(2), np.zeros(2))
+    core = build_core(mask)
     with pytest.raises(ValueError):
-        hard_instance_additive(base, mask, 0, 0, epsilon=1.5)
+        hard_instance_additive(base, core, 0, 0, epsilon=1.5)
     with pytest.raises(DisconnectedPairError):
-        hard_instance_additive(base, mask, 0, 1, epsilon=0.5)
+        hard_instance_additive(base, core, 0, 1, epsilon=0.5)
 
 
 def test_estimate_noise_variance():
@@ -444,7 +476,8 @@ def test_estimate_noise_variance():
     _, _, truth = random_additive(rng, 20, 20)
     sigma = 0.4
     data = truth + rng.normal(0.0, sigma, truth.shape)
-    estimate = estimate_noise_variance(mask, data)
+    estimate = estimate_noise_variance(build_core(mask), data)
     assert abs(estimate - sigma ** 2) < 0.25 * sigma ** 2
     with pytest.raises(ValueError):
-        estimate_noise_variance(ObservationMask.from_pairs(1, 1, [(0, 0)]), [[1.0]])
+        estimate_noise_variance(build_core(ObservationMask.from_pairs(1, 1, [(0, 0)])),
+                                [[1.0]])

@@ -164,6 +164,19 @@ def test_estimate_rank1_end_to_end(tmp_path):
     assert payload["error_bound"][0][0] > 0
 
 
+@pytest.mark.parametrize("noise", [["--sigma", "-0.1", "--delta", "0.05"],
+                                   ["--sigma", "-0.1"]])
+def test_estimate_rank1_rejects_negative_sigma(tmp_path, capsys, noise):
+    grid = np.outer(np.arange(1.0, 7.0), np.arange(2.0, 8.0))
+    data_path = tmp_path / "data.csv"
+    np.savetxt(data_path, grid, fmt="%.17g", delimiter=",")
+    out = tmp_path / "rank1.json"
+    assert main(["estimate-rank1", "--data", str(data_path), "--mask-from-data",
+                 *noise, "--out", str(out)]) == 1
+    assert "sigma must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_estimate_rank1_overflowing_bound_is_null(tmp_path):
     # every observation is 1e8, so m_inf ~ 1e8 and m_inf ** L overflows for
     # the paths of L >= 39 edges on the 40-edge chain
@@ -327,7 +340,7 @@ def test_simulate_rejects_target_outside_grid(tmp_path, capsys):
 
 
 def test_json_full_precision_round_trip(tmp_path):
-    from flowcomplete import ObservationMask, efe_full
+    from flowcomplete import ObservationMask, build_core, efe_full
 
     value = 1.0 / 3.0 + 1e-13
     data = _write(tmp_path / "data.csv", f"{value!r}\n")
@@ -336,7 +349,7 @@ def test_json_full_precision_round_trip(tmp_path):
     assert main(["estimate-additive", "--data", data, "--mask", mask,
                  "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
-    expected = efe_full(ObservationMask.from_pairs(1, 1, [(0, 0)]),
+    expected = efe_full(build_core(ObservationMask.from_pairs(1, 1, [(0, 0)])),
                         [[value]]).estimates[0, 0]
     # bit-exact round trip through the JSON text
     assert payload["estimates"][0][0] == expected

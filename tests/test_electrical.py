@@ -12,13 +12,11 @@ from flowcomplete import (
     UnitFlow,
     build_core,
     efe_entry,
-    effective_resistance,
     electrical_flow,
     flow_energy,
     hard_instance_additive,
     max_disjoint_paths,
     perturbed_unit_flow,
-    resistance_matrix,
     verify_unit_flow,
     voltage_vector,
 )
@@ -59,7 +57,7 @@ def test_electrical_flow_two_parallel_routes():
     core = _core(TWO_ROUTES)
     flow = electrical_flow(core, 0, 0)
     assert np.allclose(np.abs(flow.values), 0.5)
-    assert abs(effective_resistance(core, 0, 0) - 1.5) < 1e-12
+    assert abs(core.resistance(0, 0) - 1.5) < 1e-12
 
 
 def test_shorter_path_carries_more_current():
@@ -77,14 +75,14 @@ def test_shorter_path_carries_more_current():
 
 
 def test_effective_resistance_values():
-    assert abs(effective_resistance(_core(SINGLE_EDGE), 0, 0) - 1.0) < 1e-12
-    assert abs(effective_resistance(_core(complete_mask(2, 2)), 0, 0) - 0.75) < 1e-12
+    assert abs(_core(SINGLE_EDGE).resistance(0, 0) - 1.0) < 1e-12
+    assert abs(_core(complete_mask(2, 2)).resistance(0, 0) - 0.75) < 1e-12
 
 
 def test_effective_resistance_disconnected_is_inf():
     core = _core(ObservationMask.from_dense(np.eye(2)))
-    assert effective_resistance(core, 0, 1) == math.inf
-    matrix = resistance_matrix(core)
+    assert core.resistance(0, 1) == math.inf
+    matrix = core.resistances
     assert matrix[0, 1] == math.inf and matrix[1, 0] == math.inf
     assert np.isfinite(matrix[0, 0]) and np.isfinite(matrix[1, 1])
 
@@ -104,7 +102,7 @@ def test_complete_bipartite_resistance_formula():
             oracle = float(d @ pinv @ d)
             assert abs(oracle - (n + m - 1) / (n * m)) < 1e-10
             core = _core(complete_mask(n, m))
-            assert abs(effective_resistance(core, 0, 0) - oracle) < 1e-10
+            assert abs(core.resistance(0, 0) - oracle) < 1e-10
 
 
 def test_flow_energy_matches_resistance():
@@ -141,7 +139,7 @@ def test_voltage_gap_equals_resistance(seed):
     i, j = int(rng.integers(n)), int(rng.integers(m))
     voltage = voltage_vector(core, i, j)
     gap = voltage.potentials[i] - voltage.potentials[n + j]
-    assert abs(gap - effective_resistance(core, i, j)) < 1e-10
+    assert abs(gap - core.resistance(i, j)) < 1e-10
 
 
 def test_thomson_principle():
@@ -151,7 +149,7 @@ def test_thomson_principle():
         mask = random_connected_mask(rng, n, m, extra=0.5)
         core = _core(mask)
         i, j = int(rng.integers(n)), int(rng.integers(m))
-        resistance = effective_resistance(core, i, j)
+        resistance = core.resistance(i, j)
         electrical = electrical_flow(core, i, j)
         for _ in range(100):
             flow = perturbed_unit_flow(core, i, j, rng, scale=0.5)
@@ -172,7 +170,7 @@ def test_rayleigh_monotonicity():
         mask = random_connected_mask(rng, n, m, extra=0.2)
         core = _core(mask)
         i, j = int(rng.integers(n)), int(rng.integers(m))
-        before = effective_resistance(core, i, j)
+        before = core.resistance(i, j)
         unobserved = [(r, c) for r in range(n) for c in range(m)
                       if not mask.is_observed(r, c)]
         if not unobserved:
@@ -180,7 +178,7 @@ def test_rayleigh_monotonicity():
         extra = unobserved[int(rng.integers(len(unobserved)))]
         bigger = ObservationMask.from_pairs(
             n, m, cells(mask.rows, mask.cols) + [extra])
-        after = effective_resistance(_core(bigger), i, j)
+        after = _core(bigger).resistance(i, j)
         assert after <= before + 1e-10
 
 
@@ -191,11 +189,11 @@ def test_resistance_upper_bounds():
         mask = random_connected_mask(rng, n, m, extra=0.4)
         core = _core(mask)
         for i, j in cells(mask.rows, mask.cols):
-            assert effective_resistance(core, i, j) <= 1.0 + 1e-10
+            assert core.resistance(i, j) <= 1.0 + 1e-10
         i, j = int(rng.integers(n)), int(rng.integers(m))
         paths = max_disjoint_paths(mask, i, j)
         for path in paths.paths:
-            assert effective_resistance(core, i, j) <= (len(path) - 1) + 1e-10
+            assert core.resistance(i, j) <= (len(path) - 1) + 1e-10
 
 
 def _simulate_commute_time(adjacency, start, target, rng, n_walks):
@@ -219,7 +217,7 @@ def test_commute_time_identity():
 
     mask = complete_mask(2, 2)
     core = _core(mask)
-    expected = 2 * mask.n_observed * effective_resistance(core, 0, 2 - 2)
+    expected = 2 * mask.n_observed * core.resistance(0, 2 - 2)
     estimate = _simulate_commute_time(mask.adjacency, 0, 2, rng, 30_000)
     assert abs(estimate - expected) / expected < 0.05
 
@@ -232,12 +230,12 @@ def test_per_pair_functions_reject_pairs_outside_the_pattern(pair):
     core = _core(mask)
     base = AdditiveModel(np.zeros(2), np.zeros(3))
     rng = np.random.default_rng(0)
-    calls = [lambda: effective_resistance(core, *pair),
+    calls = [lambda: core.resistance(*pair),
              lambda: voltage_vector(core, *pair),
              lambda: electrical_flow(core, *pair),
              lambda: perturbed_unit_flow(core, *pair, rng),
-             lambda: efe_entry(mask, np.zeros((2, 3)), core, *pair),
-             lambda: hard_instance_additive(base, mask, *pair, 0.5)]
+             lambda: efe_entry(core, np.zeros((2, 3)), *pair),
+             lambda: hard_instance_additive(base, core, *pair, 0.5)]
     message = re.escape(f"entry {pair} outside the 2x3 pattern")
     for call in calls:
         with pytest.raises(ValueError, match=message):

@@ -13,7 +13,6 @@ from flowcomplete import (
     build_core,
     did_estimate,
     did_grid,
-    effective_resistance,
     estimate_effects,
     split_masks,
     staggered_exposure_certificate,
@@ -118,6 +117,17 @@ def test_estimate_effects_bound_and_identifiability():
     # unidentifiable exactly where the effect estimate is missing
     assert np.array_equal(np.isnan(report.beta_hat), ~report.identifiable)
     assert np.array_equal(np.isinf(report.resistance_sum), ~report.identifiable)
+
+
+@pytest.mark.parametrize("noise, message", [
+    ({"sigma": -1.0}, "sigma must be non-negative"),
+    ({"sigma": math.nan, "delta": 0.05}, "sigma must be non-negative"),
+    ({"delta": 5.0}, r"delta must lie in \(0, 1\)"),
+])
+def test_estimate_effects_checks_noise_parameters_whenever_given(noise, message):
+    panel, _ = _random_panel(np.random.default_rng(3), 5, 5)
+    with pytest.raises(ValueError, match=message):
+        estimate_effects(panel, **noise)
 
 
 def test_did_worked_instance():
@@ -255,8 +265,8 @@ def test_variance_matches_resistance_sum():
     rng = np.random.default_rng(6)
     base_panel, beta = _random_panel(rng, 5, 5)
     control, treated = split_masks(base_panel)
-    r0 = effective_resistance(build_core(control), 1, 2)
-    r1 = effective_resistance(build_core(treated), 1, 2)
+    r0 = build_core(control).resistance(1, 2)
+    r1 = build_core(treated).resistance(1, 2)
     sigma, trials = 0.2, 1500
     signal = base_panel.outcomes
     estimates = np.empty(trials)
@@ -284,8 +294,8 @@ def test_did_variance_dominates_flow_variance():
             break
     i, t = target
     control, treated = split_masks(base_panel)
-    r_sum = (effective_resistance(build_core(control), i, t)
-             + effective_resistance(build_core(treated), i, t))
+    r_sum = (build_core(control).resistance(i, t)
+             + build_core(treated).resistance(i, t))
     sigma, trials = 0.2, 2000
     did_draws = np.empty(trials)
     for trial in range(trials):

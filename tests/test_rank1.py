@@ -51,6 +51,13 @@ def test_path_alpha_beta_length1():
     assert stats.beta == 1.0
 
 
+def test_path_alpha_beta_rejects_grid_of_another_shape():
+    mask = ObservationMask.from_pairs(2, 2, [(0, 1), (1, 1), (1, 0)])
+    with pytest.raises(ValueError,
+                       match=r"data shape \(2, 3\) does not match mask \(2, 2\)"):
+        path_alpha_beta((0, 1, 1, 0), np.ones((2, 3)), mask)
+
+
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_ratio_telescopes_noiseless(seed):
@@ -101,6 +108,18 @@ def test_rank1_entry_errors():
     path_set = max_disjoint_paths(chain, 0, 0)
     with pytest.raises(DegenerateDenominatorError):
         rank1_entry(chain, data, 0, 0, path_set)
+
+
+def test_rank1_entry_rejects_bad_data():
+    mask = ObservationMask.from_pairs(2, 2, [(0, 1), (1, 1), (1, 0)])
+    path_set = max_disjoint_paths(mask, 0, 0)
+    with pytest.raises(ValueError,
+                       match=r"data shape \(2, 3\) does not match mask \(2, 2\)"):
+        rank1_entry(mask, np.ones((2, 3)), 0, 0, path_set)
+    # a NaN on a path cell is bad data, not an overflow
+    data = np.array([[0.0, 2.0], [3.0, math.nan]])
+    with pytest.raises(ValueError, match=r"not finite at observed cell \(1, 1\)"):
+        rank1_entry(mask, data, 0, 0, path_set)
 
 
 def test_sign_invariance():
@@ -208,6 +227,12 @@ def test_error_bound_formula():
         rank1_error_bound(0, 3, 0.1, 1.0, 10, 10, 0.05)
     # a float power beyond the double range gives an infinite bound
     assert rank1_error_bound(1, 199, 0.05, 1e8, 100, 100, 0.05) == np.inf
+
+
+@pytest.mark.parametrize("sigma", [-0.1, math.nan])
+def test_error_bound_rejects_bad_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma must be non-negative"):
+        rank1_error_bound(8, 3, sigma, 1.0, 10, 10, 0.05)
 
 
 def test_stability_of_denominator():

@@ -12,7 +12,7 @@ def test_readme_library_tour_runs():
     assert len(blocks) == 1
     namespace: dict = {}
     exec(compile(blocks[0], str(README), "exec"), namespace)
-    resistance = namespace["effective_resistance"](namespace["core"], 0, 0)
+    resistance = namespace["core"].resistance(0, 0)
     assert abs(resistance - 5.0) < 1e-12
     report = namespace["report"]
     assert np.allclose(report.estimates, namespace["data"], rtol=0, atol=1e-12)

@@ -3,11 +3,11 @@ import pytest
 from scipy import stats
 
 from flowcomplete import (
-    EfeSolver,
     ObservationMask,
     PanelData,
     SimConfig,
     connected_components,
+    efe_full,
     export_result,
     generate_pattern,
     max_disjoint_paths,
@@ -137,15 +137,15 @@ def _per_trial_mse(config):
     realized = generate_pattern(config)
     shape = (config.n_rows, config.n_cols)
     if config.model == "additive":
-        solver = EfeSolver(realized.mask)
-        arms = [(solver, 1.0)]
-        identifiable = solver.identifiable
+        core = build_core(realized.mask)
+        arms = [(core, 1.0)]
+        identifiable = np.isfinite(core.resistances)
         signal = truth = (effects_rng.standard_normal(shape[0])[:, None]
                           + effects_rng.standard_normal(shape[1])[None, :])
     else:
         panel = PanelData(outcomes=np.zeros(shape), treatment=realized.treatment,
                           observed=realized.mask.grid.astype(np.int8))
-        control, treated = (EfeSolver(mask) for mask in split_masks(panel))
+        control, treated = (build_core(mask) for mask in split_masks(panel))
         arms = [(control, -1.0), (treated, 1.0)]
         identifiable = np.isfinite(control.resistances + treated.resistances)
         control_truth = (effects_rng.standard_normal(shape[0])[:, None]
@@ -158,7 +158,7 @@ def _per_trial_mse(config):
     for child in children[2:]:
         rng = np.random.default_rng(child)
         data = signal + rng.normal(0.0, config.noise_sigma, shape)
-        estimate = sum(sign * solver.estimates(data) for solver, sign in arms)
+        estimate = sum(sign * efe_full(core, data).estimates for core, sign in arms)
         accum += np.where(identifiable, estimate - truth, 0.0) ** 2
     return np.where(identifiable, accum / config.trials, np.nan)
 
@@ -250,16 +250,16 @@ def test_squared_error_distribution_is_resistance_scaled_chi_square():
     # standardized squared errors at one entry follow chi-square with 1 dof
     rng = np.random.default_rng(31)
     mask = uniform_bernoulli_mask(8, 8, 0.4, rng)
-    solver = EfeSolver(mask)
-    identifiable = np.argwhere(solver.identifiable)
+    core = build_core(mask)
+    identifiable = np.argwhere(np.isfinite(core.resistances))
     i, j = identifiable[len(identifiable) // 2]
     sigma, trials = 0.2, 4000
     truth = np.zeros((8, 8))
     draws = np.empty(trials)
     for trial in range(trials):
-        estimate = solver.estimates(rng.normal(0.0, sigma, (8, 8)))
+        estimate = efe_full(core, rng.normal(0.0, sigma, (8, 8))).estimates
         draws[trial] = estimate[i, j] ** 2
-    standardized = draws / (sigma ** 2 * solver.resistances[i, j])
+    standardized = draws / (sigma ** 2 * core.resistances[i, j])
     n_bins = 10
     edges = stats.chi2.ppf(np.linspace(0.0, 1.0, n_bins + 1), df=1)
     observed, _ = np.histogram(standardized, bins=edges)

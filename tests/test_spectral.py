@@ -8,7 +8,6 @@ from flowcomplete import (
     ObservationMask,
     build_core,
     laplacian,
-    resistance_matrix,
 )
 from helpers import (complete_mask, pseudo_inverse, random_connected_mask,
                      random_mask)
@@ -71,7 +70,7 @@ def test_penrose_conditions_and_blocks(seed):
     # resistances read the diagonal and the row-by-column block of pinv
     d = np.diag(pinv)
     expected = d[:n, None] + d[None, n:] - 2.0 * pinv[:n, n:]
-    assert np.allclose(resistance_matrix(core), expected, rtol=0.0, atol=1e-12)
+    assert np.allclose(core.resistances, expected, rtol=0.0, atol=1e-12)
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7), m=st.integers(1, 7))
@@ -115,7 +114,7 @@ def test_solve_and_resistances_read_the_blocks():
         with pytest.raises(ValueError, match=r"need 16 rows, got shape"):
             core.solve(bad)
     grid = core.resistances
-    assert grid is resistance_matrix(core) and not grid.flags.writeable
+    assert grid is core.resistances and not grid.flags.writeable
     ids = core.components.component_id
     assert np.array_equal(np.isinf(grid), ids[:9, None] != ids[None, 9:])
     assert core.resistance(8, 6) == grid[8, 6]
