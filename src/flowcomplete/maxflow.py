@@ -15,23 +15,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ObservationMask
+from .errors import InvalidPathError
+from .graph import ObservationMask, validate_path
 
 
 @dataclass(frozen=True)
 class PathSet:
-    """Maximal collection of edge-disjoint source->sink paths.
+    """Maximal collection of edge-disjoint ``u_source -> v_sink`` paths.
 
-    ``paths`` holds alternating index sequences (row, col, row, ...); ``k``
+    ``paths`` holds alternating index sequences (row, col, row, ...), each
+    checked against ``mask`` and the endpoints when the set is built; ``k``
     equals the minimum edge cut separating the pair (Menger), and
     ``max_len`` is the largest edge count over the set (0 when empty).
     """
 
     paths: tuple
-    k: int
-    max_len: int
     source: int
     sink: int
+    mask: ObservationMask
+
+    def __post_init__(self) -> None:
+        for path in self.paths:
+            validate_path(path, self.mask)
+            if (path[0], path[-1]) != (self.source, self.sink):
+                raise InvalidPathError(
+                    f"path {path} does not join entry {(self.source, self.sink)}")
+
+    @property
+    def k(self) -> int:
+        return len(self.paths)
+
+    @property
+    def max_len(self) -> int:
+        return max((len(p) - 1 for p in self.paths), default=0)
 
 
 @dataclass(frozen=True)
@@ -123,8 +139,7 @@ def _path_set(mask: ObservationMask, net: list, value: int, i: int, j: int) -> P
     # global vertex ids -> alternating (row, col, row, ...) indices
     paths = tuple(tuple(v - mask.n_rows * (s % 2) for s, v in enumerate(w))
                   for w in walks)
-    max_len = max((len(p) - 1 for p in paths), default=0)
-    return PathSet(paths=paths, k=value, max_len=max_len, source=i, sink=j)
+    return PathSet(paths=paths, source=i, sink=j, mask=mask)
 
 
 def _cut(mask: ObservationMask, value: int, reached) -> CutCertificate:

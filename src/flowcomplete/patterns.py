@@ -63,6 +63,8 @@ def staggered_exposure_pattern(n_units: int, n_groups: int) -> tuple[np.ndarray,
     bipartite blocks with no shortcut back to the early time groups.
     Returns ``(observed, treatment)`` as 0/1 matrices of shape (N, N).
     """
+    if n_groups < 1:
+        raise ValueError("n_groups must be positive")
     if n_units % n_groups != 0:
         raise ValueError("n_groups must divide n_units")
     group_size = n_units // n_groups

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateDenominatorError,
-    DisconnectedPairError,
-    InvalidPathError,
-    NoPathError,
-)
+from .errors import DegenerateDenominatorError, DisconnectedPairError, NoPathError
 from .graph import (ObservationMask, check_noise, checked_vec_omega,
                     validate_path, vec_omega)
 from .maxflow import PathSet, max_disjoint_paths, min_cut
@@ -84,70 +79,76 @@ def _path_products(arr: np.ndarray, path) -> tuple[float, float]:
     return float(alpha), float(beta)
 
 
-def path_alpha_beta(path, data, mask: ObservationMask | None = None) -> PathStatistics:
+def path_alpha_beta(path, data, mask: ObservationMask) -> PathStatistics:
     """Products of forward (row->col) and backward (col->row) observations.
 
-    A length-1 path has an empty backward product, so ``beta == 1``.  With
-    a ``mask``, the path must be observed in it and ``data`` have its shape.
+    A length-1 path has an empty backward product, so ``beta == 1``.  The
+    path must be observed in ``mask`` and ``data`` have its shape.
     """
     arr = np.asarray(data, dtype=float)
-    if mask is not None:
-        validate_path(path, mask)
-        vec_omega(mask, arr)  # rejects a grid of another shape
-    elif len(path) < 2 or len(path) % 2 != 0:
-        raise InvalidPathError("path must have an odd number of edges")
+    validate_path(path, mask)
+    vec_omega(mask, arr)  # rejects a grid of another shape
     alpha, beta = _path_products(arr, path)
     return PathStatistics(alpha=alpha, beta=beta, length=len(path) - 1)
 
 
 def _ratio(arr: np.ndarray, path_set: PathSet) -> float:
-    """Stabilized ratio over a non-empty set of already validated paths."""
+    """Stabilized ratio over a non-empty path set; the per-path terms are
+    added left to right in path order, not with ``sum()``, whose rounding
+    differs across Python versions."""
+    numerator = denominator = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        products = [_path_products(arr, path) for path in path_set.paths]
-    numerator = sum(alpha * beta for alpha, beta in products) / path_set.k
-    try:
-        denominator = sum(beta ** 2 for _, beta in products) / path_set.k
-    except OverflowError:
-        denominator = math.inf
+        for path in path_set.paths:
+            alpha, beta = _path_products(arr, path)
+            numerator += alpha * beta
+            try:
+                denominator += beta ** 2
+            except OverflowError:
+                denominator = math.inf
+    numerator /= path_set.k
+    denominator /= path_set.k
     entry = (path_set.source, path_set.sink)
-    if not (math.isfinite(numerator) and math.isfinite(denominator)):
-        raise DegenerateDenominatorError(
-            f"path products overflow for entry {entry}")
     if denominator < DENOMINATOR_FLOOR:
         raise DegenerateDenominatorError(
             f"denominator {denominator:.3e} below {DENOMINATOR_FLOOR} "
             f"for entry {entry}")
-    return float(numerator / denominator)
+    estimate = numerator / denominator
+    if not (math.isfinite(estimate) and math.isfinite(denominator)):
+        raise DegenerateDenominatorError(
+            f"path products overflow for entry {entry}")
+    return estimate
 
 
-def _validated(mask: ObservationMask, path_set: PathSet) -> PathSet:
-    for path in path_set.paths:
-        validate_path(path, mask)
-    return path_set
+def _estimates(arr: np.ndarray, path_sets) -> tuple[np.ndarray, np.ndarray]:
+    """Ratio estimate at each path set's entry (``nan`` where the set is
+    empty or degenerate, and off the sets' entries) and the degenerate grid."""
+    estimates = np.full(arr.shape, np.nan)
+    degenerate = np.zeros(arr.shape, dtype=bool)
+    for path_set in path_sets:
+        if path_set.k:
+            entry = path_set.source, path_set.sink
+            try:
+                estimates[entry] = _ratio(arr, path_set)
+            except DegenerateDenominatorError:
+                degenerate[entry] = True
+    return estimates, degenerate
 
 
-def _path_sets(mask: ObservationMask, entries) -> dict:
-    """Entry -> its maximum edge-disjoint path set, each path validated."""
-    return {(i, j): _validated(mask, max_disjoint_paths(mask, i, j))
-            for i, j in entries}
-
-
-def rank1_entry(mask: ObservationMask, data, i: int, j: int,
-                path_set: PathSet) -> float:
-    """Stabilized multi-path ratio estimate of entry ``(i, j)``.
+def rank1_entry(path_set: PathSet, data) -> float:
+    """Stabilized multi-path ratio estimate of the path set's entry.
 
     Raises :class:`NoPathError` when the path set is empty and
     :class:`DegenerateDenominatorError` when the averaged squared backward
-    product falls below ``DENOMINATOR_FLOOR`` or a path product overflows.
-    ``data`` is checked as in :func:`rank1_full`.
+    product falls below ``DENOMINATOR_FLOOR`` or a path product or the
+    ratio overflows.  ``data`` is checked against ``path_set.mask`` as in
+    :func:`rank1_full`.
     """
     if path_set.k == 0:
-        raise NoPathError(f"no connecting path for entry {(i, j)}")
-    if path_set.source != i or path_set.sink != j:
-        raise ValueError("path set endpoints do not match the requested entry")
+        raise NoPathError(
+            f"no connecting path for entry {(path_set.source, path_set.sink)}")
     arr = np.asarray(data, dtype=float)
-    checked_vec_omega(mask, arr)
-    return _ratio(arr, _validated(mask, path_set))
+    checked_vec_omega(path_set.mask, arr)
+    return _ratio(arr, path_set)
 
 
 def rank1_full(mask: ObservationMask, data) -> Rank1Report:
@@ -160,24 +161,12 @@ def rank1_full(mask: ObservationMask, data) -> Rank1Report:
     """
     arr = np.asarray(data, dtype=float)
     checked_vec_omega(mask, arr)
-    n, m = mask.n_rows, mask.n_cols
-    estimates = np.full((n, m), np.nan)
-    identifiable = np.zeros((n, m), dtype=bool)
-    path_counts = np.zeros((n, m), dtype=int)
-    max_lens = np.zeros((n, m), dtype=int)
-    degenerate = np.zeros((n, m), dtype=bool)
-    entries = [(i, j) for i in range(n) for j in range(m)]
-    for (i, j), path_set in _path_sets(mask, entries).items():
-        path_counts[i, j] = path_set.k
-        max_lens[i, j] = path_set.max_len
-        if path_set.k == 0:
-            continue
-        identifiable[i, j] = True
-        try:
-            estimates[i, j] = _ratio(arr, path_set)
-        except DegenerateDenominatorError:
-            degenerate[i, j] = True
-    return Rank1Report(estimates=estimates, identifiable=identifiable,
+    path_sets = [max_disjoint_paths(mask, i, j)
+                 for i in range(mask.n_rows) for j in range(mask.n_cols)]
+    estimates, degenerate = _estimates(arr, path_sets)
+    path_counts = np.array([s.k for s in path_sets]).reshape(arr.shape)
+    max_lens = np.array([s.max_len for s in path_sets]).reshape(arr.shape)
+    return Rank1Report(estimates=estimates, identifiable=path_counts > 0,
                        path_counts=path_counts, max_lens=max_lens,
                        degenerate=degenerate)
 

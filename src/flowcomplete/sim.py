@@ -21,11 +21,11 @@ import numpy as np
 
 from . import patterns
 from .additive import observation_factors
-from .errors import DegenerateDenominatorError
-from .graph import ObservationMask
+from .graph import ObservationMask, check_noise
 from .io_utils import write_grid_csv
+from .maxflow import max_disjoint_paths
 from .panel import PanelData, split_masks
-from .rank1 import _path_sets, _ratio
+from .rank1 import _estimates
 from .spectral import build_core
 
 PATTERNS = ("staircase", "staggered_exposure", "uniform_bernoulli",
@@ -68,8 +68,7 @@ class SimConfig:
                 "staggered_exposure patterns")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
+        check_noise(self.noise_sigma, None)
         if self.n_rows < 1 or self.n_cols < 1:
             raise ValueError("dimensions must be positive")
         if (self.target_row is None) != (self.target_col is None):
@@ -243,29 +242,22 @@ def _run_linear(config, trial_rngs, arms):
 def _run_rank1(config, realized, trial_rngs):
     mask = realized.mask
     truth = np.ones((config.n_rows, config.n_cols))  # unit factors
-    if config.target is not None:
-        entries = [config.target]
-    else:
-        entries = [(i, j) for i in range(config.n_rows)
-                   for j in range(config.n_cols)]
-    path_sets = _path_sets(mask, entries)
+    entries = ([config.target] if config.target is not None
+               else np.ndindex(truth.shape))
+    path_sets = [max_disjoint_paths(mask, i, j) for i, j in entries]
     accum = np.zeros_like(truth)
     counts = np.zeros_like(truth)
     noise = np.empty_like(truth)
     for rng in trial_rngs:  # the stream of rng.normal(0, sigma), bit for bit
         data = truth + config.noise_sigma * rng.standard_normal(out=noise)
-        for (i, j), path_set in path_sets.items():
-            if path_set.k == 0:
-                continue
-            try:
-                estimate = _ratio(data, path_set)
-            except DegenerateDenominatorError:
-                continue
-            accum[i, j] += (estimate - truth[i, j]) ** 2
-            counts[i, j] += 1
+        errors = _estimates(data, path_sets)[0] - truth
+        usable = ~np.isnan(errors)
+        # float_power rounds as the scalar ``error ** 2`` does
+        accum[usable] += np.float_power(errors[usable], 2)
+        counts += usable
     identifiable = np.zeros(truth.shape, dtype=bool)
-    for (i, j), path_set in path_sets.items():
-        identifiable[i, j] = path_set.k > 0
+    for path_set in path_sets:
+        identifiable[path_set.source, path_set.sink] = path_set.k > 0
     with np.errstate(invalid="ignore", divide="ignore"):
         mse = np.where(counts > 0, accum / counts, np.nan)
     return mse, build_core(mask).resistances, identifiable

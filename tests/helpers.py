@@ -243,8 +243,7 @@ def dict_max_disjoint_paths(mask: ObservationMask, i: int, j: int) -> PathSet:
         walks.append(walk)
     paths = tuple(tuple(v if s % 2 == 0 else v - mask.n_rows
                         for s, v in enumerate(walk)) for walk in walks)
-    max_len = max((len(p) - 1 for p in paths), default=0)
-    return PathSet(paths=paths, k=value, max_len=max_len, source=i, sink=j)
+    return PathSet(paths=paths, source=i, sink=j, mask=mask)
 
 
 def dict_min_cut(mask: ObservationMask, i: int, j: int) -> CutCertificate:

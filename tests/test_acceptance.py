@@ -158,7 +158,7 @@ def test_criterion_5_rank1_recovery_and_scaling():
         model = RankOneModel(rng.uniform(1.0, 10.0, n), rng.uniform(1.0, 10.0, m))
         i, j = int(rng.integers(n)), int(rng.integers(m))
         path_set = max_disjoint_paths(mask, i, j)
-        estimate = rank1_entry(mask, model.matrix(), i, j, path_set)
+        estimate = rank1_entry(path_set, model.matrix())
         if abs(estimate - model.entry(i, j)) > 1e-10 * max(abs(model.entry(i, j)), 1.0):
             _report(5, "rank-1 recovery/scaling", False, "noiseless recovery failed")
 

@@ -328,6 +328,27 @@ def test_simulate_rejects_unknown_key(tmp_path, capsys):
     assert "what" in capsys.readouterr().err
 
 
+def test_simulate_rejects_nan_sigma(tmp_path, capsys):
+    config = _write(tmp_path / "sim.cfg",
+                    "pattern = uniform_bernoulli\nmodel = rank1\nn_rows = 10\n"
+                    "n_cols = 10\nbernoulli_p = 0.4\nnoise_sigma = nan\n"
+                    "trials = 3\nseed = 0\n")
+    assert main(["simulate", "--config", config,
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert "sigma must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("groups", ["0", "-2"])
+def test_generate_pattern_rejects_non_positive_groups(tmp_path, capsys, groups):
+    out_dir = tmp_path / "pattern"
+    assert main(["generate-pattern", "--pattern", "staggered_exposure",
+                 "--rows", "8", "--groups", groups,
+                 "--out-dir", str(out_dir)]) == 1
+    assert "n_groups must be positive" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_simulate_rejects_target_outside_grid(tmp_path, capsys):
     # targets are 1-based on the command line, so 0 lies outside
     config = _write(tmp_path / "sim.cfg",

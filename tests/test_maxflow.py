@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowcomplete import (
+    InvalidPathError,
     ObservationMask,
+    PathSet,
     max_disjoint_paths,
     min_cut,
     validate_path,
@@ -46,6 +48,25 @@ def test_dense_submatrix_matching_paths():
     assert path_set.k == 3  # min(|I|, |J|)
     assert path_set.max_len == 3
     assert all(len(p) == 4 for p in path_set.paths)
+
+
+def test_path_set_validates_its_paths_against_its_mask():
+    mask = dense_submatrix_mask(4, 4, block_rows=3, block_cols=3)
+    path_set = PathSet(paths=((0, 1, 1, 0), (0, 2, 2, 3, 3, 0)), source=0,
+                       sink=0, mask=mask)
+    assert path_set.k == 2 and path_set.max_len == 5
+    empty = PathSet(paths=(), source=1, sink=2, mask=mask)
+    assert empty.k == 0 and empty.max_len == 0
+    with pytest.raises(InvalidPathError, match="unobserved"):
+        PathSet(paths=((0, 0),), source=0, sink=0, mask=mask)
+    with pytest.raises(InvalidPathError, match="odd number of edges"):
+        PathSet(paths=((0, 1, 1),), source=0, sink=1, mask=mask)
+    with pytest.raises(InvalidPathError, match=r"does not join entry \(0, 0\)"):
+        PathSet(paths=((0, 1),), source=0, sink=0, mask=mask)
+    # a path of another pattern is rejected even when it fits this one's shape
+    with pytest.raises(InvalidPathError):
+        PathSet(paths=((0, 1, 1, 0),), source=0, sink=0,
+                mask=ObservationMask.from_pairs(4, 4, [(0, 1), (1, 0)]))
 
 
 def test_disconnected_pair():

@@ -334,6 +334,14 @@ def test_staggered_certificate_degenerate_cases():
         staggered_exposure_certificate(10, 4)  # G must divide N
 
 
+@pytest.mark.parametrize("groups", [0, -2])
+def test_staggered_pattern_rejects_non_positive_groups(groups):
+    with pytest.raises(ValueError, match="n_groups must be positive"):
+        staggered_exposure_pattern(8, groups)
+    with pytest.raises(ValueError, match="n_groups must be positive"):
+        staggered_exposure_certificate(8, groups)
+
+
 def test_panel_rejects_non_finite_observed_outcomes():
     treatment = np.zeros((3, 3), int)
     for bad in (np.nan, np.inf, -np.inf):

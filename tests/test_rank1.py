@@ -79,7 +79,7 @@ def test_rank1_entry_single_path_is_plain_ratio():
     path_set = max_disjoint_paths(mask, 0, 0)
     assert path_set.k == 1
     stats = path_alpha_beta(path_set.paths[0], data, mask)
-    assert abs(rank1_entry(mask, data, 0, 0, path_set)
+    assert abs(rank1_entry(path_set, data)
                - stats.alpha / stats.beta) < 1e-12
 
 
@@ -93,7 +93,7 @@ def test_rank1_entry_exact_recovery(seed):
     truth = model.matrix()
     i, j = int(rng.integers(n)), int(rng.integers(m))
     path_set = max_disjoint_paths(mask, i, j)
-    estimate = rank1_entry(mask, truth, i, j, path_set)
+    estimate = rank1_entry(path_set, truth)
     assert abs(estimate - model.entry(i, j)) < 1e-10 * max(abs(model.entry(i, j)), 1.0)
 
 
@@ -101,13 +101,50 @@ def test_rank1_entry_errors():
     mask = ObservationMask.from_dense(np.eye(2))
     empty = max_disjoint_paths(mask, 0, 1)
     with pytest.raises(NoPathError):
-        rank1_entry(mask, np.eye(2), 0, 1, empty)
+        rank1_entry(empty, np.eye(2))
     # zero backward observation collapses the denominator
     chain = ObservationMask.from_pairs(2, 2, [(0, 1), (1, 1), (1, 0)])
     data = np.array([[0.0, 2.0], [3.0, 0.0]])
     path_set = max_disjoint_paths(chain, 0, 0)
     with pytest.raises(DegenerateDenominatorError):
-        rank1_entry(chain, data, 0, 0, path_set)
+        rank1_entry(path_set, data)
+    # finite sums whose quotient 1e302 / 1e-12 overflows
+    data = np.array([[0.0, 1e154], [1e154, 1e-6]])
+    with pytest.raises(DegenerateDenominatorError, match="overflow"):
+        rank1_entry(path_set, data)
+    # a backward product whose square overflows
+    data = np.array([[0.0, 1e-100], [1e-100, 1e200]])
+    with pytest.raises(DegenerateDenominatorError, match="overflow"):
+        rank1_entry(path_set, data)
+
+
+def test_rank1_entry_does_not_revalidate_its_paths(monkeypatch):
+    import flowcomplete.graph as graph
+    import flowcomplete.maxflow as maxflow
+    import flowcomplete.rank1 as rank1
+
+    mask = extreme_sparsity_mask(5)
+    path_set = max_disjoint_paths(mask, 0, 0)
+
+    def refuse(path, mask):
+        raise AssertionError("path validated again")
+
+    for module in (graph, maxflow, rank1):
+        monkeypatch.setattr(module, "validate_path", refuse)
+    assert rank1_entry(path_set, np.ones((5, 5))) == 1.0
+
+
+def test_ratio_adds_path_terms_left_to_right():
+    # the terms alpha * beta of the three paths are 1e16, 1 and -1e16; added
+    # in path order they give 0 (1e16 + 1 rounds to 1e16), while a
+    # compensated sum would give 1
+    mask = extreme_sparsity_mask(4)
+    path_set = max_disjoint_paths(mask, 0, 0)
+    assert path_set.paths == ((0, 1, 1, 0), (0, 2, 2, 0), (0, 3, 3, 0))
+    data = np.ones((4, 4))
+    data[0, 1], data[0, 3] = 1e16, -1e16
+    assert rank1_entry(path_set, data) == 0.0
+    assert rank1_full(mask, data).estimates[0, 0] == 0.0
 
 
 def test_rank1_entry_rejects_bad_data():
@@ -115,11 +152,11 @@ def test_rank1_entry_rejects_bad_data():
     path_set = max_disjoint_paths(mask, 0, 0)
     with pytest.raises(ValueError,
                        match=r"data shape \(2, 3\) does not match mask \(2, 2\)"):
-        rank1_entry(mask, np.ones((2, 3)), 0, 0, path_set)
+        rank1_entry(path_set, np.ones((2, 3)))
     # a NaN on a path cell is bad data, not an overflow
     data = np.array([[0.0, 2.0], [3.0, math.nan]])
     with pytest.raises(ValueError, match=r"not finite at observed cell \(1, 1\)"):
-        rank1_entry(mask, data, 0, 0, path_set)
+        rank1_entry(path_set, data)
 
 
 def test_sign_invariance():
@@ -166,6 +203,14 @@ def test_rank1_full_flags_overflow_per_entry():
     usable = ~report.degenerate
     assert usable.sum() > 3000
     assert np.allclose(report.estimates[usable], 1e8, rtol=1e-12, atol=0.0)
+    # finite sums with an overflowing quotient: (1e154 * 1e154 * 1e-6) / 1e-12
+    mask = ObservationMask.from_pairs(2, 2, [(0, 1), (1, 0), (1, 1)])
+    with np.errstate(all="raise"):
+        report = rank1_full(mask, [[0.0, 1e154], [1e154, 1e-6]])
+    assert report.identifiable.all()
+    assert np.array_equal(report.degenerate, [[True, False], [False, False]])
+    assert np.isnan(report.estimates[0, 0])
+    assert np.array_equal(report.estimates[~report.degenerate], [1e154, 1e154, 1e-6])
 
 
 def test_rank1_full_rejects_bad_data():

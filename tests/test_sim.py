@@ -87,6 +87,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(pattern="extreme_sparsity", model="additive", n_rows=4,
                   n_cols=4, noise_sigma=0.1, trials=0, seed=0)
+    with pytest.raises(ValueError, match="sigma must be non-negative"):
+        SimConfig(pattern="extreme_sparsity", model="rank1", n_rows=4,
+                  n_cols=4, noise_sigma=np.nan, trials=1, seed=0)
     for target in ((-1, 0), (0, 4), (4, 0)):
         with pytest.raises(ValueError, match="outside the 4x4 grid"):
             SimConfig(pattern="extreme_sparsity", model="rank1", n_rows=4,
@@ -196,12 +199,16 @@ def _per_trial_rank1_mse(config):
         for path_set in path_sets:
             if path_set.k == 0:
                 continue
+            numerator = denominator = 0.0  # summed left to right
             with np.errstate(over="ignore", invalid="ignore"):
-                products = [_path_products(data, path) for path in path_set.paths]
-            numerator = sum(alpha * beta for alpha, beta in products) / path_set.k
-            denominator = sum(beta ** 2 for _, beta in products) / path_set.k
+                for path in path_set.paths:
+                    alpha, beta = _path_products(data, path)
+                    numerator += alpha * beta
+                    denominator += beta ** 2
+            numerator, denominator = numerator / path_set.k, denominator / path_set.k
             if not (np.isfinite([numerator, denominator]).all()
-                    and denominator >= DENOMINATOR_FLOOR):
+                    and denominator >= DENOMINATOR_FLOOR
+                    and np.isfinite(numerator / denominator)):
                 continue
             entry = path_set.source, path_set.sink
             accum[entry] += (numerator / denominator - 1.0) ** 2
@@ -221,6 +228,16 @@ def test_rank1_loop_matches_per_trial_oracle():
     assert np.array_equal(result.per_entry_mse, expected, equal_nan=True)
     resistances = build_core(generate_pattern(config).mask).resistances
     assert np.array_equal(result.resistance_reference, resistances)
+
+
+def test_rank1_squared_errors_round_as_the_scalar_power():
+    # with this seed, squaring the errors as x * x instead of the scalar
+    # ``error ** 2`` moves one mean squared error by 5.6e-17
+    config = SimConfig(pattern="uniform_bernoulli", model="rank1", n_rows=8,
+                       n_cols=8, noise_sigma=0.3, trials=60, seed=24,
+                       bernoulli_p=0.35)
+    assert np.array_equal(run_experiment(config).per_entry_mse,
+                          _per_trial_rank1_mse(config))
 
 
 def test_histogram_counts_sum_to_identifiable():
@@ -280,16 +297,16 @@ def test_rank1_target_mode():
 
 
 def test_rank1_paths_are_validated_once_per_experiment(monkeypatch):
-    import flowcomplete.rank1 as rank1
+    import flowcomplete.maxflow as maxflow
 
     calls = []
-    original = rank1.validate_path
+    original = maxflow.validate_path
 
     def counting(path, mask):
         calls.append(path)
         return original(path, mask)
 
-    monkeypatch.setattr(rank1, "validate_path", counting)
+    monkeypatch.setattr(maxflow, "validate_path", counting)
     counts = []
     for trials in (1, 7):
         calls.clear()
