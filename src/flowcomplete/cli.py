@@ -18,7 +18,6 @@ from .additive import efe_full
 from .errors import FlowCompleteError
 from .graph import ObservationMask, check_noise, vec_omega
 from .io_utils import (
-    matrix_to_jsonable,
     read_config_file,
     read_grid_csv,
     read_mask_csv,
@@ -171,16 +170,15 @@ def _cmd_estimate_additive(args) -> int:
     mask, data = _load_mask_and_data(args)
     report = efe_full(build_core(mask), data, sigma=args.sigma, delta=args.delta)
     keep = report.identifiable
+    # outside ``keep`` each grid is NaN or inf already, so written as null
     payload = {
         "n_rows": mask.n_rows,
         "n_cols": mask.n_cols,
-        "estimates": matrix_to_jsonable(report.estimates, keep),
-        "resistance": matrix_to_jsonable(report.effective_resistances, keep),
-        "variance_bound": (matrix_to_jsonable(report.variance_bounds, keep)
-                           if report.variance_bounds is not None else None),
-        "high_prob_bound": (matrix_to_jsonable(report.high_prob_bounds, keep)
-                            if report.high_prob_bounds is not None else None),
-        "identifiable": keep.tolist(),
+        "estimates": report.estimates,
+        "resistance": report.effective_resistances,
+        "variance_bound": report.variance_bounds,
+        "high_prob_bound": report.high_prob_bounds,
+        "identifiable": keep,
     }
     write_json(args.out, payload)
     if not keep.any():
@@ -193,15 +191,14 @@ def _cmd_estimate_rank1(args) -> int:
     check_noise(args.sigma, args.delta)  # also when no bound is computed
     mask, data = _load_mask_and_data(args)
     report = rank1_full(mask, data)
-    keep = report.identifiable & ~report.degenerate
     payload = {
         "n_rows": mask.n_rows,
         "n_cols": mask.n_cols,
-        "estimates": matrix_to_jsonable(report.estimates, keep),
-        "identifiable": report.identifiable.tolist(),
-        "degenerate": report.degenerate.tolist(),
-        "k": report.path_counts.tolist(),
-        "max_len": report.max_lens.tolist(),
+        "estimates": report.estimates,
+        "identifiable": report.identifiable,
+        "degenerate": report.degenerate,
+        "k": report.path_counts,
+        "max_len": report.max_lens,
     }
     if args.sigma is not None and args.delta is not None:
         finite = report.estimates[np.isfinite(report.estimates)]
@@ -211,7 +208,7 @@ def _cmd_estimate_rank1(args) -> int:
             bounds[i, j] = rank1_error_bound(
                 int(report.path_counts[i, j]), int(report.max_lens[i, j]),
                 args.sigma, m_inf, mask.n_rows, mask.n_cols, args.delta)
-        payload["error_bound"] = matrix_to_jsonable(bounds, report.identifiable)
+        payload["error_bound"] = bounds  # NaN where unidentifiable
         payload["error_bound_m_inf"] = m_inf
     write_json(args.out, payload)
     if not report.identifiable.any():
@@ -268,19 +265,19 @@ def _cmd_panel(args) -> int:
     panel = PanelData(outcomes=outcomes, treatment=treatment, observed=observed)
     report = estimate_effects(panel, sigma=args.sigma, delta=args.delta)
     keep = report.identifiable
+    # outside ``keep`` an arm's estimate is NaN and its resistance inf
     payload = {
         "n_units": panel.n_units,
         "n_periods": panel.n_periods,
-        "beta_hat": matrix_to_jsonable(report.beta_hat, keep),
-        "control_estimates": matrix_to_jsonable(report.control_estimates),
-        "treatment_estimates": matrix_to_jsonable(report.treatment_estimates),
-        "resistance_sum": matrix_to_jsonable(report.resistance_sum, keep),
-        "high_prob_bound": (matrix_to_jsonable(report.high_prob_bounds, keep)
-                            if report.high_prob_bounds is not None else None),
-        "identifiable": keep.tolist(),
+        "beta_hat": report.beta_hat,
+        "control_estimates": report.control_estimates,
+        "treatment_estimates": report.treatment_estimates,
+        "resistance_sum": report.resistance_sum,
+        "high_prob_bound": report.high_prob_bounds,
+        "identifiable": keep,
     }
     if args.did:
-        payload["did"] = matrix_to_jsonable(did_grid(panel))
+        payload["did"] = did_grid(panel)
     write_json(args.out, payload)
     if not keep.any():
         print("no identifiable entries", file=sys.stderr)

@@ -4,6 +4,8 @@ Indices in files are 1-based (matching the usual matrix notation); they are
 shifted to the 0-based internal convention on read.  Matrix grids are plain
 comma-separated values where an empty cell or ``NaN`` means unobserved.
 Numeric text output uses 17 significant digits so values round-trip.
+JSON report grids are streamed from their arrays row by row, a non-finite
+cell as ``null``, in the unchanged format of ``json.dump(indent=2)``.
 """
 
 from __future__ import annotations
@@ -108,22 +110,27 @@ def resistance_csv_text(resistances: np.ndarray) -> str:
             + ("%d,%d,%.17g\n" * resistances.size) % tuple(cells))
 
 
-def matrix_to_jsonable(matrix, keep=None):
-    """Nested lists with ``None`` for non-finite or masked-out cells."""
+def matrix_to_jsonable(matrix, keep=None) -> np.ndarray:
+    """Float grid with NaN where ``keep`` is False; see :func:`write_json`."""
     arr = np.asarray(matrix, dtype=float)
-    shown = np.isfinite(arr) if keep is None else np.isfinite(arr) & keep
-    return np.where(shown, arr, None).tolist()
+    return arr if keep is None else np.where(keep, arr, np.nan)
 
 
 def _write_indented(write, value, level: int = 0) -> None:
-    """``json.dump(value, indent=2)`` as a stream of writes; an innermost
-    list of numbers, bools and nulls goes through the C encoder at once."""
+    """``json.dump(value, indent=2)`` as a stream of writes; each innermost
+    list or array row goes through the C encoder at once."""
+    if isinstance(value, np.ndarray) and value.ndim > 1:
+        value = list(value)  # its rows, each written as below
+    elif isinstance(value, np.ndarray):  # tolist(), None at non-finite cells
+        value, nonfinite = value.tolist(), np.flatnonzero(~np.isfinite(value))
+        for k in nonfinite.tolist():
+            value[k] = None
     pad = "\n" + "  " * level
     if isinstance(value, dict) and value:
         # '{"key": 0}'[1:-2] is '"key": ', the key as json converts it
         items = [(json.dumps({key: 0})[1:-2], item) for key, item in value.items()]
     elif isinstance(value, (list, tuple)) and value:
-        if not isinstance(value[0], (list, tuple, dict)):
+        if not isinstance(value[0], (list, tuple, dict, np.ndarray)):
             body = json.dumps(value)[1:-1]
             if not any(mark in body for mark in '"[{'):  # no string, no nesting
                 write("[" + pad + "  " + body.replace(", ", "," + pad + "  ") + pad + "]")
@@ -141,7 +148,8 @@ def _write_indented(write, value, level: int = 0) -> None:
 
 def write_json(path, payload) -> None:
     """The bytes of ``json.dump(payload, handle, indent=2)`` and a newline,
-    written row by row without building the document in memory."""
+    written row by row without building the document in memory.  An array
+    stands for its nested lists, with ``null`` at non-finite float cells."""
     with open(path, "w") as handle:
         _write_indented(handle.write, payload)
         handle.write("\n")

@@ -24,9 +24,9 @@ class PathSet:
     """Maximal collection of edge-disjoint ``u_source -> v_sink`` paths.
 
     ``paths`` holds alternating index sequences (row, col, row, ...), each
-    checked against ``mask`` and the endpoints when the set is built; ``k``
-    equals the minimum edge cut separating the pair (Menger), and
-    ``max_len`` is the largest edge count over the set (0 when empty).
+    checked against ``mask``, the endpoints and the edges of earlier paths
+    when the set is built; ``k`` equals the minimum edge cut separating the
+    pair (Menger); ``max_len`` is the largest edge count of a path (0 if none).
     """
 
     paths: tuple
@@ -35,11 +35,16 @@ class PathSet:
     mask: ObservationMask
 
     def __post_init__(self) -> None:
+        used: set = set()  # (row, col) cells: the edges of earlier paths
         for path in self.paths:
             validate_path(path, self.mask)
             if (path[0], path[-1]) != (self.source, self.sink):
                 raise InvalidPathError(
                     f"path {path} does not join entry {(self.source, self.sink)}")
+            edges = {*zip(path[0::2], path[1::2]), *zip(path[2::2], path[1::2])}
+            if not used.isdisjoint(edges):
+                raise InvalidPathError(f"path {path} shares an edge with another")
+            used |= edges
 
     @property
     def k(self) -> int:

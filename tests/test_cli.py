@@ -47,6 +47,42 @@ def test_estimate_additive_mask_from_data(tmp_path):
     assert payload["identifiable"][0][1] is False
 
 
+def test_report_grids_are_null_exactly_outside_kept_cells(tmp_path):
+    # the CLI writes report grids unmasked: each must already be NaN or inf
+    # wherever an entry is unidentifiable (or, for rank-1, degenerate)
+    def nulls(grid):
+        return [[v is None for v in row] for row in grid]
+
+    def run(*argv):
+        out = tmp_path / "report.json"
+        main([*argv, "--out", str(out)])
+        return json.loads(out.read_text())
+
+    mask = _write(tmp_path / "mask.csv", "row,col\n1,1\n1,2\n2,1\n3,3\n")
+    data = _write(tmp_path / "data.csv", "0,2,\n3,,\n,,5\n")
+    noise = ["--sigma", "0.1", "--delta", "0.05"]
+    additive = run("estimate-additive", "--data", data, "--mask", mask, *noise)
+    unknown = [[not v for v in row] for row in additive["identifiable"]]
+    assert any(map(any, unknown)) and not all(map(all, unknown))
+    for key in ("estimates", "resistance", "variance_bound", "high_prob_bound"):
+        assert nulls(additive[key]) == unknown, key
+    rank1 = run("estimate-rank1", "--data", data, "--mask", mask, *noise)
+    assert rank1["degenerate"][1][1]  # the backward product d[0, 0] is 0
+    assert nulls(rank1["estimates"]) == [
+        [not k or d for k, d in zip(*rows)]
+        for rows in zip(rank1["identifiable"], rank1["degenerate"])]
+    assert nulls(rank1["error_bound"]) == unknown
+    outcomes = _write(tmp_path / "y.csv", "1,2,3\n4,5,6\n7,8,9\n")
+    treatment = _write(tmp_path / "x.csv", "0,0,0\n0,1,1\n0,0,1\n")
+    observed = _write(tmp_path / "o.csv", "1,1,0\n1,1,1\n0,1,1\n")
+    panel = run("panel", "--outcomes", outcomes, "--treatment", treatment,
+                "--observed", observed, *noise)
+    unknown = [[not v for v in row] for row in panel["identifiable"]]
+    assert any(map(any, unknown)) and not all(map(all, unknown))
+    for key in ("beta_hat", "resistance_sum", "high_prob_bound"):
+        assert nulls(panel[key]) == unknown, key
+
+
 def test_estimate_additive_requires_mask_source(tmp_path, capsys):
     data = _write(tmp_path / "data.csv", "1,2\n3,4\n")
     code = main(["estimate-additive", "--data", data,

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,17 +94,19 @@ def _jsonable_loop(matrix, keep=None):
     return result
 
 
-def test_matrix_to_jsonable_matches_cell_loop():
+def test_matrix_to_jsonable_matches_cell_loop(tmp_path):
     rng = np.random.default_rng(8)
     grid = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-300, 300, (7, 5))
     grid[0, 0], grid[1, 2], grid[3, 4] = math.nan, math.inf, -math.inf
     grid[6, 1], grid[2, 3] = -0.0, 1 / 3
     keep = rng.random((7, 5)) < 0.7
     keep[0, 0] = keep[1, 2] = keep[6, 1] = keep[2, 3] = True
+    path = tmp_path / "grid.json"
     for mask in (None, keep):
         expected = json.dumps(_jsonable_loop(grid, mask), indent=2)
-        assert json.dumps(matrix_to_jsonable(grid, mask), indent=2) == expected
-    assert matrix_to_jsonable(grid)[1][2] is None
+        write_json(path, matrix_to_jsonable(grid, mask))
+        assert path.read_text() == expected + "\n"
+    assert math.isinf(matrix_to_jsonable(grid)[1][2])  # nulled when written
 
 
 def test_write_json_matches_indented_dump(tmp_path):
@@ -129,4 +132,56 @@ def test_write_json_matches_indented_dump(tmp_path):
     path = tmp_path / "out.json"
     for payload in payloads:
         write_json(path, payload)
-        assert path.read_text() == json.dumps(payload, indent=2) + "\n"
+        assert path.read_text() == _dumps(payload) + "\n"
+
+
+def _nulled(arr: np.ndarray):
+    """Nested lists of an array, ``None`` at each non-finite float cell."""
+    if arr.ndim > 1:
+        return [_nulled(row) for row in arr]
+    return [None if isinstance(v, float) and not math.isfinite(v) else v
+            for v in arr.tolist()]
+
+
+def _dumps(payload) -> str:
+    """``json.dumps(indent=2)`` with each array as its nulled nested lists."""
+    return json.dumps(payload, indent=2, default=_nulled)
+
+
+def test_write_json_streams_arrays_as_nulled_lists(tmp_path):
+    rng = np.random.default_rng(10)
+    grid = rng.standard_normal((6, 5)) * 10.0 ** rng.integers(-300, 300, (6, 5))
+    grid[0, :5] = math.nan, math.inf, -math.inf, -0.0, 0.0
+    grid[1, :5] = 5e-324, -2.5e-310, 1e300, -1e-300, 1 / 3
+    grids = [grid, grid[:1], grid[:, :1], grid[2:3, 4:5], grid[:, :0],
+             grid[:0], grid[:0, :0], grid[0], grid[0, :0],
+             grid > 0, rng.integers(-9, 9, (4, 3)), np.array([[True], [False]]),
+             np.arange(24.0).reshape(2, 3, 4)]
+    payloads = grids + [
+        {"n_rows": 6, "grid": grid, "empty": grid[:0], "columns": grid[:, :0],
+         "keep": grid > 0, "k": rng.integers(0, 5, (6, 5)), "bound": None,
+         "list": [[1.5, None], [2, 3]], "nested": {"row": grid[3], "x": -0.0},
+         "m_inf": 2.5, "label": "a, b"},
+        [grid[:2], [grid[2], None], {"a": grid[:0, :2]}],
+    ]
+    path = tmp_path / "out.json"
+    for payload in payloads:
+        write_json(path, payload)
+        assert path.read_text() == _dumps(payload) + "\n"
+    write_json(path, {"grid": grid})
+    assert np.array_equal(
+        np.array(json.loads(path.read_text())["grid"], dtype=float),
+        np.where(np.isfinite(grid), grid, np.nan), equal_nan=True)
+
+
+def test_write_json_streams_a_grid_in_little_memory(tmp_path):
+    # the nested lists of this grid take ~6.5 MB; its rows stream in far less
+    grid = np.random.default_rng(11).standard_normal((2000, 100))
+    grid[::7, ::3], grid[1::5, 2::9] = math.nan, math.inf
+    tracemalloc.start()
+    try:
+        write_json(tmp_path / "grid.json", grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

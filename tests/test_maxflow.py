@@ -69,6 +69,22 @@ def test_path_set_validates_its_paths_against_its_mask():
                 mask=ObservationMask.from_pairs(4, 4, [(0, 1), (1, 0)]))
 
 
+def test_path_set_rejects_paths_that_share_an_edge():
+    # two copies of one path would claim k = 2 where the min cut is 3
+    mask = extreme_sparsity_mask(4)
+    with pytest.raises(InvalidPathError, match="shares an edge"):
+        PathSet(paths=((0, 1, 1, 0), (0, 1, 1, 0)), source=0, sink=0, mask=mask)
+    dense = ObservationMask.from_dense(np.ones((4, 4)))
+    for shared in ((0, 2, 1, 0), (0, 3, 1, 1, 2, 0)):  # cell (1, 0); (1, 1)
+        with pytest.raises(InvalidPathError, match="shares an edge"):
+            PathSet(paths=((0, 1, 1, 0), shared), source=0, sink=0, mask=dense)
+    # paths through the same vertices but along different edges are disjoint
+    path_set = PathSet(paths=((0, 1, 1, 0), (0, 0), (0, 2, 1, 3, 2, 0)),
+                       source=0, sink=0, mask=dense)
+    assert path_set.k == 3
+    assert max_disjoint_paths(mask, 0, 0).k == brute_force_min_cut(mask, 0, 0) == 3
+
+
 def test_disconnected_pair():
     mask = ObservationMask.from_dense(np.eye(2))
     path_set = max_disjoint_paths(mask, 0, 1)
