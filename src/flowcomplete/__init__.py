@@ -49,7 +49,6 @@ from .graph import (
     ObservationMask,
     connected_components,
     incidence_matrix,
-    laplacian,
     validate_path,
     vec_omega,
 )

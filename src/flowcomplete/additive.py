@@ -147,11 +147,12 @@ def efe_full(core: SpectralCore, data, sigma: float | None = None,
     resist = core.resistances
     identifiable = np.isfinite(resist)
     variance = high_prob = None
-    if sigma is not None:
-        variance = sigma ** 2 * resist
-        if delta is not None:
-            n, m = core.mask.n_rows, core.mask.n_cols
-            high_prob = 2.0 * sigma ** 2 * resist * math.log(2 * n * m / delta)
+    with np.errstate(invalid="ignore"):  # sigma = 0 at R = inf: nan, not 0
+        if sigma is not None:
+            variance = sigma ** 2 * resist
+            if delta is not None:
+                n, m = core.mask.n_rows, core.mask.n_cols
+                high_prob = 2.0 * sigma ** 2 * resist * math.log(2 * n * m / delta)
     return EstimateReport(
         estimates=np.where(identifiable, a_hat[:, None] + b_hat[None, :], np.nan),
         effective_resistances=resist, identifiable=identifiable,

@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -21,10 +22,10 @@ from .io_utils import (
     read_config_file,
     read_grid_csv,
     read_mask_csv,
-    resistance_csv_text,
     write_grid_csv,
     write_json,
     write_mask_csv,
+    write_resistance_csv,
 )
 from .maxflow import paths_and_cut
 from .panel import PanelData, did_grid, estimate_effects
@@ -221,17 +222,16 @@ def _cmd_resistance(args) -> int:
     mask = _read_mask(args.mask, args.rows, args.cols)
     core = build_core(mask)
     if args.all:
-        text = resistance_csv_text(core.resistances)
+        resistances = core.resistances
     else:
         i, j = _parse_pair(args.pair, mask.n_rows, mask.n_cols)
         value = core.resistance(i, j)
-        text = ("row,col,effective_resistance\n"
-                f"{i + 1},{j + 1},{value:.17g}\n")
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as handle:
+        if args.all:
+            write_resistance_csv(handle, resistances)
+        else:
+            handle.write("row,col,effective_resistance\n"
+                         f"{i + 1},{j + 1},{value:.17g}\n")
     return _EXIT_OK
 
 

@@ -124,10 +124,6 @@ class ObservationMask:
         grid.setflags(write=False)
         return grid
 
-    def is_observed(self, i: int, j: int) -> bool:
-        return (0 <= i < self.n_rows and 0 <= j < self.n_cols
-                and bool(self.grid[i, j]))
-
 
 @dataclass(frozen=True, eq=False)
 class ComponentLabeling:
@@ -170,16 +166,6 @@ def incidence_matrix(mask: ObservationMask) -> np.ndarray:
     b[positions, mask.rows] = 1.0
     b[positions, mask.n_rows + mask.cols] = -1.0
     return b
-
-
-def laplacian(mask: ObservationMask) -> np.ndarray:
-    """Graph Laplacian (degree matrix minus adjacency); row sums are zero."""
-    lap = np.zeros((mask.n_vertices, mask.n_vertices))
-    a, b = mask.rows, mask.n_rows + mask.cols
-    lap[a, b] = lap[b, a] = -1.0
-    lap[np.diag_indices(mask.n_vertices)] = np.bincount(
-        np.concatenate([a, b]), minlength=mask.n_vertices)
-    return lap
 
 
 def divergence(mask: ObservationMask, values) -> np.ndarray:

@@ -92,22 +92,26 @@ def read_grid_csv(path) -> np.ndarray:
 
 def write_grid_csv(path, matrix) -> None:
     """One CSV line per row of a 2-D grid, each value ``%.17g`` (which
-    spells ``inf``, ``-inf`` and ``nan``), formatted by one template."""
+    spells ``inf``, ``-inf`` and ``nan``), one template per block of rows."""
     arr = np.asarray(matrix, dtype=float)
     line = ",".join(["%.17g"] * arr.shape[1]) + "\n"
     with open(path, "w", newline="") as handle:
-        handle.write((line * arr.shape[0]) % tuple(arr.ravel().tolist()))
+        for block in np.array_split(arr, arr.size // 4096 + 1):  # ~4096 cells
+            handle.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
-def resistance_csv_text(resistances: np.ndarray) -> str:
-    """CSV body ``row,col,effective_resistance`` (1-based, inf allowed),
-    formatted by one template over the flat grid."""
-    rows, cols = np.indices(resistances.shape).reshape(2, -1) + 1
-    cells = [None] * (3 * resistances.size)
-    cells[0::3], cells[1::3], cells[2::3] = (
-        rows.tolist(), cols.tolist(), resistances.ravel().tolist())
-    return ("row,col,effective_resistance\n"
-            + ("%d,%d,%.17g\n" * resistances.size) % tuple(cells))
+def write_resistance_csv(handle, resistances: np.ndarray) -> None:
+    """CSV ``row,col,effective_resistance`` (1-based, inf allowed) to an
+    open text handle, formatted by one template a block of rows at a time."""
+    handle.write("row,col,effective_resistance\n")
+    start = 0
+    for block in np.array_split(resistances, resistances.size // 4096 + 1):
+        rows, cols = np.indices(block.shape).reshape(2, -1) + 1
+        cells = [None] * (3 * block.size)
+        cells[0::3], cells[1::3], cells[2::3] = (
+            (rows + start).tolist(), cols.tolist(), block.ravel().tolist())
+        handle.write(("%d,%d,%.17g\n" * block.size) % tuple(cells))
+        start += len(block)
 
 
 def matrix_to_jsonable(matrix, keep=None) -> np.ndarray:

@@ -1,16 +1,15 @@
 """Unit-capacity max flow, edge-disjoint paths, and minimum cuts.
 
 Each undirected edge has unit capacity in either direction and carries one
-signed net flow.  Max flow is found with shortest-path (BFS) augmentation,
-neighbors scanned in ascending vertex order, which makes the returned path
-set deterministic and biased toward short paths.  The paths are read off by
-walking the flow from the source, zeroing any cycles encountered; the
-vertices the last, failing search reaches form the minimum cut's side.
+signed net flow.  Max flow is found by shortest-path augmentation, a BFS run
+a level at a time with neighbors in ascending order that finds a queue BFS's
+paths: deterministic and biased toward short paths.  They are read off by
+walking the flow from the source, cutting out cycles; the vertices a search
+of the final residual graph reaches form the minimum cut's side.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,78 +62,77 @@ class CutCertificate:
     cut_edges: tuple
 
 
-def _unit_max_flow(mask: ObservationMask, i: int, j: int):
-    """Max flow from ``u_i`` to ``v_j``.
+def _augmenting_path(adjacency: tuple, net: list, source: int, to_sink: dict):
+    """One BFS of the residual graph, a level of rows or columns at a time:
+    each vertex's parent (-1 if undiscovered) and edge from it, and the last
+    row of a shortest augmenting path (``None`` if none is left).  Arcs out of
+    a row level saturate at ``net == 1``, out of a column level at -1.  A queue
+    BFS sets the same parents and reaches the sink from the earliest queued row
+    with a residual arc into it (``to_sink``): the first one discovered here."""
+    parent, via = [-1] * len(adjacency), [0] * len(adjacency)
+    parent[source] = source
+    if source in to_sink and net[to_sink[source]] != 1:
+        return parent, via, source
+    level, saturated = [source], 1
+    while level:
+        discovered = []
+        for u in level:
+            for v, e in adjacency[u]:
+                if parent[v] < 0 and net[e] != saturated:
+                    parent[v], via[v] = u, e
+                    discovered.append(v)
+                    if v in to_sink and net[to_sink[v]] != 1:
+                        return parent, via, v
+        level, saturated = discovered, -saturated
+    return parent, via, None
 
-    Returns the net flow per edge (+1 row->col, -1 col->row, 0 none), the
-    flow value, and the vertices reached by the final search, which is the
-    source side of a minimum cut.  Traversing an edge from a row vertex has
-    direction ``d = +1``, from a column vertex ``d = -1``; its residual is
-    ``1 - d * net``.  Arcs into the source or out of the sink never carry
+
+def _unit_max_flow(mask: ObservationMask, i: int, j: int):
+    """Max flow from ``u_i`` to ``v_j``: the net flow per edge (+1 row->col,
+    -1 col->row, 0 none) and the value.  Traversing an edge from a row vertex
+    has direction ``d = +1``, from a column vertex ``d = -1``; its residual
+    is ``1 - d * net``.  Arcs into the source or out of the sink never carry
     flow, since the search neither re-enters the source nor leaves the sink.
-    """
+    The value cannot pass ``min(deg u_i, deg v_j)``, so the flow stops there
+    without the search that must fail; only a cut needs what it reaches."""
     if not (0 <= i < mask.n_rows and 0 <= j < mask.n_cols):
         raise ValueError(f"entry {(i, j)} outside the "
                          f"{mask.n_rows}x{mask.n_cols} pattern")
-    source, sink = i, mask.n_rows + j
-    net = [0] * mask.n_observed
-    value = 0
-    while True:
-        parent = {source: None}
-        queue = deque([source])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            d = 1 if u < mask.n_rows else -1
-            for v, e in mask.adjacency[u]:
-                if v not in parent and d * net[e] < 1:
-                    parent[v] = (u, e, d)
-                    if v == sink:
-                        break
-                    queue.append(v)
-        if sink not in parent:
-            return net, value, parent.keys()
-        v = sink
-        while v != source:
-            v, e, d = parent[v]
-            net[e] += d
+    adjacency, to_sink = mask.adjacency, dict(mask.adjacency[mask.n_rows + j])
+    net, value = [0] * mask.n_observed, 0
+    while value < min(mask.degree(i), mask.degree(mask.n_rows + j)):
+        parent, via, u = _augmenting_path(adjacency, net, i, to_sink)
+        if u is None:
+            break
+        net[to_sink[u]] += 1
+        while u != i:
+            net[via[u]] += 1 if parent[u] < mask.n_rows else -1
+            u = parent[u]
         value += 1
+    return net, value
 
 
 def _walk_paths(mask: ObservationMask, net: list, source: int, sink: int, k: int):
-    """Decompose the net flow into k paths, zeroing cycles along the way
-    (two augmenting paths can cross two equally long routes oppositely)."""
-
-    def next_with_flow(u: int):
-        d = 1 if u < mask.n_rows else -1
-        for v, e in mask.adjacency[u]:
-            if d * net[e] > 0:
-                return v, e, d
-        return None
-
+    """Decompose the net flow into k paths, consuming it as each walk goes and
+    cutting out cycles (two augmenting paths can cross two routes oppositely)."""
     paths = []
     for _ in range(k):
-        # steps[s] is the (edge, direction) taken from walk[s] to walk[s + 1]
-        walk, steps = [source], []
-        position = {source: 0}
+        walk, position = [source], {source: 0}
         while walk[-1] != sink:
-            step = next_with_flow(walk[-1])
-            if step is None:
-                raise RuntimeError("flow conservation violated during walk")
-            v, e, d = step
-            walk.append(v)
-            steps.append((e, d))
-            if v in position:
-                # cycle: zero its flow and resume the walk from v
-                start = position[v]
-                for e, d in steps[start:]:
-                    net[e] -= d
-                for w in walk[start + 1:-1]:
-                    del position[w]
-                del walk[start + 1:], steps[start:]
+            d = 1 if walk[-1] < mask.n_rows else -1
+            for v, e in mask.adjacency[walk[-1]]:
+                if d * net[e] > 0:
+                    break
             else:
-                position[v] = len(walk) - 1
-        for e, d in steps:
+                raise RuntimeError("flow conservation violated during walk")
             net[e] -= d
+            if v in position:  # a cycle, its flow consumed: resume from v
+                for w in walk[position[v] + 1:]:
+                    del position[w]
+                del walk[position[v] + 1:]
+            else:
+                position[v] = len(walk)
+                walk.append(v)
         paths.append(walk)
     return paths
 
@@ -147,15 +145,14 @@ def _path_set(mask: ObservationMask, net: list, value: int, i: int, j: int) -> P
     return PathSet(paths=paths, source=i, sink=j, mask=mask)
 
 
-def _cut(mask: ObservationMask, value: int, reached) -> CutCertificate:
-    side = np.zeros(mask.n_vertices, dtype=bool)
-    side[list(reached)] = True
+def _cut(mask: ObservationMask, net: list, value: int, i: int) -> CutCertificate:
+    side = np.array(_augmenting_path(mask.adjacency, net, i, {})[0]) >= 0
     crossing = np.flatnonzero(side[mask.rows] != side[mask.n_rows + mask.cols])
     if crossing.size != value:
         raise RuntimeError(
             f"cut size {crossing.size} disagrees with flow value {value}")
     cut_edges = zip(mask.rows[crossing].tolist(), mask.cols[crossing].tolist())
-    return CutCertificate(left_side=frozenset(reached),
+    return CutCertificate(left_side=frozenset(np.flatnonzero(side).tolist()),
                           cut_edges=tuple(cut_edges))
 
 
@@ -165,8 +162,7 @@ def max_disjoint_paths(mask: ObservationMask, i: int, j: int) -> PathSet:
     Returns an empty set (k=0) when the pair is disconnected; raises
     ``ValueError`` for an entry outside the pattern.
     """
-    net, value, _ = _unit_max_flow(mask, i, j)
-    return _path_set(mask, net, value, i, j)
+    return _path_set(mask, *_unit_max_flow(mask, i, j), i, j)
 
 
 def min_cut(mask: ObservationMask, i: int, j: int) -> CutCertificate:
@@ -176,13 +172,13 @@ def min_cut(mask: ObservationMask, i: int, j: int) -> CutCertificate:
     residual graph of a maximum flow; the crossing edges, row-major, are
     saturated and their count equals the max number of edge-disjoint paths.
     """
-    _, value, reached = _unit_max_flow(mask, i, j)
-    return _cut(mask, value, reached)
+    return _cut(mask, *_unit_max_flow(mask, i, j), i)
 
 
 def paths_and_cut(mask: ObservationMask, i: int,
                   j: int) -> tuple[PathSet, CutCertificate]:
     """:func:`max_disjoint_paths` and :func:`min_cut` from one max flow; every
     maximum flow leaves the same residual-reachable set."""
-    net, value, reached = _unit_max_flow(mask, i, j)
-    return _path_set(mask, net, value, i, j), _cut(mask, value, reached)
+    net, value = _unit_max_flow(mask, i, j)
+    cut = _cut(mask, net, value, i)  # before the walk, which empties net
+    return _path_set(mask, net, value, i, j), cut

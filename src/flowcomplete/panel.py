@@ -130,7 +130,8 @@ def estimate_effects(panel: PanelData, sigma: float | None = None,
     high_prob = None
     if sigma is not None and delta is not None:
         cells = panel.n_units * panel.n_periods
-        high_prob = 2.0 * sigma ** 2 * resistance_sum * math.log(cells / delta)
+        with np.errstate(invalid="ignore"):  # sigma = 0 at R = inf: nan
+            high_prob = 2.0 * sigma ** 2 * resistance_sum * math.log(cells / delta)
     return CausalReport(beta_hat=treated.estimates - control.estimates,
                         control_estimates=control.estimates,
                         treatment_estimates=treated.estimates,

@@ -11,7 +11,9 @@ away from zero with high probability once enough paths are available.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -92,46 +94,55 @@ def path_alpha_beta(path, data, mask: ObservationMask) -> PathStatistics:
     return PathStatistics(alpha=alpha, beta=beta, length=len(path) - 1)
 
 
-def _ratio(arr: np.ndarray, path_set: PathSet) -> float:
-    """Stabilized ratio over a non-empty path set; the per-path terms are
-    added left to right in path order, not with ``sum()``, whose rounding
-    differs across Python versions."""
-    numerator = denominator = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for path in path_set.paths:
-            alpha, beta = _path_products(arr, path)
-            numerator += alpha * beta
-            try:
-                denominator += beta ** 2
-            except OverflowError:
-                denominator = math.inf
-    numerator /= path_set.k
-    denominator /= path_set.k
-    entry = (path_set.source, path_set.sink)
-    if denominator < DENOMINATOR_FLOOR:
-        raise DegenerateDenominatorError(
-            f"denominator {denominator:.3e} below {DENOMINATOR_FLOOR} "
-            f"for entry {entry}")
-    estimate = numerator / denominator
-    if not (math.isfinite(estimate) and math.isfinite(denominator)):
-        raise DegenerateDenominatorError(
-            f"path products overflow for entry {entry}")
-    return estimate
-
-
-def _estimates(arr: np.ndarray, path_sets) -> tuple[np.ndarray, np.ndarray]:
-    """Ratio estimate at each path set's entry (``nan`` where the set is
-    empty or degenerate, and off the sets' entries) and the degenerate grid."""
-    estimates = np.full(arr.shape, np.nan)
-    degenerate = np.zeros(arr.shape, dtype=bool)
+def _path_cells(path_sets, shape: tuple) -> tuple:
+    """Gather plan of path sets (read one at a time) on a grid of ``shape``:
+    per set its flat entry, path count and longest path; per path its forward
+    cell count; and the flat cells pairing each row of the joined vertices
+    with the next column (forward) and the previous one (backward).  Paths
+    have even vertex counts, so each path's run starts at half its first place
+    (a pair across two paths is never read)."""
+    per_set, lengths, vertices = array("q"), array("i"), array("i")  # no objects
     for path_set in path_sets:
-        if path_set.k:
-            entry = path_set.source, path_set.sink
-            try:
-                estimates[entry] = _ratio(arr, path_set)
-            except DegenerateDenominatorError:
-                degenerate[entry] = True
-    return estimates, degenerate
+        per_set.extend((path_set.source * shape[1] + path_set.sink, path_set.k,
+                        path_set.max_len))
+        lengths.extend(map(len, path_set.paths))
+        vertices.extend(chain.from_iterable(path_set.paths))
+    vertices = np.frombuffer(vertices, dtype=np.intc)
+    forward, backward = vertices[0::2] * shape[1], vertices[2::2] * shape[1]
+    forward += vertices[1::2]
+    backward += vertices[1:-1:2]
+    return (*np.frombuffer(per_set, dtype=np.int64).reshape(-1, 3).T,
+            np.frombuffer(lengths, dtype=np.intc) // 2, forward, backward)
+
+
+def _estimates(arr: np.ndarray, cells) -> tuple[np.ndarray, np.ndarray]:
+    """Ratio estimates (``nan`` where degenerate) and mean denominators at a
+    :func:`_path_cells` plan's entries, ``nan`` elsewhere: bit for bit the
+    scalar loop over :func:`_path_products` (products and sums in path order,
+    ``beta ** 2`` as libm's ``pow``)."""
+    entries, counts, _, halves, forward, backward = cells
+    values, first = arr.ravel(), np.cumsum(halves) - halves  # paths' first cells
+    alpha, beta = np.ones((2, len(halves)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for products, run, sizes in ((alpha, forward, halves), (beta, backward, halves - 1)):
+            for position in range(sizes.max(initial=0)):
+                live = np.flatnonzero(sizes > position)
+                products[live] *= values[run[first[live] + position]]
+        alpha *= beta  # each path's numerator term
+        np.float_power(beta, 2, out=beta)
+        numerator, denominator = np.zeros((2, len(counts)))
+        first = np.cumsum(counts) - counts  # each set's first path
+        for rank in range(counts.max(initial=0)):
+            live = first[counts > rank] + rank
+            numerator[counts > rank] += alpha[live]
+            denominator[counts > rank] += beta[live]
+        denominator /= counts
+        quotient = numerator / counts / denominator
+    degenerate = ~(np.isfinite(quotient) & (denominator >= DENOMINATOR_FLOOR)
+                   & np.isfinite(denominator))
+    grids = np.full((2, arr.size), np.nan)  # estimates, denominators
+    grids[:, entries] = np.where(degenerate, np.nan, quotient), denominator
+    return tuple(grids.reshape(2, *arr.shape))
 
 
 def rank1_entry(path_set: PathSet, data) -> float:
@@ -143,12 +154,17 @@ def rank1_entry(path_set: PathSet, data) -> float:
     ratio overflows.  ``data`` is checked against ``path_set.mask`` as in
     :func:`rank1_full`.
     """
+    entry = (path_set.source, path_set.sink)
     if path_set.k == 0:
-        raise NoPathError(
-            f"no connecting path for entry {(path_set.source, path_set.sink)}")
+        raise NoPathError(f"no connecting path for entry {entry}")
     arr = np.asarray(data, dtype=float)
     checked_vec_omega(path_set.mask, arr)
-    return _ratio(arr, path_set)
+    estimates, denominators = _estimates(arr, _path_cells([path_set], arr.shape))
+    if math.isnan(estimates[entry]):
+        reason = ("path products overflow" if denominators[entry] >= DENOMINATOR_FLOOR
+                  else f"denominator {denominators[entry]:.3e} below {DENOMINATOR_FLOOR}")
+        raise DegenerateDenominatorError(f"{reason} for entry {entry}")
+    return float(estimates[entry])
 
 
 def rank1_full(mask: ObservationMask, data) -> Rank1Report:
@@ -161,14 +177,13 @@ def rank1_full(mask: ObservationMask, data) -> Rank1Report:
     """
     arr = np.asarray(data, dtype=float)
     checked_vec_omega(mask, arr)
-    path_sets = [max_disjoint_paths(mask, i, j)
-                 for i in range(mask.n_rows) for j in range(mask.n_cols)]
-    estimates, degenerate = _estimates(arr, path_sets)
-    path_counts = np.array([s.k for s in path_sets]).reshape(arr.shape)
-    max_lens = np.array([s.max_len for s in path_sets]).reshape(arr.shape)
+    cells = _path_cells((max_disjoint_paths(mask, i, j)
+                         for i, j in np.ndindex(arr.shape)), arr.shape)
+    estimates, _ = _estimates(arr, cells)
+    path_counts, max_lens = cells[1].reshape(arr.shape), cells[2].reshape(arr.shape)
     return Rank1Report(estimates=estimates, identifiable=path_counts > 0,
                        path_counts=path_counts, max_lens=max_lens,
-                       degenerate=degenerate)
+                       degenerate=(path_counts > 0) & np.isnan(estimates))
 
 
 def rank1_error_bound(k: int, max_len: int, sigma: float, m_inf: float,

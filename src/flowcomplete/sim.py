@@ -25,7 +25,7 @@ from .graph import ObservationMask, check_noise
 from .io_utils import write_grid_csv
 from .maxflow import max_disjoint_paths
 from .panel import PanelData, split_masks
-from .rank1 import _estimates
+from .rank1 import _estimates, _path_cells
 from .spectral import build_core
 
 PATTERNS = ("staircase", "staggered_exposure", "uniform_bernoulli",
@@ -244,20 +244,20 @@ def _run_rank1(config, realized, trial_rngs):
     truth = np.ones((config.n_rows, config.n_cols))  # unit factors
     entries = ([config.target] if config.target is not None
                else np.ndindex(truth.shape))
-    path_sets = [max_disjoint_paths(mask, i, j) for i, j in entries]
+    cells = _path_cells((max_disjoint_paths(mask, i, j) for i, j in entries),
+                        truth.shape)
     accum = np.zeros_like(truth)
     counts = np.zeros_like(truth)
     noise = np.empty_like(truth)
     for rng in trial_rngs:  # the stream of rng.normal(0, sigma), bit for bit
         data = truth + config.noise_sigma * rng.standard_normal(out=noise)
-        errors = _estimates(data, path_sets)[0] - truth
+        errors = _estimates(data, cells)[0] - truth
         usable = ~np.isnan(errors)
         # float_power rounds as the scalar ``error ** 2`` does
         accum[usable] += np.float_power(errors[usable], 2)
         counts += usable
     identifiable = np.zeros(truth.shape, dtype=bool)
-    for path_set in path_sets:
-        identifiable[path_set.source, path_set.sink] = path_set.k > 0
+    identifiable.flat[cells[0]] = cells[1] > 0
     with np.errstate(invalid="ignore", divide="ignore"):
         mse = np.where(counts > 0, accum / counts, np.nan)
     return mse, build_core(mask).resistances, identifiable

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from itertools import combinations
 
@@ -16,6 +17,24 @@ from flowcomplete import (
     SpectralCore,
     split_masks,
 )
+from flowcomplete.rank1 import DENOMINATOR_FLOOR, _path_products
+
+
+def laplacian(mask: ObservationMask) -> np.ndarray:
+    """Dense graph Laplacian (degree matrix minus adjacency); row sums are
+    zero.  The V x V reference for the Kron-block core."""
+    lap = np.zeros((mask.n_vertices, mask.n_vertices))
+    a, b = mask.rows, mask.n_rows + mask.cols
+    lap[a, b] = lap[b, a] = -1.0
+    lap[np.diag_indices(mask.n_vertices)] = np.bincount(
+        np.concatenate([a, b]), minlength=mask.n_vertices)
+    return lap
+
+
+def is_observed(mask: ObservationMask, i: int, j: int) -> bool:
+    """Whether ``(i, j)`` lies inside the pattern's shape and is observed."""
+    return (0 <= i < mask.n_rows and 0 <= j < mask.n_cols
+            and bool(mask.grid[i, j]))
 
 
 def cells(rows: np.ndarray, cols: np.ndarray) -> list:
@@ -95,12 +114,13 @@ def did_loop(panel: PanelData, i: int, t: int):
     for t_prime in range(panel.n_periods):
         if t_prime == t:
             continue
-        if not donor_mask.is_observed(i, t_prime):
+        if not is_observed(donor_mask, i, t_prime):
             continue
         for j in range(panel.n_units):
             if j == i:
                 continue
-            if donor_mask.is_observed(j, t_prime) and donor_mask.is_observed(j, t):
+            if (is_observed(donor_mask, j, t_prime)
+                    and is_observed(donor_mask, j, t)):
                 contrast = ((outcomes[i, t] - outcomes[j, t])
                             - (outcomes[i, t_prime] - outcomes[j, t_prime]))
                 return float(contrast if anchored_on_treated else -contrast)
@@ -294,3 +314,28 @@ def bfs_component_ids(mask: ObservationMask) -> tuple[list, int]:
 def pseudo_inverse(core: SpectralCore) -> np.ndarray:
     """The full ``L^+`` of a core, materialised by solving for the identity."""
     return core.solve(np.eye(core.n_vertices))
+
+
+def scalar_ratio(arr: np.ndarray, path_set: PathSet) -> float:
+    """Reference for the gathered rank-1 ratio: the per-path loop over
+    ``_path_products``, terms added left to right, ``beta ** 2`` as the
+    scalar power; ``nan`` where the set is empty or degenerate."""
+    numerator = denominator = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for path in path_set.paths:
+            alpha, beta = _path_products(arr, path)
+            numerator += alpha * beta
+            try:
+                denominator += beta ** 2
+            except OverflowError:
+                denominator = math.inf
+    if path_set.k == 0:
+        return math.nan
+    numerator /= path_set.k
+    denominator /= path_set.k
+    if denominator < DENOMINATOR_FLOOR:
+        return math.nan
+    estimate = numerator / denominator
+    if not (math.isfinite(estimate) and math.isfinite(denominator)):
+        return math.nan
+    return estimate

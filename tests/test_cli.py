@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flowcomplete
 from flowcomplete import PanelData, maxflow
 from flowcomplete.cli import main
 from helpers import cells, chain_mask, did_loop_grid
@@ -18,6 +24,18 @@ def test_help_and_version(capsys):
     assert main(["--version"]) == 0
     out = capsys.readouterr().out
     assert "flowcomplete" in out and "numpy" in out
+
+
+def test_cli_import_loads_neither_scipy_nor_numpy_ma():
+    # every command pays for the import in its start-up time
+    code = ("import sys, flowcomplete.cli; print(sorted("
+            "m for m in ('scipy', 'numpy.ma') if m in sys.modules))")
+    path = [str(Path(flowcomplete.__file__).parents[1]),
+            os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=env, timeout=120, check=True)
+    assert child.stdout.strip() == "[]"
 
 
 def test_estimate_additive_end_to_end(tmp_path, capsys):
@@ -81,6 +99,37 @@ def test_report_grids_are_null_exactly_outside_kept_cells(tmp_path):
     assert any(map(any, unknown)) and not all(map(all, unknown))
     for key in ("beta_hat", "resistance_sum", "high_prob_bound"):
         assert nulls(panel[key]) == unknown, key
+
+
+def test_zero_sigma_bounds_raise_no_runtime_warning(tmp_path, capsys):
+    # sigma = 0 times an unidentifiable entry's infinite resistance is nan,
+    # written null; computing it must not warn (as under -W error)
+    def run(*argv):
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([*argv, "--sigma", "0", "--delta", "0.05",
+                         "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    mask = _write(tmp_path / "mask.csv", "row,col\n1,1\n1,2\n2,1\n3,3\n")
+    data = _write(tmp_path / "data.csv", "0,2,\n3,,\n,,5\n")
+    additive = run("estimate-additive", "--data", data, "--mask", mask)
+    known = additive["identifiable"]
+    assert not all(map(all, known))
+    for key in ("variance_bound", "high_prob_bound"):
+        assert additive[key] == [[0.0 if k else None for k in row]
+                                 for row in known], key
+    outcomes = _write(tmp_path / "y.csv", "1,2,3\n4,5,6\n7,8,9\n")
+    treatment = _write(tmp_path / "x.csv", "0,0,0\n0,1,1\n0,0,1\n")
+    observed = _write(tmp_path / "o.csv", "1,1,0\n1,1,1\n0,1,1\n")
+    panel = run("panel", "--outcomes", outcomes, "--treatment", treatment,
+                "--observed", observed)
+    known = panel["identifiable"]
+    assert not all(map(all, known))
+    assert panel["high_prob_bound"] == [[0.0 if k else None for k in row]
+                                        for row in known]
+    assert capsys.readouterr().err == ""
 
 
 def test_estimate_additive_requires_mask_source(tmp_path, capsys):

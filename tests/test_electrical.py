@@ -20,7 +20,7 @@ from flowcomplete import (
     verify_unit_flow,
     voltage_vector,
 )
-from helpers import cells, complete_mask, random_connected_mask
+from helpers import cells, complete_mask, is_observed, random_connected_mask
 
 SINGLE_EDGE = ObservationMask.from_pairs(1, 1, [(0, 0)])
 # two disjoint length-3 routes between u_0 and v_0, no direct edge
@@ -172,7 +172,7 @@ def test_rayleigh_monotonicity():
         i, j = int(rng.integers(n)), int(rng.integers(m))
         before = core.resistance(i, j)
         unobserved = [(r, c) for r in range(n) for c in range(m)
-                      if not mask.is_observed(r, c)]
+                      if not is_observed(mask, r, c)]
         if not unobserved:
             continue
         extra = unobserved[int(rng.integers(len(unobserved)))]

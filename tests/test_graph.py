@@ -7,11 +7,10 @@ from flowcomplete import (
     ObservationMask,
     connected_components,
     incidence_matrix,
-    laplacian,
     validate_path,
     vec_omega,
 )
-from helpers import bfs_component_ids, cells, random_mask
+from helpers import bfs_component_ids, cells, laplacian, random_mask
 
 # single length-5 path from u_0 to v_0
 PATH_MASK = ObservationMask.from_pairs(3, 3, [(0, 1), (1, 1), (1, 2), (2, 2), (2, 0)])

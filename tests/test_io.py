@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import tracemalloc
@@ -9,10 +10,10 @@ from flowcomplete.io_utils import (
     matrix_to_jsonable,
     read_grid_csv,
     read_mask_csv,
-    resistance_csv_text,
     write_grid_csv,
     write_json,
     write_mask_csv,
+    write_resistance_csv,
 )
 from flowcomplete import ObservationMask
 
@@ -41,7 +42,9 @@ def test_grid_writers_match_cell_by_cell_reference(tmp_path):
     expected = "row,col,effective_resistance\n" + "".join(
         f"{i + 1},{j + 1},{value}\n"
         for i, row in enumerate(cells) for j, value in enumerate(row))
-    assert resistance_csv_text(grid) == expected
+    text = io.StringIO()
+    write_resistance_csv(text, grid)
+    assert text.getvalue() == expected
 
 
 def test_mask_round_trip(tmp_path):
@@ -185,3 +188,34 @@ def test_write_json_streams_a_grid_in_little_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_csv_writers_stream_row_blocks_in_little_memory(tmp_path):
+    # one template over a whole 1000x100 grid held ~6 MB of cell lists and
+    # text; row blocks write the same bytes in far less, also when a row is
+    # wider than a block or the last block is short
+    rng = np.random.default_rng(12)
+    for shape in ((1000, 100), (3, 5000), (41, 100), (1, 1)):
+        grid = rng.standard_normal(shape)
+        grid[::7, ::3], grid[1::5, 2::9] = math.inf, math.nan
+        cells = [[f"{v:.17g}" for v in row] for row in grid.tolist()]
+        grid_path, resistance_path = tmp_path / "grid.csv", tmp_path / "r.csv"
+        tracemalloc.start()
+        try:
+            write_grid_csv(grid_path, grid)
+            grid_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            with open(resistance_path, "w") as handle:
+                write_resistance_csv(handle, grid)
+            resistance_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # line lists, whose mismatch pytest reports without a text diff
+        assert grid_path.read_text().split("\n") == [
+            ",".join(row) for row in cells] + [""]
+        assert resistance_path.read_text().split("\n") == [
+            "row,col,effective_resistance"] + [
+            f"{i + 1},{j + 1},{value}"
+            for i, row in enumerate(cells) for j, value in enumerate(row)] + [""]
+        if shape == (1000, 100):
+            assert grid_peak < 1_000_000 and resistance_peak < 1_000_000

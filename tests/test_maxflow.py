@@ -20,6 +20,7 @@ from helpers import (
     chain_mask,
     dict_max_disjoint_paths,
     dict_min_cut,
+    is_observed,
     random_mask,
 )
 
@@ -162,7 +163,7 @@ def test_adding_edge_never_decreases_k(seed):
     i, j = int(rng.integers(n)), int(rng.integers(m))
     before = max_disjoint_paths(mask, i, j).k
     unobserved = [(r, c) for r in range(n) for c in range(m)
-                  if not mask.is_observed(r, c)]
+                  if not is_observed(mask, r, c)]
     if not unobserved:
         return
     extra = unobserved[int(rng.integers(len(unobserved)))]
@@ -198,6 +199,27 @@ def test_net_flow_matches_dict_oracle_edge_cases():
         _assert_matches_dict_oracle(mask)
 
 
+@pytest.mark.parametrize("seed, n, m, count", [
+    (16, 16, 16, 44), (20, 20, 20, 70), (24, 24, 24, 80), (22, 24, 20, 100)])
+def test_level_search_matches_dict_oracle_on_larger_masks(seed, n, m, count):
+    # paths of up to 7-11 edges, and flows that mostly stop at the degree
+    # cap, which the small masks above rarely reach
+    rng = np.random.default_rng(seed)
+    flat = rng.choice(n * m, size=count, replace=False)
+    mask = ObservationMask(n, m, flat // m, flat % m)
+    capped = connected = longest = 0
+    for i in range(n):
+        for j in range(m):
+            paths, cut = dict_max_disjoint_paths(mask, i, j), dict_min_cut(mask, i, j)
+            assert max_disjoint_paths(mask, i, j) == paths
+            assert min_cut(mask, i, j) == cut
+            assert paths_and_cut(mask, i, j) == (paths, cut)
+            connected += paths.k > 0
+            capped += 0 < paths.k == min(mask.degree(i), mask.degree(n + j))
+            longest = max(longest, paths.max_len)
+    assert capped > 0.8 * connected > 0 and longest >= 7
+
+
 def test_walk_zeroes_a_cycle_of_the_max_flow():
     # Two routes of length 3 join column 0 (beta) and row 3 (alpha):
     # R = beta-r1-c2-alpha and S = beta-r2-c1-alpha.  The first augmenting
@@ -213,7 +235,7 @@ def test_walk_zeroes_a_cycle_of_the_max_flow():
     mask = ObservationMask.from_pairs(
         9, 9, [(0, 0), (3, 3)] + route_r + route_s + chain_a + chain_b)
     assert dict_max_disjoint_paths(mask, 0, 3).k == 2
-    net, value, _ = _unit_max_flow(mask, 0, 3)
+    net, value = _unit_max_flow(mask, 0, 3)
     assert value == 2 and sum(map(abs, net)) == 20
     # a walk that never zeroes the cycle would go round it forever: bound
     # its steps so that such a walk fails here instead of hanging

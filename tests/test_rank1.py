@@ -26,6 +26,7 @@ from helpers import (
     permuted,
     random_connected_mask,
     random_mask,
+    scalar_ratio,
 )
 
 
@@ -145,6 +146,69 @@ def test_ratio_adds_path_terms_left_to_right():
     data[0, 1], data[0, 3] = 1e16, -1e16
     assert rank1_entry(path_set, data) == 0.0
     assert rank1_full(mask, data).estimates[0, 0] == 0.0
+
+
+def _scalar_estimates(mask, data):
+    return np.array([[scalar_ratio(data, max_disjoint_paths(mask, i, j))
+                      for j in range(mask.n_cols)] for i in range(mask.n_rows)])
+
+
+def test_gathered_ratio_matches_scalar_route_bitwise():
+    # products, sums, squares and the degenerate tests of the gathered
+    # ratio round exactly as the per-path loop over _path_products
+    pair = ObservationMask.from_pairs(2, 2, [(0, 1), (1, 1), (1, 0)])
+    cases = [(pair, np.array([[0.0, 1e154], [1e154, 1e-6]])),    # quotient overflows
+             (pair, np.array([[0.0, 2.0], [3.0, 0.0]])),          # denominator 0
+             (pair, np.array([[0.0, 1e-100], [1e-100, 1e200]])),  # beta ** 2 overflows
+             (pair, np.array([[0.0, 1.0], [1.0, 1e-7]]))]         # just above the floor
+    rng = np.random.default_rng(31)
+    for n, m in ((9, 9), (12, 8), (6, 14)):
+        for _ in range(4):
+            mask = random_mask(rng, n, m, rng.uniform(0.15, 0.5))
+            data = (rng.choice([-1.0, 1.0], (n, m))
+                    * 10.0 ** rng.uniform(-80, 80, (n, m)))
+            data[rng.random((n, m)) < 0.05] = 0.0
+            cases.append((mask, data))
+            cases.append((mask, rng.normal(1.0, 0.3, (n, m))))
+    degenerate = 0
+    for mask, data in cases:
+        report = rank1_full(mask, data)
+        expected = _scalar_estimates(mask, data)
+        assert report.estimates.tobytes() == expected.tobytes()
+        assert np.array_equal(report.degenerate,
+                              report.identifiable & np.isnan(expected))
+        degenerate += int(report.degenerate.sum())
+        for i, j in zip(*np.nonzero(report.identifiable & ~report.degenerate)):
+            path_set = max_disjoint_paths(mask, int(i), int(j))
+            assert rank1_entry(path_set, data) == expected[i, j]
+    assert degenerate > 10
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_appending_a_component_leaves_old_entries_bit_identical(seed):
+    # the new component's rows and columns come after the old ones: column
+    # vertex ids shift, but no old vertex's neighbor order changes
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+    n2, m2 = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    old = random_mask(rng, n, m, rng.uniform(0.2, 0.8))
+    extra = random_mask(rng, n2, m2, rng.uniform(0.2, 0.8))
+    grown = ObservationMask(n + n2, m + m2,
+                            np.concatenate([old.rows, n + extra.rows]),
+                            np.concatenate([old.cols, m + extra.cols]))
+    data = rng.normal(1.0, 0.5, (n + n2, m + m2))
+    data[rng.random(data.shape) < 0.1] = 0.0  # some degenerate entries
+    before, after = rank1_full(old, data[:n, :m]), rank1_full(grown, data)
+    assert after.estimates[:n, :m].tobytes() == before.estimates.tobytes()
+    assert np.array_equal(after.degenerate[:n, :m], before.degenerate)
+    assert np.array_equal(after.path_counts[:n, :m], before.path_counts)
+    assert not after.identifiable[:n, m:].any()
+    assert not after.identifiable[n:, :m].any()
+    for i in range(n):
+        for j in range(m):
+            assert (max_disjoint_paths(grown, i, j).paths
+                    == max_disjoint_paths(old, i, j).paths)
 
 
 def test_rank1_entry_rejects_bad_data():

@@ -22,16 +22,17 @@ from flowcomplete.patterns import (
     staircase_pattern,
     uniform_bernoulli_mask,
 )
+from helpers import is_observed
 
 
 def test_extreme_sparsity_count():
     mask = extreme_sparsity_mask(5)
     assert mask.n_observed == 12  # 3 * (n - 1)
-    assert not mask.is_observed(0, 0)
+    assert not is_observed(mask, 0, 0)
     for k in range(1, 5):
-        assert mask.is_observed(0, k)
-        assert mask.is_observed(k, 0)
-        assert mask.is_observed(k, k)
+        assert is_observed(mask, 0, k)
+        assert is_observed(mask, k, 0)
+        assert is_observed(mask, k, k)
 
 
 def test_staggered_exposure_counts():

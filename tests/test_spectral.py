@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowcomplete import (
-    ObservationMask,
-    build_core,
-    laplacian,
-)
-from helpers import (complete_mask, pseudo_inverse, random_connected_mask,
-                     random_mask)
+from flowcomplete import ObservationMask, build_core
+from helpers import (complete_mask, laplacian, pseudo_inverse,
+                     random_connected_mask, random_mask)
 
 
 def test_single_edge_pseudo_inverse():
