@@ -48,7 +48,6 @@ from .graph import (
     ComponentLabeling,
     ObservationMask,
     connected_components,
-    incidence_matrix,
     validate_path,
     vec_omega,
 )

@@ -25,11 +25,13 @@ from .graph import (
     check_noise,
     checked_vec_omega,
     divergence,
-    incidence_matrix,
+    gradient,
     validate_path,
     vec_omega,
 )
 from .spectral import SpectralCore
+
+_VERTEX_CHUNK = 64  # unit injections per solve in verify_equivalence
 
 
 @dataclass(frozen=True)
@@ -162,21 +164,23 @@ def efe_full(core: SpectralCore, data, sigma: float | None = None,
 def verify_equivalence(core: SpectralCore, data, tol: float = 1e-8) -> bool:
     """Check the flow route against the factor route on all connected pairs.
 
-    The flow side materializes the per-edge electrical current of each
-    entry and dots it with the observations; the factor side sums the
-    closed-form least-squares factors.
+    The flow side dots the observations with the Ohm's-law edge currents
+    of a unit injection at each vertex, a chunk of vertices per
+    ``core.solve``; by linearity ``g[i] - g[n + j]`` is the flow estimate of
+    ``(i, j)``.  The factor side sums the closed-form least-squares factors.
     """
     mask = core.mask
     observations = checked_vec_omega(mask, data)
     a_hat, b_hat = observation_factors(core, observations)
-    # B L^+: column v holds every edge's current for a unit injection at v
-    currents = core.solve(incidence_matrix(mask).T).T
-    for i, j in zip(*np.nonzero(np.isfinite(core.resistances))):
-        flow_values = currents[:, i] - currents[:, mask.n_rows + j]
-        flow_est = float(np.dot(flow_values, observations))
-        if abs(flow_est - (a_hat[i] + b_hat[j])) > tol:
-            return False
-    return True
+    g = np.empty(mask.n_vertices)
+    for start in range(0, mask.n_vertices, _VERTEX_CHUNK):
+        chunk = np.arange(start, min(start + _VERTEX_CHUNK, mask.n_vertices))
+        units = np.zeros((mask.n_vertices, chunk.size))
+        units[chunk, np.arange(chunk.size)] = 1.0
+        g[chunk] = observations @ gradient(mask, core.solve(units))
+    n = mask.n_rows
+    gap = np.abs(g[:n, None] - g[None, n:] - (a_hat[:, None] + b_hat[None, :]))
+    return bool(np.all(gap[np.isfinite(core.resistances)] <= tol))
 
 
 def hard_instance_additive(base: AdditiveModel, core: SpectralCore,

@@ -30,7 +30,8 @@ from .io_utils import (
 from .maxflow import paths_and_cut
 from .panel import PanelData, did_grid, estimate_effects
 from .rank1 import rank1_error_bound, rank1_full
-from .sim import SimConfig, export_result, generate_pattern, run_experiment
+from .sim import (_PANEL_PATTERNS, SimConfig, export_result, generate_pattern,
+                  run_experiment)
 from .spectral import build_core
 
 _EXIT_OK = 0
@@ -322,8 +323,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_generate_pattern(args) -> int:
     cols = args.cols or args.rows
     config = SimConfig(pattern=args.pattern,
-                       model="panel" if args.pattern in ("staircase",
-                                                         "staggered_exposure")
+                       model="panel" if args.pattern in _PANEL_PATTERNS
                        else "additive",
                        n_rows=args.rows, n_cols=cols, noise_sigma=0.0,
                        trials=1, seed=args.seed, groups=args.groups,

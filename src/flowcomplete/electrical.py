@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DisconnectedPairError
-from .graph import ObservationMask, divergence
+from .graph import ObservationMask, divergence, gradient
 from .spectral import SpectralCore
 
 FLOW_TOLERANCE = 1e-9
@@ -54,8 +54,7 @@ def voltage_vector(core: SpectralCore, i: int, j: int) -> VoltageVector:
 def electrical_flow(core: SpectralCore, i: int, j: int) -> UnitFlow:
     """Unit electrical current, edge by edge (Ohm's law, unit resistance)."""
     potentials, mask = voltage_vector(core, i, j).potentials, core.mask
-    values = potentials[mask.rows] - potentials[mask.n_rows + mask.cols]
-    return UnitFlow(values=values, source=i, sink=j)
+    return UnitFlow(values=gradient(mask, potentials), source=i, sink=j)
 
 
 def flow_energy(flow: UnitFlow) -> float:
@@ -91,5 +90,5 @@ def perturbed_unit_flow(core: SpectralCore, i: int, j: int,
     raw = rng.normal(0.0, scale, size=mask.n_observed)
     # remove the potential-flow part: c = r - B L+ B^T r
     potential = core.solve(divergence(mask, raw))
-    gradient = potential[mask.rows] - potential[mask.n_rows + mask.cols]
-    return UnitFlow(values=base.values + raw - gradient, source=i, sink=j)
+    return UnitFlow(values=base.values + raw - gradient(mask, potential),
+                    source=i, sink=j)

@@ -6,9 +6,11 @@ edge ``{u_i, v_j}``.  Every module in the package relies on the orderings
 fixed here: vertices are numbered ``0 .. n-1`` for rows followed by
 ``n .. n+m-1`` for columns, and edges are the observed entries in
 row-major order, the order of :attr:`ObservationMask.rows` and ``cols``.
-Paths are written as alternating index sequences ``(x_1, x_2, ..., x_{l+1})``
-where odd positions are row indices and even positions are column indices
-(0-based internally).
+Edges point from row to column: the oriented incidence ``B`` (``+1`` at
+an edge's row end, ``-1`` at its column end) exists only as :func:`gradient`
+(``B x``) and :func:`divergence` (``B^T y``).  Paths are written as
+alternating index sequences ``(x_1, ..., x_{l+1})`` with row indices at odd
+and column indices at even positions (0-based internally).
 """
 
 from __future__ import annotations
@@ -155,17 +157,11 @@ def connected_components(mask: ObservationMask) -> ComponentLabeling:
     return ComponentLabeling(ids, int(np.count_nonzero(is_root)))
 
 
-def incidence_matrix(mask: ObservationMask) -> np.ndarray:
-    """Oriented incidence matrix, one row per edge in canonical order.
-
-    Orientation runs rows -> columns: +1 at the row endpoint and -1 at the
-    column endpoint, so positive flow values mean row-to-column transport.
-    """
-    b = np.zeros((mask.n_observed, mask.n_vertices))
-    positions = np.arange(mask.n_observed)
-    b[positions, mask.rows] = 1.0
-    b[positions, mask.n_rows + mask.cols] = -1.0
-    return b
+def gradient(mask: ObservationMask, values) -> np.ndarray:
+    """``B values`` (row-end value minus column-end value per edge) for
+    ``(n_vertices,)`` or ``(n_vertices, k)`` vertex values."""
+    values = np.asarray(values, dtype=float)
+    return values[mask.rows] - values[mask.n_rows + mask.cols]
 
 
 def divergence(mask: ObservationMask, values) -> np.ndarray:

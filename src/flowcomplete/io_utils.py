@@ -114,12 +114,6 @@ def write_resistance_csv(handle, resistances: np.ndarray) -> None:
         start += len(block)
 
 
-def matrix_to_jsonable(matrix, keep=None) -> np.ndarray:
-    """Float grid with NaN where ``keep`` is False; see :func:`write_json`."""
-    arr = np.asarray(matrix, dtype=float)
-    return arr if keep is None else np.where(keep, arr, np.nan)
-
-
 def _write_indented(write, value, level: int = 0) -> None:
     """``json.dump(value, indent=2)`` as a stream of writes; each innermost
     list or array row goes through the C encoder at once."""

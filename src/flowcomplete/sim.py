@@ -68,6 +68,8 @@ class SimConfig:
                 "staggered_exposure patterns")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.histogram_bins < 1:
+            raise ValueError("histogram_bins must be at least 1")
         check_noise(self.noise_sigma, None)
         if self.n_rows < 1 or self.n_cols < 1:
             raise ValueError("dimensions must be positive")

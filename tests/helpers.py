@@ -31,6 +31,17 @@ def laplacian(mask: ObservationMask) -> np.ndarray:
     return lap
 
 
+def incidence_matrix(mask: ObservationMask) -> np.ndarray:
+    """Dense oriented incidence, one row per edge in canonical order: +1 at
+    the row endpoint, -1 at the column endpoint.  The reference for the
+    matrix-free ``gradient`` and ``divergence``."""
+    b = np.zeros((mask.n_observed, mask.n_vertices))
+    positions = np.arange(mask.n_observed)
+    b[positions, mask.rows] = 1.0
+    b[positions, mask.n_rows + mask.cols] = -1.0
+    return b
+
+
 def is_observed(mask: ObservationMask, i: int, j: int) -> bool:
     """Whether ``(i, j)`` lies inside the pattern's shape and is observed."""
     return (0 <= i < mask.n_rows and 0 <= j < mask.n_cols

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from flowcomplete import (
     DisconnectedPairError,
     InvalidFlowError,
     ObservationMask,
+    SpectralCore,
     UnitFlow,
     build_core,
     connected_components,
@@ -364,6 +366,59 @@ def test_verify_equivalence_cases():
         mask = random_connected_mask(rng, n, m)
         assert verify_equivalence(build_core(mask), rng.normal(size=(n, m)),
                                   tol=1e-8)
+
+
+def test_verify_equivalence_skips_unidentifiable_cells():
+    rng = np.random.default_rng(18)
+    masks = [
+        ObservationMask.from_pairs(3, 4, []),                      # no edge
+        ObservationMask.from_pairs(4, 5, [(0, 0), (0, 1), (1, 1)]),  # isolated
+        ObservationMask.from_pairs(                                # 3 components
+            5, 5, [(0, 0), (1, 0), (1, 1), (2, 2), (3, 2), (3, 3), (2, 3), (4, 4)]),
+    ]
+    for mask in masks:
+        data = rng.normal(size=(mask.n_rows, mask.n_cols))
+        assert verify_equivalence(build_core(mask), data, tol=1e-10)
+
+
+def test_verify_equivalence_rejects_a_core_that_is_not_a_pseudoinverse():
+    # an asymmetric P is no graph's L^+; the flow and factor routes then
+    # read its transpose and itself, and must disagree, also when only the
+    # second of two components is broken
+    rng = np.random.default_rng(19)
+    first, second = random_connected_mask(rng, 9, 7), random_connected_mask(rng, 6, 8)
+    mask = ObservationMask(15, 15, np.concatenate([first.rows, 9 + second.rows]),
+                           np.concatenate([first.cols, 7 + second.cols]))
+    core = build_core(mask)
+    data = rng.normal(size=(15, 15))
+    assert len(core.blocks) == 2 and verify_equivalence(core, data, tol=1e-8)
+    for broken_block in range(2):
+        blocks = list(core.blocks)
+        elim, kept, inv_degree, w, p = blocks[broken_block]
+        p = p.copy()
+        p[0, 1] += 1e-3
+        blocks[broken_block] = (elim, kept, inv_degree, w, p)
+        broken = SpectralCore(mask=mask, components=core.components,
+                              blocks=tuple(blocks))
+        assert verify_equivalence(broken, data, tol=1e-8) is False
+
+
+def test_verify_equivalence_streams_the_currents_in_little_memory():
+    # on this 1000x50 pattern of 5000 cells, dense n_observed x V incidence
+    # and current matrices (~42 MB each) peaked at ~210 MB traced; chunks of
+    # unit injections take ~6 MB
+    rng = np.random.default_rng(20)
+    mask = ObservationMask(1000, 50, *np.divmod(
+        rng.choice(50_000, size=5000, replace=False), 50))
+    core = build_core(mask)
+    data = rng.normal(size=(1000, 50))
+    tracemalloc.start()
+    try:
+        assert verify_equivalence(core, data, tol=1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000
 
 
 @given(seed=st.integers(0, 2**32 - 1), shift=st.floats(-5, 5))

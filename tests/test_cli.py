@@ -424,6 +424,18 @@ def test_simulate_rejects_nan_sigma(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_rejects_non_positive_histogram_bins(tmp_path, capsys):
+    config = _write(tmp_path / "sim.cfg",
+                    "pattern = uniform_bernoulli\nmodel = additive\n"
+                    "n_rows = 10\nn_cols = 10\nbernoulli_p = 0.4\n"
+                    "noise_sigma = 0.1\ntrials = 3\nseed = 0\n"
+                    "histogram_bins = 0\n")
+    assert main(["simulate", "--config", config,
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert "histogram_bins" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("groups", ["0", "-2"])
 def test_generate_pattern_rejects_non_positive_groups(tmp_path, capsys, groups):
     out_dir = tmp_path / "pattern"

@@ -6,11 +6,17 @@ from flowcomplete import (
     InvalidPathError,
     ObservationMask,
     connected_components,
-    incidence_matrix,
     validate_path,
     vec_omega,
 )
-from helpers import bfs_component_ids, cells, laplacian, random_mask
+from flowcomplete.graph import divergence, gradient
+from helpers import (
+    bfs_component_ids,
+    cells,
+    incidence_matrix,
+    laplacian,
+    random_mask,
+)
 
 # single length-5 path from u_0 to v_0
 PATH_MASK = ObservationMask.from_pairs(3, 3, [(0, 1), (1, 1), (1, 2), (2, 2), (2, 0)])
@@ -173,6 +179,23 @@ def test_incidence_laplacian_and_ordering(seed, n, m):
     for pos, (i, j) in enumerate(cells(mask.rows, mask.cols)):
         assert vec[pos] == data[i, j]
         assert b[pos, i] == 1.0 and b[pos, mask.n_rows + j] == -1.0
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), m=st.integers(1, 8),
+       p=st.sampled_from([0.0, 0.3, 0.7, 1.0]), width=st.sampled_from([None, 1, 3]))
+@settings(max_examples=60, deadline=None)
+def test_gradient_and_divergence_match_dense_incidence(seed, n, m, p, width):
+    rng = np.random.default_rng(seed)
+    mask = random_mask(rng, n, m, p)
+    b = incidence_matrix(mask)
+    tail = () if width is None else (width,)
+    # integer-valued inputs: every product and sum is exact
+    x = rng.integers(-9, 10, (mask.n_vertices,) + tail).astype(float)
+    y = rng.integers(-9, 10, (mask.n_observed,) + tail).astype(float)
+    assert gradient(mask, x).shape == (mask.n_observed,) + tail
+    assert np.array_equal(gradient(mask, x), b @ x)
+    assert divergence(mask, y).shape == (mask.n_vertices,) + tail
+    assert np.array_equal(divergence(mask, y), b.T @ y)
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), m=st.integers(1, 8))

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from flowcomplete.io_utils import (
-    matrix_to_jsonable,
     read_grid_csv,
     read_mask_csv,
     write_grid_csv,
@@ -84,7 +83,8 @@ def test_grid_rejects_ragged_rows(tmp_path):
 
 
 def _jsonable_loop(matrix, keep=None):
-    """Cell-by-cell reference for ``matrix_to_jsonable``."""
+    """Cell-by-cell reference for the JSON of a grid: ``null`` where ``keep``
+    is False or the value is not finite."""
     arr = np.asarray(matrix, dtype=float)
     result = []
     for i in range(arr.shape[0]):
@@ -97,7 +97,7 @@ def _jsonable_loop(matrix, keep=None):
     return result
 
 
-def test_matrix_to_jsonable_matches_cell_loop(tmp_path):
+def test_write_json_nulls_masked_grid_like_cell_loop(tmp_path):
     rng = np.random.default_rng(8)
     grid = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-300, 300, (7, 5))
     grid[0, 0], grid[1, 2], grid[3, 4] = math.nan, math.inf, -math.inf
@@ -105,11 +105,10 @@ def test_matrix_to_jsonable_matches_cell_loop(tmp_path):
     keep = rng.random((7, 5)) < 0.7
     keep[0, 0] = keep[1, 2] = keep[6, 1] = keep[2, 3] = True
     path = tmp_path / "grid.json"
-    for mask in (None, keep):
+    for mask, written in ((None, grid), (keep, np.where(keep, grid, np.nan))):
         expected = json.dumps(_jsonable_loop(grid, mask), indent=2)
-        write_json(path, matrix_to_jsonable(grid, mask))
+        write_json(path, written)
         assert path.read_text() == expected + "\n"
-    assert math.isinf(matrix_to_jsonable(grid)[1][2])  # nulled when written
 
 
 def test_write_json_matches_indented_dump(tmp_path):
@@ -119,8 +118,8 @@ def test_write_json_matches_indented_dump(tmp_path):
     keep = rng.random((4, 3)) < 0.6
     payloads = [
         {"n_rows": 4, "n_cols": 3,
-         "estimates": matrix_to_jsonable(grid, keep),   # masked cells
-         "resistance": matrix_to_jsonable(grid),        # NaN/+-inf -> null
+         "estimates": np.where(keep, grid, np.nan),     # masked cells
+         "resistance": grid,                            # NaN/+-inf -> null
          "variance_bound": None,
          "identifiable": keep.tolist(),
          "k": rng.integers(0, 5, (4, 3)).tolist(),

@@ -91,6 +91,11 @@ def test_config_validation():
     with pytest.raises(ValueError, match="sigma must be non-negative"):
         SimConfig(pattern="extreme_sparsity", model="rank1", n_rows=4,
                   n_cols=4, noise_sigma=np.nan, trials=1, seed=0)
+    for bins in (0, -1):
+        with pytest.raises(ValueError, match="histogram_bins must be at least 1"):
+            SimConfig(pattern="uniform_bernoulli", model="additive", n_rows=4,
+                      n_cols=4, noise_sigma=0.1, trials=1, seed=0,
+                      bernoulli_p=0.5, histogram_bins=bins)
     for target in ((-1, 0), (0, 4), (4, 0)):
         with pytest.raises(ValueError, match="outside the 4x4 grid"):
             SimConfig(pattern="extreme_sparsity", model="rank1", n_rows=4,
