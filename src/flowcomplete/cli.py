@@ -7,10 +7,11 @@ estimation is impossible (every entry unidentifiable).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from contextlib import nullcontext
+import typing
+from functools import partial
+from operator import methodcaller
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .additive import efe_full
 from .errors import FlowCompleteError
 from .graph import ObservationMask, check_noise, vec_omega
 from .io_utils import (
+    open_output,
     read_config_file,
     read_grid_csv,
     read_mask_csv,
@@ -58,66 +60,60 @@ def _build_parser() -> _Parser:
                                 f"numpy {np.__version__})")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    additive = sub.add_parser("estimate-additive",
-                              help="closed-form flow estimates of an additive matrix")
-    additive.add_argument("--data", required=True)
-    additive.add_argument("--mask")
-    additive.add_argument("--mask-from-data", action="store_true",
-                          help="infer the mask from non-empty data cells")
-    additive.add_argument("--sigma", type=float)
-    additive.add_argument("--delta", type=float)
-    additive.add_argument("--out", required=True)
-    additive.set_defaults(run=_cmd_estimate_additive)
+    def command(name, run, text):
+        cmd = sub.add_parser(name, help=text)
+        cmd.set_defaults(run=run)
+        return cmd
 
-    rank1 = sub.add_parser("estimate-rank1",
-                           help="multi-path ratio estimates of a rank-1 matrix")
-    rank1.add_argument("--data", required=True)
-    rank1.add_argument("--mask")
-    rank1.add_argument("--mask-from-data", action="store_true")
-    rank1.add_argument("--sigma", type=float)
-    rank1.add_argument("--delta", type=float)
-    rank1.add_argument("--out", required=True)
-    rank1.set_defaults(run=_cmd_estimate_rank1)
+    def noise_and_report(cmd):  # the flags of every JSON report command
+        cmd.add_argument("--sigma", type=float)
+        cmd.add_argument("--delta", type=float)
+        cmd.add_argument("--out", required=True)
 
-    resistance = sub.add_parser("resistance",
-                                help="effective resistances of an observation pattern")
-    resistance.add_argument("--mask", required=True)
-    resistance.add_argument("--rows", type=int)
-    resistance.add_argument("--cols", type=int)
-    group = resistance.add_mutually_exclusive_group(required=True)
-    group.add_argument("--pair", help="1-based 'i,j'")
-    group.add_argument("--all", action="store_true")
-    resistance.add_argument("--out", help="output CSV (default: stdout)")
-    resistance.set_defaults(run=_cmd_resistance)
+    for name, run, text in (
+            ("estimate-additive", _cmd_estimate_additive,
+             "closed-form flow estimates of an additive matrix"),
+            ("estimate-rank1", _cmd_estimate_rank1,
+             "multi-path ratio estimates of a rank-1 matrix")):
+        estimate = command(name, run, text)
+        estimate.add_argument("--data", required=True)
+        estimate.add_argument("--mask")
+        estimate.add_argument("--mask-from-data", action="store_true",
+                              help="infer the mask from the finite data cells")
+        noise_and_report(estimate)
 
-    paths = sub.add_parser("paths",
-                           help="edge-disjoint paths and the minimum cut for one entry")
-    paths.add_argument("--mask", required=True)
-    paths.add_argument("--rows", type=int)
-    paths.add_argument("--cols", type=int)
-    paths.add_argument("--pair", required=True, help="1-based 'i,j'")
-    paths.add_argument("--out", help="output JSON (default: stdout)")
-    paths.set_defaults(run=_cmd_paths)
+    for name, run, text, kind in (
+            ("resistance", _cmd_resistance,
+             "effective resistances of an observation pattern", "CSV"),
+            ("paths", _cmd_paths,
+             "edge-disjoint paths and the minimum cut for one entry", "JSON")):
+        pattern = command(name, run, text)
+        pattern.add_argument("--mask", required=True)
+        pattern.add_argument("--rows", type=int)
+        pattern.add_argument("--cols", type=int)
+        if name == "paths":
+            pattern.add_argument("--pair", required=True, help="1-based 'i,j'")
+        else:
+            group = pattern.add_mutually_exclusive_group(required=True)
+            group.add_argument("--pair", help="1-based 'i,j'")
+            group.add_argument("--all", action="store_true")
+        pattern.add_argument("--out", help=f"output {kind} (default: stdout)")
 
-    panel = sub.add_parser("panel",
-                           help="per-entry treatment effects from panel data")
+    panel = command("panel", _cmd_panel,
+                    "per-entry treatment effects from panel data")
     panel.add_argument("--outcomes", required=True)
     panel.add_argument("--treatment", required=True)
     panel.add_argument("--observed")
-    panel.add_argument("--sigma", type=float)
-    panel.add_argument("--delta", type=float)
     panel.add_argument("--did", action="store_true",
                        help="also report difference-in-differences estimates")
-    panel.add_argument("--out", required=True)
-    panel.set_defaults(run=_cmd_panel)
+    noise_and_report(panel)
 
-    simulate = sub.add_parser("simulate", help="run a Monte-Carlo experiment")
+    simulate = command("simulate", _cmd_simulate, "run a Monte-Carlo experiment")
     simulate.add_argument("--config", required=True)
     simulate.add_argument("--out-dir", required=True)
-    simulate.set_defaults(run=_cmd_simulate)
 
-    generate = sub.add_parser("generate-pattern",
-                              help="write a synthetic observation/treatment pattern")
+    generate = command("generate-pattern", _cmd_generate_pattern,
+                       "write a synthetic observation/treatment pattern")
     generate.add_argument("--pattern", required=True)
     generate.add_argument("--rows", type=int, required=True)
     generate.add_argument("--cols", type=int)
@@ -129,7 +125,6 @@ def _build_parser() -> _Parser:
     generate.add_argument("--thinning", type=float, default=0.5)
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument("--out-dir", required=True)
-    generate.set_defaults(run=_cmd_generate_pattern)
     return parser
 
 
@@ -142,6 +137,7 @@ def _read_mask(path, n_rows: int | None, n_cols: int | None) -> ObservationMask:
 
 
 def _load_mask_and_data(args):
+    # the estimators read ``data`` only at observed cells
     data = read_grid_csv(args.data)
     if args.mask:
         mask = _read_mask(args.mask, *data.shape)
@@ -153,7 +149,7 @@ def _load_mask_and_data(args):
         mask = ObservationMask.from_data(data)
     else:
         raise _UsageError("provide --mask or pass --mask-from-data")
-    return mask, np.nan_to_num(data, nan=0.0)
+    return mask, data
 
 
 def _parse_pair(text: str, n_rows: int, n_cols: int) -> tuple[int, int]:
@@ -168,25 +164,31 @@ def _parse_pair(text: str, n_rows: int, n_cols: int) -> tuple[int, int]:
     return i - 1, j - 1
 
 
+def _report(path, payload: dict, identifiable: np.ndarray) -> int:
+    """Write a JSON report; estimation is impossible with nothing identifiable.
+
+    Every report grid is NaN or inf already wherever its entry is not kept,
+    so it is written as ``null`` there.
+    """
+    write_json(path, payload)
+    if not identifiable.any():
+        print("no identifiable entries", file=sys.stderr)
+        return _EXIT_IMPOSSIBLE
+    return _EXIT_OK
+
+
 def _cmd_estimate_additive(args) -> int:
     mask, data = _load_mask_and_data(args)
     report = efe_full(build_core(mask), data, sigma=args.sigma, delta=args.delta)
-    keep = report.identifiable
-    # outside ``keep`` each grid is NaN or inf already, so written as null
-    payload = {
+    return _report(args.out, {
         "n_rows": mask.n_rows,
         "n_cols": mask.n_cols,
         "estimates": report.estimates,
         "resistance": report.effective_resistances,
         "variance_bound": report.variance_bounds,
         "high_prob_bound": report.high_prob_bounds,
-        "identifiable": keep,
-    }
-    write_json(args.out, payload)
-    if not keep.any():
-        print("no identifiable entries", file=sys.stderr)
-        return _EXIT_IMPOSSIBLE
-    return _EXIT_OK
+        "identifiable": report.identifiable,
+    }, report.identifiable)
 
 
 def _cmd_estimate_rank1(args) -> int:
@@ -212,27 +214,21 @@ def _cmd_estimate_rank1(args) -> int:
                 args.sigma, m_inf, mask.n_rows, mask.n_cols, args.delta)
         payload["error_bound"] = bounds  # NaN where unidentifiable
         payload["error_bound_m_inf"] = m_inf
-    write_json(args.out, payload)
-    if not report.identifiable.any():
-        print("no identifiable entries", file=sys.stderr)
-        return _EXIT_IMPOSSIBLE
-    return _EXIT_OK
+    return _report(args.out, payload, report.identifiable)
 
 
 def _cmd_resistance(args) -> int:
     mask = _read_mask(args.mask, args.rows, args.cols)
     core = build_core(mask)
     if args.all:
-        resistances = core.resistances
+        write = partial(write_resistance_csv, resistances=core.resistances)
     else:
         i, j = _parse_pair(args.pair, mask.n_rows, mask.n_cols)
-        value = core.resistance(i, j)
-    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as handle:
-        if args.all:
-            write_resistance_csv(handle, resistances)
-        else:
-            handle.write("row,col,effective_resistance\n"
-                         f"{i + 1},{j + 1},{value:.17g}\n")
+        text = ("row,col,effective_resistance\n"
+                f"{i + 1},{j + 1},{core.resistance(i, j):.17g}\n")
+        write = methodcaller("write", text)
+    with open_output(args.out) as handle:
+        write(handle)
     return _EXIT_OK
 
 
@@ -240,20 +236,17 @@ def _cmd_paths(args) -> int:
     mask = _read_mask(args.mask, args.rows, args.cols)
     i, j = _parse_pair(args.pair, mask.n_rows, mask.n_cols)
     path_set, cut = paths_and_cut(mask, i, j)
-    payload = {
+    write_json(args.out, {
         "k": path_set.k,
         "max_len": path_set.max_len,
         "paths": [[x + 1 for x in path] for path in path_set.paths],
         "cut_edges": [[r + 1, c + 1] for r, c in cut.cut_edges],
-    }
-    if args.out:
-        write_json(args.out, payload)
-    else:
-        print(json.dumps(payload, indent=2))
+    })
     return _EXIT_OK
 
 
 def _cmd_panel(args) -> int:
+    # ``PanelData`` reads outcomes and treatment only at observed cells
     outcomes = read_grid_csv(args.outcomes)
     treatment = read_grid_csv(args.treatment)
     observed = read_grid_csv(args.observed) if args.observed else None
@@ -261,12 +254,8 @@ def _cmd_panel(args) -> int:
         raise _UsageError("treatment grid must not contain empty cells")
     if observed is not None and np.isnan(observed).any():
         raise _UsageError("observed grid must not contain empty cells")
-    if observed is not None:
-        outcomes = np.where(observed != 0, outcomes, 0.0)
     panel = PanelData(outcomes=outcomes, treatment=treatment, observed=observed)
     report = estimate_effects(panel, sigma=args.sigma, delta=args.delta)
-    keep = report.identifiable
-    # outside ``keep`` an arm's estimate is NaN and its resistance inf
     payload = {
         "n_units": panel.n_units,
         "n_periods": panel.n_periods,
@@ -275,38 +264,29 @@ def _cmd_panel(args) -> int:
         "treatment_estimates": report.treatment_estimates,
         "resistance_sum": report.resistance_sum,
         "high_prob_bound": report.high_prob_bounds,
-        "identifiable": keep,
+        "identifiable": report.identifiable,
     }
     if args.did:
         payload["did"] = did_grid(panel)
-    write_json(args.out, payload)
-    if not keep.any():
-        print("no identifiable entries", file=sys.stderr)
-        return _EXIT_IMPOSSIBLE
-    return _EXIT_OK
-
-
-_CONFIG_INTS = {"n_rows", "n_cols", "trials", "seed", "groups", "block_rows",
-                "block_cols", "target_row", "target_col", "histogram_bins"}
-_CONFIG_FLOATS = {"noise_sigma", "bernoulli_p", "base_density", "thinning"}
+    return _report(args.out, payload, report.identifiable)
 
 
 def sim_config_from_mapping(mapping: dict[str, str]) -> SimConfig:
-    """Interpret a flat key/value mapping as a simulation configuration."""
+    """Interpret a flat key/value mapping as a simulation configuration.
+
+    Each value is parsed by the type of its :class:`SimConfig` field (``X``
+    for an optional ``X | None``); target indices are 1-based here.
+    """
+    hints = typing.get_type_hints(SimConfig)
     kwargs: dict = {}
     for key, value in mapping.items():
-        if key in ("pattern", "model"):
-            kwargs[key] = value
-        elif key in _CONFIG_INTS:
-            kwargs[key] = int(value)
-        elif key in _CONFIG_FLOATS:
-            kwargs[key] = float(value)
-        else:
+        if key not in hints:
             raise ValueError(f"unknown configuration key {key!r}")
-    # CLI target indices are 1-based
+        kind = (typing.get_args(hints[key]) or (hints[key],))[0]
+        kwargs[key] = kind(value)
     for key in ("target_row", "target_col"):
-        if kwargs.get(key) is not None:
-            kwargs[key] = kwargs[key] - 1
+        if key in kwargs:
+            kwargs[key] -= 1
     return SimConfig(**kwargs)
 
 
@@ -331,20 +311,15 @@ def _cmd_generate_pattern(args) -> int:
                        block_cols=args.block_cols,
                        base_density=args.base_density, thinning=args.thinning)
     realized = generate_pattern(config)
-    out_dir = args.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
     if realized.treatment is None:
-        mask_path = os.path.join(out_dir, "mask.csv")
-        write_mask_csv(mask_path, realized.mask)
-        written.append(mask_path)
+        files = [("mask.csv", write_mask_csv, realized.mask)]
     else:
-        treatment_path = os.path.join(out_dir, "treatment.csv")
-        observed_path = os.path.join(out_dir, "observed.csv")
-        write_grid_csv(treatment_path, realized.treatment)
-        write_grid_csv(observed_path, realized.mask.grid)
-        written.extend([treatment_path, observed_path])
-    for path in written:
+        files = [("treatment.csv", write_grid_csv, realized.treatment),
+                 ("observed.csv", write_grid_csv, realized.mask.grid)]
+    os.makedirs(args.out_dir, exist_ok=True)
+    for name, write, value in files:
+        path = os.path.join(args.out_dir, name)
+        write(path, value)
         print(path)
     return _EXIT_OK
 
@@ -353,13 +328,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
+        return args.run(args)
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
-    try:
-        return args.run(args)
     except (_UsageError, FlowCompleteError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

@@ -224,8 +224,11 @@ def validate_path(path: Sequence[int], mask: ObservationMask) -> None:
     if len(path) < 2 or len(path) % 2 != 0:
         raise InvalidPathError(
             "path must alternate row, col, ... with an odd number of edges")
-    row_positions = [int(x) for x in path[0::2]]
-    col_positions = [int(x) for x in path[1::2]]
+    try:
+        row_positions = list(map(operator.index, path[0::2]))
+        col_positions = list(map(operator.index, path[1::2]))
+    except TypeError as exc:
+        raise InvalidPathError(f"path {path} has a non-integer index") from exc
     for i in row_positions:
         if not 0 <= i < mask.n_rows:
             raise InvalidPathError(f"row index {i} out of bounds")

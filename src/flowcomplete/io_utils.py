@@ -13,6 +13,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -144,11 +146,17 @@ def _write_indented(write, value, level: int = 0) -> None:
     write(pad + closer)
 
 
+def open_output(path):
+    """The text file at ``path`` opened for writing, or stdout without a path."""
+    return open(path, "w") if path else nullcontext(sys.stdout)
+
+
 def write_json(path, payload) -> None:
     """The bytes of ``json.dump(payload, handle, indent=2)`` and a newline,
-    written row by row without building the document in memory.  An array
-    stands for its nested lists, with ``null`` at non-finite float cells."""
-    with open(path, "w") as handle:
+    written to :func:`open_output` row by row without building the document
+    in memory.  An array stands for its nested lists, with ``null`` at
+    non-finite float cells."""
+    with open_output(path) as handle:
         _write_indented(handle.write, payload)
         handle.write("\n")
 

@@ -40,7 +40,7 @@ class PanelData:
     ``observed`` must be binary everywhere; treatment must be binary and
     outcomes finite at every observed cell.  A ``ValueError`` names the
     first cell that breaks a rule; other values at unobserved cells are
-    ignored.
+    ignored, and treatment is stored as 0 there.
     """
 
     outcomes: np.ndarray
@@ -65,7 +65,8 @@ class PanelData:
             if bad.size:
                 raise ValueError(f"{message} {tuple(bad[0].tolist())}")
         object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "treatment", treatment.astype(np.int8))
+        object.__setattr__(self, "treatment",
+                           np.where(observed != 0, treatment, 0).astype(np.int8))
         object.__setattr__(self, "observed", observed.astype(np.int8))
 
     @property

@@ -101,13 +101,13 @@ def staircase_pattern(n_rows: int, n_cols: int, n_groups: int,
         if g + 1 < n_groups:
             windows.append(col_groups[g + 1])
         density = base_density * thinning ** g
-        for rows in [row_groups[g]]:
-            for cols in windows:
-                keep = rng.random((len(rows), len(cols))) < density
-                treatment[np.ix_(rows, cols)] |= keep.astype(np.int8)
+        rows = row_groups[g]
+        for cols in windows:
+            keep = rng.random((len(rows), len(cols))) < density
+            treatment[np.ix_(rows, cols)] |= keep.astype(np.int8)
         # connectivity spine, kept regardless of thinning
         for cols in windows:
-            treatment[row_groups[g], cols[0]] = 1
-            treatment[row_groups[g][0], cols] = 1
+            treatment[rows, cols[0]] = 1
+            treatment[rows[0], cols] = 1
     observed = np.ones((n_rows, n_cols), dtype=np.int8)
     return observed, treatment

@@ -174,12 +174,9 @@ def run_experiment(config: SimConfig) -> SimResult:
     mse, reference, identifiable = run(config, realized, trial_rngs)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(identifiable, mse / reference, np.nan)
-    finite = ratio[np.isfinite(ratio)]
-    if finite.size:
-        counts, edges = np.histogram(finite, bins=config.histogram_bins)
-    else:
-        counts, edges = np.histogram([], bins=config.histogram_bins,
-                                     range=(0.0, 1.0))
+    # with no finite ratio, numpy spans the bins over [0, 1]
+    counts, edges = np.histogram(ratio[np.isfinite(ratio)],
+                                 bins=config.histogram_bins)
     elapsed = time.perf_counter() - started
     runtime = {"seconds": elapsed,
                "trials_per_second": config.trials / elapsed if elapsed else None}

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -10,7 +12,9 @@ import pytest
 
 import flowcomplete
 from flowcomplete import PanelData, maxflow
-from flowcomplete.cli import main
+from flowcomplete.cli import main, sim_config_from_mapping
+from flowcomplete.io_utils import read_config_file
+from flowcomplete.sim import SimConfig
 from helpers import cells, chain_mask, did_loop_grid
 
 
@@ -19,11 +23,28 @@ def _write(path, text):
     return str(path)
 
 
+def _write_grid(path, values, holes, fill):
+    """CSV grid of ``values`` with the text ``fill`` at ``holes``."""
+    text = [[fill if hole else repr(float(v)) for v, hole in zip(*row)]
+            for row in zip(values, holes)]
+    return _write(path, "".join(",".join(row) + "\n" for row in text))
+
+
 def test_help_and_version(capsys):
     assert main(["--help"]) == 0
     assert main(["--version"]) == 0
     out = capsys.readouterr().out
     assert "flowcomplete" in out and "numpy" in out
+
+
+def test_every_subcommand_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    names = re.search(r"\{([a-z0-9,-]+)\}", capsys.readouterr().out)[1].split(",")
+    assert {"estimate-additive", "estimate-rank1", "resistance", "paths",
+            "panel", "simulate", "generate-pattern"} <= set(names)
+    for name in names:
+        assert main([name, "--help"]) == 0
+        assert f"usage: flowcomplete {name}" in capsys.readouterr().out
 
 
 def test_cli_import_loads_neither_scipy_nor_numpy_ma():
@@ -130,6 +151,52 @@ def test_zero_sigma_bounds_raise_no_runtime_warning(tmp_path, capsys):
     assert panel["high_prob_bound"] == [[0.0 if k else None for k in row]
                                         for row in known]
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["estimate-additive", "estimate-rank1"])
+def test_estimates_ignore_values_at_unobserved_cells(tmp_path, command):
+    # the estimators read data only at observed cells; nothing scrubs the rest
+    rng = np.random.default_rng(5)
+    holes = rng.random((7, 6)) < 0.4
+    holes[-1] = True  # an unobserved row: its entries are unidentifiable
+    rows, cols = np.nonzero(~holes)
+    mask = _write(tmp_path / "mask.csv", "row,col\n" + "".join(
+        f"{i + 1},{j + 1}\n" for i, j in zip(rows, cols)))
+    values = np.exp(rng.normal(size=holes.shape))  # positive, as for rank-1
+    written = []
+    for n, fill in enumerate(["0", "", "nan", "inf", "-inf", "1e308"]):
+        data = _write_grid(tmp_path / f"data{n}.csv", values, holes, fill)
+        out = tmp_path / f"report{n}.json"
+        assert main([command, "--data", data, "--mask", mask, "--sigma", "0.1",
+                     "--delta", "0.05", "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert all(report == written[0] for report in written)
+    assert b"null" in written[0] and b"true" in written[0]
+
+
+def test_panel_ignores_values_at_unobserved_cells(tmp_path):
+    # outcomes and treatment are read only where --observed is 1
+    rng = np.random.default_rng(6)
+    holes = rng.random((8, 8)) < 0.2
+    outcomes = rng.normal(size=holes.shape)
+    treatment = np.zeros(holes.shape)
+    treatment[:4, 4:] = treatment[4:, 6:] = 1
+    observed = _write_grid(tmp_path / "o.csv", ~holes, holes, "0")
+    written = []
+    for n, (y_fill, x_fill) in enumerate([("0", "0"), ("", "1e10"),
+                                          ("nan", "257"), ("inf", "-1"),
+                                          ("-1e300", "0.5")]):
+        out = tmp_path / f"panel{n}.json"
+        assert main(["panel", "--outcomes",
+                     _write_grid(tmp_path / f"y{n}.csv", outcomes, holes, y_fill),
+                     "--treatment",
+                     _write_grid(tmp_path / f"x{n}.csv", treatment, holes, x_fill),
+                     "--observed", observed, "--did", "--sigma", "0.1",
+                     "--delta", "0.05", "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert all(report == written[0] for report in written)
+    did = json.loads(written[0])["did"]
+    assert any(v is not None for row in did for v in row)
 
 
 def test_estimate_additive_requires_mask_source(tmp_path, capsys):
@@ -411,6 +478,45 @@ def test_simulate_rejects_unknown_key(tmp_path, capsys):
     assert main(["simulate", "--config", config,
                  "--out-dir", str(tmp_path / "out")]) == 1
     assert "what" in capsys.readouterr().err
+
+
+def test_simulate_config_sets_every_sim_config_field(tmp_path, capsys):
+    want = SimConfig(pattern="uniform_bernoulli", model="rank1", n_rows=6,
+                     n_cols=7, noise_sigma=0.25, trials=2, seed=9, groups=3,
+                     bernoulli_p=0.6, block_rows=2, block_cols=3,
+                     base_density=0.75, thinning=0.4, target_row=2,
+                     target_col=4, histogram_bins=5)
+    values = dataclasses.asdict(want)
+    assert None not in values.values()  # the file sets every field
+    values["target_row"] += 1  # targets are 1-based in the file
+    values["target_col"] += 1
+    config = _write(tmp_path / "sim.cfg",
+                    "".join(f"{key} = {value}\n" for key, value in values.items()))
+    got = sim_config_from_mapping(read_config_file(config))
+    assert got == want
+    for key, value in dataclasses.asdict(got).items():
+        assert type(value) is type(getattr(want, key)), key
+    assert main(["simulate", "--config", config,
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    metadata = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    assert metadata["config"] == dataclasses.asdict(want)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("what = 3", "unknown configuration key 'what'"),
+    ("trials = 2.5", "'2.5'"),
+    ("bernoulli_p = often", "'often'"),
+])
+def test_simulate_rejects_badly_typed_or_unknown_keys(tmp_path, capsys, line,
+                                                       message):
+    config = _write(tmp_path / "sim.cfg",
+                    "pattern = uniform_bernoulli\nmodel = additive\n"
+                    "n_rows = 5\nn_cols = 5\nbernoulli_p = 0.5\n"
+                    "noise_sigma = 0.1\ntrials = 2\nseed = 0\n" + line + "\n")
+    assert main(["simulate", "--config", config,
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_rejects_nan_sigma(tmp_path, capsys):

@@ -6,6 +6,8 @@ from flowcomplete import (
     InvalidPathError,
     ObservationMask,
     connected_components,
+    path_alpha_beta,
+    path_estimate_additive,
     validate_path,
     vec_omega,
 )
@@ -161,6 +163,23 @@ def test_validate_path_rejects_bad_paths():
         validate_path((0, 1, 1, 1), PATH_MASK)  # revisits column 1
     with pytest.raises(InvalidPathError):
         validate_path((0, 5), PATH_MASK)  # out of bounds
+
+
+def test_validate_path_takes_integer_indices_only():
+    # a float index used to pass here, then fail later with a bare IndexError
+    data = np.ones((3, 3))
+    for path in ((0, 1.7), (0, 1.0), (0.0, 1), (0, 1, 1, 2, 2, "0")):
+        with pytest.raises(InvalidPathError, match="non-integer index"):
+            validate_path(path, PATH_MASK)
+        with pytest.raises(InvalidPathError, match="non-integer index"):
+            path_alpha_beta(path, data, PATH_MASK)
+        with pytest.raises(InvalidPathError, match="non-integer index"):
+            path_estimate_additive(path, data, PATH_MASK)
+    # numpy integers are integers
+    for dtype in (np.intp, np.int32, np.uint8):
+        indices = np.array([0, 1, 1, 2, 2, 0], dtype=dtype)
+        validate_path(indices, PATH_MASK)
+        validate_path(tuple(indices), PATH_MASK)
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), m=st.integers(1, 8))

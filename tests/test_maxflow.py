@@ -70,6 +70,15 @@ def test_path_set_validates_its_paths_against_its_mask():
                 mask=ObservationMask.from_pairs(4, 4, [(0, 1), (1, 0)]))
 
 
+def test_path_set_rejects_non_integer_indices():
+    # used to build, leaving rank1_entry to fail with a TypeError
+    mask = dense_submatrix_mask(4, 4, block_rows=3, block_cols=3)
+    with pytest.raises(InvalidPathError, match="non-integer index"):
+        PathSet(((0, 1.0),), 0, 1, mask)
+    path_set = PathSet(((np.intp(0), np.int32(1)),), 0, 1, mask)
+    assert path_set.k == 1 and path_set.max_len == 1
+
+
 def test_path_set_rejects_paths_that_share_an_edge():
     # two copies of one path would claim k = 2 where the min cut is 3
     mask = extreme_sparsity_mask(4)

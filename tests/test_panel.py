@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -368,6 +370,31 @@ def test_panel_rejects_non_binary_grids():
     # treatment at an unobserved cell is never read
     PanelData(outcomes=outcomes, treatment=treatment,
               observed=np.array([[1, 0], [1, 1]]))
+
+
+@pytest.mark.parametrize("value, dtype", [(np.nan, float), (1e10, float),
+                                          (257, float), (257, int),
+                                          (-1, float), (-1, int)])
+def test_treatment_at_unobserved_cells_is_ignored_and_stored_as_zero(value, dtype):
+    # an int8 cast of the whole grid used to warn (NaN, 1e10) or wrap
+    # (257 to 1) at unobserved cells
+    observed, treatment = staggered_exposure_pattern(8, 4)
+    observed[2, 5] = observed[6, 1] = 0  # one treated cell, one control cell
+    outcomes = np.random.default_rng(3).normal(size=observed.shape)
+    want = PanelData(outcomes=outcomes, treatment=treatment, observed=observed)
+    noisy = treatment.astype(dtype)
+    noisy[2, 5] = noisy[6, 1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = PanelData(outcomes=outcomes, treatment=noisy, observed=observed)
+        got_report, got_did = estimate_effects(got, 0.1, 0.05), did_grid(got)
+    assert got.treatment.dtype == np.int8
+    assert got.treatment.tobytes() == want.treatment.tobytes()
+    assert got_did.tobytes() == did_grid(want).tobytes()
+    want_report = estimate_effects(want, 0.1, 0.05)
+    for field in dataclasses.fields(want_report):
+        assert (getattr(got_report, field.name).tobytes()
+                == getattr(want_report, field.name).tobytes()), field.name
 
 
 def test_panel_validation():
