@@ -246,12 +246,11 @@ def _cmd_paths(args) -> int:
 
 
 def _cmd_panel(args) -> int:
-    # ``PanelData`` reads outcomes and treatment only at observed cells
+    # ``PanelData`` reads outcomes and treatment only at observed cells and
+    # names the first observed cell where one of them is empty
     outcomes = read_grid_csv(args.outcomes)
     treatment = read_grid_csv(args.treatment)
     observed = read_grid_csv(args.observed) if args.observed else None
-    if np.isnan(treatment).any():
-        raise _UsageError("treatment grid must not contain empty cells")
     if observed is not None and np.isnan(observed).any():
         raise _UsageError("observed grid must not contain empty cells")
     panel = PanelData(outcomes=outcomes, treatment=treatment, observed=observed)
@@ -301,7 +300,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_generate_pattern(args) -> int:
-    cols = args.cols or args.rows
+    cols = args.rows if args.cols is None else args.cols
     config = SimConfig(pattern=args.pattern,
                        model="panel" if args.pattern in _PANEL_PATTERNS
                        else "additive",

@@ -16,6 +16,7 @@ and column indices at even positions (0-based internally).
 from __future__ import annotations
 
 import operator
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -23,6 +24,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidPathError
+
+_PLAN_CHUNK = 64  # path sets checked per numpy pass, as sim._TRIAL_CHUNK
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +123,7 @@ class ObservationMask:
     @cached_property
     def grid(self) -> np.ndarray:
         """Read-only boolean ``n_rows x n_cols`` grid of the pattern, built on
-        first use; also the observed-cell lookup of :func:`validate_path`."""
+        first use; also the observed-cell lookup of the path check."""
         grid = np.zeros((self.n_rows, self.n_cols), dtype=bool)
         grid[self.rows, self.cols] = True
         grid.setflags(write=False)
@@ -219,28 +222,107 @@ def validate_path(path: Sequence[int], mask: ObservationMask) -> None:
     ``path`` is an index sequence ``(x_1, ..., x_{l+1})`` with row indices at
     odd positions and column indices at even positions (so it always starts
     at a row vertex and, having even length, ends at a column vertex).
-    Raises :class:`InvalidPathError` on any violation.
+    Raises :class:`InvalidPathError` on any violation, by the check of a set
+    of this one path that joins its own ends.
     """
-    if len(path) < 2 or len(path) % 2 != 0:
-        raise InvalidPathError(
-            "path must alternate row, col, ... with an odd number of edges")
-    try:
-        row_positions = list(map(operator.index, path[0::2]))
-        col_positions = list(map(operator.index, path[1::2]))
-    except TypeError as exc:
-        raise InvalidPathError(f"path {path} has a non-integer index") from exc
-    for i in row_positions:
-        if not 0 <= i < mask.n_rows:
-            raise InvalidPathError(f"row index {i} out of bounds")
-    for j in col_positions:
-        if not 0 <= j < mask.n_cols:
-            raise InvalidPathError(f"column index {j} out of bounds")
-    if len(set(row_positions)) != len(row_positions):
-        raise InvalidPathError("path revisits a row vertex")
-    if len(set(col_positions)) != len(col_positions):
-        raise InvalidPathError("path revisits a column vertex")
-    grid = mask.grid
-    for s in range(len(path) - 1):
-        i, j = row_positions[(s + 1) // 2], col_positions[s // 2]
-        if not grid[i, j]:
-            raise InvalidPathError(f"path uses unobserved entry {(i, j)}")
+    _path_set_cells(mask, (path,))
+
+
+def _path_set_cells(mask: ObservationMask, paths, entry=None) -> tuple:
+    """:func:`_path_cells` of one set of index sequences joining ``entry`` (by
+    default the ends of its only path).  A path with an index that is not an
+    integer is rejected first: ``array`` takes no float, where numpy would
+    truncate it."""
+    vertices = array("i")
+    for path in paths:
+        try:
+            vertices.extend(path)
+        except TypeError:
+            raise InvalidPathError(f"path {path} has a non-integer index") from None
+        except OverflowError:  # beyond ``intc``, so beyond any pattern
+            raise InvalidPathError(f"path {path} has an index out of bounds") from None
+    entry = array("q", entry or vertices[:1] + vertices[-1:] or (0, 0))  # ints
+    lengths = np.array([len(path) for path in paths], dtype=np.intc)
+    sets = np.array([[*entry, len(paths), max(lengths, default=1) - 1]],
+                    dtype=np.int64)
+    return _path_cells(mask, sets, lengths, np.frombuffer(vertices, dtype=np.intc))
+
+
+def _path_cells(mask: ObservationMask, sets: np.ndarray, lengths: np.ndarray,
+                vertices: np.ndarray) -> tuple:
+    """Gather plan of path sets, checked ``_PLAN_CHUNK`` sets at a time.
+
+    ``sets`` holds a ``(source, sink, path count, longest path)`` row per set,
+    ``lengths`` each path's vertex count and ``vertices`` the joined index
+    sequences (``intc``).  The plan holds per set its flat entry, path count
+    and longest path; per path its forward cell count; and the flat cells
+    pairing each row of the joined vertices with the next column (forward)
+    and the previous one (backward).  Paths have even vertex counts, so each
+    path's run starts at half its first place (a pair across two paths is
+    never read).
+    """
+    path_at = np.concatenate([[0], np.cumsum(sets[:, 2])])  # each set's first
+    vertex_at = np.concatenate([[0], np.cumsum(lengths)])  # each path's first
+    for start in range(0, len(sets), _PLAN_CHUNK):
+        first, end = path_at[start], path_at[min(start + _PLAN_CHUNK, len(sets))]
+        _check_paths(mask, sets[start:start + _PLAN_CHUNK], lengths[first:end],
+                     vertices[vertex_at[first]:vertex_at[end]])
+    m = mask.n_cols
+    forward, backward = vertices[0::2] * m, vertices[2::2] * m
+    forward += vertices[1::2]
+    backward += vertices[1:-1:2]
+    return (sets[:, 0] * m + sets[:, 1], sets[:, 2], sets[:, 3], lengths // 2,
+            forward, backward)
+
+
+def _check_paths(mask: ObservationMask, sets: np.ndarray, lengths: np.ndarray,
+                 vertices: np.ndarray) -> None:
+    """Check path sets, laid out as for :func:`_path_cells`, in one numpy pass.
+
+    :class:`InvalidPathError` names the first path that fails, and the first
+    check it fails of: an even length of at least 2, indices within bounds,
+    no vertex repeated, every cell observed, ends at its set's entry, and no
+    cell shared with an earlier path of its set.
+    """
+    n, m = mask.n_rows, mask.n_cols
+    sources, sinks, counts = sets[:, :3].T
+    starts = np.cumsum(lengths) - lengths
+    set_of = np.repeat(np.arange(len(counts)), counts)
+
+    def fail(p: int, reason: str):
+        path = tuple(vertices[starts[p]:starts[p] + lengths[p]].tolist())
+        raise InvalidPathError(f"path {path} {reason}")
+
+    short = np.flatnonzero((lengths < 2) | (lengths % 2 == 1))
+    if short.size:  # the paths before it first: the pairs below need them even
+        q = short[0]
+        head = sets[:set_of[q] + 1].copy()
+        head[-1, 2] = q - counts[:set_of[q]].sum()  # its set's paths before it
+        _check_paths(mask, head, lengths[:q], vertices[:starts[q]])
+        fail(q, "must alternate row, col, ... with an odd number of edges")
+    path_of = np.repeat(np.arange(len(lengths)), lengths)
+    pairs = vertices.reshape(-1, 2)  # (row, column) of each forward cell
+    outside = ((pairs < 0) | (pairs >= (n, m))).ravel()
+    # an index outside fails its path first; 0 keeps the lookups below in range
+    inside = np.where(outside, 0, vertices.astype(np.intp))
+    visits = np.sort(path_of * (n + m) + (inside.reshape(-1, 2) + (0, n)).ravel())
+    within = path_of[1:-1:2] == path_of[2::2]  # backward pairs on one path
+    cells = np.concatenate([inside[0::2] * m + inside[1::2],
+                            (inside[2::2] * m + inside[1:-1:2])[within]])
+    owners = np.concatenate([path_of[0::2], path_of[1:-1:2][within]])
+    uses = set_of[owners] * (n * m) + cells  # (set, cell) keys
+    order = np.lexsort((owners, uses))  # each cell's earliest path first
+    flags = np.zeros((5, len(lengths)), dtype=bool)
+    flags[0, path_of[outside]] = True
+    flags[1, visits[1:][np.diff(visits) == 0] // (n + m)] = True
+    flags[2, owners[~mask.grid.ravel()[cells]]] = True
+    flags[3] = ((vertices[starts] != sources[set_of])
+                | (vertices[starts + lengths - 1] != sinks[set_of]))
+    flags[4, owners[order[1:][np.diff(uses[order]) == 0]]] = True
+    failing = np.flatnonzero(flags.any(axis=0))
+    if failing.size:
+        p, s = failing[0], set_of[failing[0]]
+        fail(p, ("has an index out of bounds", "revisits a vertex",
+                 "uses an unobserved entry",
+                 f"does not join entry {(int(sources[s]), int(sinks[s]))}",
+                 "shares an edge with another")[np.argmax(flags[:, p])])

@@ -10,22 +10,25 @@ of the final residual graph reaches form the minimum cut's side.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .errors import InvalidPathError
-from .graph import ObservationMask, validate_path
+from .graph import ObservationMask, _path_cells, _path_set_cells
 
 
 @dataclass(frozen=True)
 class PathSet:
     """Maximal collection of edge-disjoint ``u_source -> v_sink`` paths.
 
-    ``paths`` holds alternating index sequences (row, col, row, ...), each
-    checked against ``mask``, the endpoints and the edges of earlier paths
-    when the set is built; ``k`` equals the minimum edge cut separating the
-    pair (Menger); ``max_len`` is the largest edge count of a path (0 if none).
+    ``paths`` holds alternating index sequences (row, col, row, ...), checked
+    against ``mask``, the endpoints and each other once, when the set is built,
+    by the one path check of :func:`~flowcomplete.graph._path_cells`, whose
+    gather plan the set keeps for :func:`~flowcomplete.rank1.rank1_entry`;
+    ``k`` equals the minimum edge cut separating the pair (Menger);
+    ``max_len`` is the largest edge count of a path (0 if none).
     """
 
     paths: tuple
@@ -34,16 +37,8 @@ class PathSet:
     mask: ObservationMask
 
     def __post_init__(self) -> None:
-        used: set = set()  # (row, col) cells: the edges of earlier paths
-        for path in self.paths:
-            validate_path(path, self.mask)
-            if (path[0], path[-1]) != (self.source, self.sink):
-                raise InvalidPathError(
-                    f"path {path} does not join entry {(self.source, self.sink)}")
-            edges = {*zip(path[0::2], path[1::2]), *zip(path[2::2], path[1::2])}
-            if not used.isdisjoint(edges):
-                raise InvalidPathError(f"path {path} shares an edge with another")
-            used |= edges
+        object.__setattr__(self, "_cells", _path_set_cells(
+            self.mask, self.paths, (self.source, self.sink)))
 
     @property
     def k(self) -> int:
@@ -143,6 +138,22 @@ def _path_set(mask: ObservationMask, net: list, value: int, i: int, j: int) -> P
     paths = tuple(tuple(v - mask.n_rows * (s % 2) for s, v in enumerate(w))
                   for w in walks)
     return PathSet(paths=paths, source=i, sink=j, mask=mask)
+
+
+def _flow_plan(mask: ObservationMask, entries) -> tuple:
+    """:func:`~flowcomplete.graph._path_cells` plan of the max-flow paths of
+    ``entries``, built straight from the walks."""
+    sets, lengths, vertices = array("q"), array("i"), array("i")  # no objects
+    for i, j in entries:
+        net, value = _unit_max_flow(mask, i, j)
+        walks = _walk_paths(mask, net, i, mask.n_rows + j, value)
+        sets.extend((i, j, value, max(map(len, walks), default=1) - 1))
+        lengths.extend(map(len, walks))
+        vertices.extend(chain.from_iterable(walks))
+    vertices = np.frombuffer(vertices, dtype=np.intc)
+    vertices[1::2] -= mask.n_rows  # global vertex ids -> column indices
+    return _path_cells(mask, np.frombuffer(sets, dtype=np.int64).reshape(-1, 4),
+                       np.frombuffer(lengths, dtype=np.intc), vertices)
 
 
 def _cut(mask: ObservationMask, net: list, value: int, i: int) -> CutCertificate:

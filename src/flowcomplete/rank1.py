@@ -11,16 +11,14 @@ away from zero with high probability once enough paths are available.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .errors import DegenerateDenominatorError, DisconnectedPairError, NoPathError
 from .graph import (ObservationMask, check_noise, checked_vec_omega,
                     validate_path, vec_omega)
-from .maxflow import PathSet, max_disjoint_paths, min_cut
+from .maxflow import PathSet, _flow_plan, min_cut
 
 DENOMINATOR_FLOOR = 1e-12
 
@@ -94,32 +92,11 @@ def path_alpha_beta(path, data, mask: ObservationMask) -> PathStatistics:
     return PathStatistics(alpha=alpha, beta=beta, length=len(path) - 1)
 
 
-def _path_cells(path_sets, shape: tuple) -> tuple:
-    """Gather plan of path sets (read one at a time) on a grid of ``shape``:
-    per set its flat entry, path count and longest path; per path its forward
-    cell count; and the flat cells pairing each row of the joined vertices
-    with the next column (forward) and the previous one (backward).  Paths
-    have even vertex counts, so each path's run starts at half its first place
-    (a pair across two paths is never read)."""
-    per_set, lengths, vertices = array("q"), array("i"), array("i")  # no objects
-    for path_set in path_sets:
-        per_set.extend((path_set.source * shape[1] + path_set.sink, path_set.k,
-                        path_set.max_len))
-        lengths.extend(map(len, path_set.paths))
-        vertices.extend(chain.from_iterable(path_set.paths))
-    vertices = np.frombuffer(vertices, dtype=np.intc)
-    forward, backward = vertices[0::2] * shape[1], vertices[2::2] * shape[1]
-    forward += vertices[1::2]
-    backward += vertices[1:-1:2]
-    return (*np.frombuffer(per_set, dtype=np.int64).reshape(-1, 3).T,
-            np.frombuffer(lengths, dtype=np.intc) // 2, forward, backward)
-
-
 def _estimates(arr: np.ndarray, cells) -> tuple[np.ndarray, np.ndarray]:
-    """Ratio estimates (``nan`` where degenerate) and mean denominators at a
-    :func:`_path_cells` plan's entries, ``nan`` elsewhere: bit for bit the
-    scalar loop over :func:`_path_products` (products and sums in path order,
-    ``beta ** 2`` as libm's ``pow``)."""
+    """Ratio estimates (``nan`` where degenerate) and mean denominators at
+    the entries of a gather plan (:func:`~flowcomplete.graph._path_cells`),
+    ``nan`` elsewhere: bit for bit the scalar loop over :func:`_path_products`
+    (products and sums in path order, ``beta ** 2`` as libm's ``pow``)."""
     entries, counts, _, halves, forward, backward = cells
     values, first = arr.ravel(), np.cumsum(halves) - halves  # paths' first cells
     alpha, beta = np.ones((2, len(halves)))
@@ -159,7 +136,7 @@ def rank1_entry(path_set: PathSet, data) -> float:
         raise NoPathError(f"no connecting path for entry {entry}")
     arr = np.asarray(data, dtype=float)
     checked_vec_omega(path_set.mask, arr)
-    estimates, denominators = _estimates(arr, _path_cells([path_set], arr.shape))
+    estimates, denominators = _estimates(arr, path_set._cells)
     if math.isnan(estimates[entry]):
         reason = ("path products overflow" if denominators[entry] >= DENOMINATOR_FLOOR
                   else f"denominator {denominators[entry]:.3e} below {DENOMINATOR_FLOOR}")
@@ -177,8 +154,7 @@ def rank1_full(mask: ObservationMask, data) -> Rank1Report:
     """
     arr = np.asarray(data, dtype=float)
     checked_vec_omega(mask, arr)
-    cells = _path_cells((max_disjoint_paths(mask, i, j)
-                         for i, j in np.ndindex(arr.shape)), arr.shape)
+    cells = _flow_plan(mask, np.ndindex(arr.shape))
     estimates, _ = _estimates(arr, cells)
     path_counts, max_lens = cells[1].reshape(arr.shape), cells[2].reshape(arr.shape)
     return Rank1Report(estimates=estimates, identifiable=path_counts > 0,

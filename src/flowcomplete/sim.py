@@ -23,9 +23,9 @@ from . import patterns
 from .additive import observation_factors
 from .graph import ObservationMask, check_noise
 from .io_utils import write_grid_csv
-from .maxflow import max_disjoint_paths
+from .maxflow import _flow_plan
 from .panel import PanelData, split_masks
-from .rank1 import _estimates, _path_cells
+from .rank1 import _estimates
 from .spectral import build_core
 
 PATTERNS = ("staircase", "staggered_exposure", "uniform_bernoulli",
@@ -243,8 +243,7 @@ def _run_rank1(config, realized, trial_rngs):
     truth = np.ones((config.n_rows, config.n_cols))  # unit factors
     entries = ([config.target] if config.target is not None
                else np.ndindex(truth.shape))
-    cells = _path_cells((max_disjoint_paths(mask, i, j) for i, j in entries),
-                        truth.shape)
+    cells = _flow_plan(mask, entries)
     accum = np.zeros_like(truth)
     counts = np.zeros_like(truth)
     noise = np.empty_like(truth)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+import operator
+from array import array
 from collections import deque
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -15,6 +17,7 @@ from flowcomplete import (
     PanelData,
     PathSet,
     SpectralCore,
+    max_disjoint_paths,
     split_masks,
 )
 from flowcomplete.rank1 import DENOMINATOR_FLOOR, _path_products
@@ -350,3 +353,59 @@ def scalar_ratio(arr: np.ndarray, path_set: PathSet) -> float:
     if not (math.isfinite(estimate) and math.isfinite(denominator)):
         return math.nan
     return estimate
+
+
+def first_bad_path(paths, source: int, sink: int, mask: ObservationMask):
+    """Reference for the path check: the per-path loop that ``PathSet`` ran
+    before paths were checked a set at a time.  Returns ``(index, check)`` of
+    the first failing path, the check named as in its message, or ``None``."""
+    used: set = set()  # (row, col) cells: the edges of earlier paths
+    for index, path in enumerate(paths):
+        if len(path) < 2 or len(path) % 2 != 0:
+            return index, "odd number of edges"
+        try:
+            rows = list(map(operator.index, path[0::2]))
+            cols = list(map(operator.index, path[1::2]))
+        except TypeError:
+            return index, "non-integer index"
+        if not (all(0 <= i < mask.n_rows for i in rows)
+                and all(0 <= j < mask.n_cols for j in cols)):
+            return index, "out of bounds"
+        if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
+            return index, "revisits"
+        edges = {*zip(rows, cols), *zip(rows[1:], cols)}
+        if not all(mask.grid[edge] for edge in edges):
+            return index, "unobserved"
+        if (rows[0], cols[-1]) != (source, sink):
+            return index, "does not join entry"
+        if not used.isdisjoint(edges):
+            return index, "shares an edge"
+        used |= edges
+    return None
+
+
+def tuple_path_cells(path_sets, shape: tuple) -> tuple:
+    """Reference for the gather plan: read from path sets one at a time, each
+    also checked by :func:`first_bad_path`; per set its flat entry, path count
+    and longest path; per path its forward cell count; and the flat forward
+    and backward cells of the joined vertices."""
+    per_set, lengths, vertices = array("q"), array("i"), array("i")
+    for path_set in path_sets:
+        assert first_bad_path(path_set.paths, path_set.source, path_set.sink,
+                              path_set.mask) is None
+        per_set.extend((path_set.source * shape[1] + path_set.sink, path_set.k,
+                        path_set.max_len))
+        lengths.extend(map(len, path_set.paths))
+        vertices.extend(chain.from_iterable(path_set.paths))
+    vertices = np.frombuffer(vertices, dtype=np.intc)
+    forward, backward = vertices[0::2] * shape[1], vertices[2::2] * shape[1]
+    forward += vertices[1::2]
+    backward += vertices[1:-1:2]
+    return (*np.frombuffer(per_set, dtype=np.int64).reshape(-1, 3).T,
+            np.frombuffer(lengths, dtype=np.intc) // 2, forward, backward)
+
+
+def path_set_plan(mask: ObservationMask, entries) -> tuple:
+    """The gather plan of ``entries`` by way of one checked ``PathSet`` each."""
+    return tuple_path_cells((max_disjoint_paths(mask, i, j) for i, j in entries),
+                          (mask.n_rows, mask.n_cols))

@@ -408,6 +408,36 @@ def test_panel_rejects_non_binary_grids(tmp_path, capsys):
     assert not (tmp_path / "panel.json").exists()
 
 
+def test_panel_reads_treatment_only_at_observed_cells(tmp_path, capsys):
+    # an empty treatment cell used to fail even where --observed is 0
+    outcomes = _write(tmp_path / "y.csv", "1,2,3\n4,5,6\n7,8,9\n")
+    observed = _write(tmp_path / "o.csv", "1,1,1\n1,1,1\n1,1,0\n")
+    written = []
+    for n, fill in enumerate(["0", ""]):
+        treatment = _write(tmp_path / f"x{n}.csv", f"0,0,0\n0,1,1\n0,1,{fill}\n")
+        out = tmp_path / f"panel{n}.json"
+        assert main(["panel", "--outcomes", outcomes, "--treatment", treatment,
+                     "--observed", observed, "--did", "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    # without --observed every cell is observed, so the empty cell is read
+    out = tmp_path / "all.json"
+    assert main(["panel", "--outcomes", outcomes, "--treatment", treatment,
+                 "--out", str(out)]) == 1
+    assert "treatment is not binary at observed cell (2, 2)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_pattern_rejects_zero_columns(tmp_path, capsys):
+    # an explicit --cols 0 used to mean "as many as --rows"
+    out_dir = tmp_path / "pattern"
+    assert main(["generate-pattern", "--pattern", "uniform_bernoulli",
+                 "--rows", "4", "--cols", "0", "--p", "0.5",
+                 "--out-dir", str(out_dir)]) == 1
+    assert "dimensions must be positive" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_generate_pattern_round_trip_mask(tmp_path, capsys):
     out_dir = tmp_path / "pattern"
     assert main(["generate-pattern", "--pattern", "extreme_sparsity",

@@ -163,6 +163,9 @@ def test_validate_path_rejects_bad_paths():
         validate_path((0, 1, 1, 1), PATH_MASK)  # revisits column 1
     with pytest.raises(InvalidPathError):
         validate_path((0, 5), PATH_MASK)  # out of bounds
+    for index in (-1, 2**31, -2**63, 2**70):  # also beyond any index type
+        with pytest.raises(InvalidPathError, match="out of bounds"):
+            validate_path((0, 1, index, 0), PATH_MASK)
 
 
 def test_validate_path_takes_integer_indices_only():

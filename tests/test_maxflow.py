@@ -1,8 +1,9 @@
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flowcomplete import (
     InvalidPathError,
@@ -12,7 +13,8 @@ from flowcomplete import (
     min_cut,
     validate_path,
 )
-from flowcomplete.maxflow import _unit_max_flow, _walk_paths, paths_and_cut
+from flowcomplete import graph
+from flowcomplete.maxflow import _flow_plan, _unit_max_flow, _walk_paths, paths_and_cut
 from flowcomplete.patterns import dense_submatrix_mask, extreme_sparsity_mask
 from helpers import (
     brute_force_min_cut,
@@ -20,7 +22,9 @@ from helpers import (
     chain_mask,
     dict_max_disjoint_paths,
     dict_min_cut,
+    first_bad_path,
     is_observed,
+    path_set_plan,
     random_mask,
 )
 
@@ -77,6 +81,11 @@ def test_path_set_rejects_non_integer_indices():
         PathSet(((0, 1.0),), 0, 1, mask)
     path_set = PathSet(((np.intp(0), np.int32(1)),), 0, 1, mask)
     assert path_set.k == 1 and path_set.max_len == 1
+    # nor is a float entry truncated to the ends of a path
+    for paths in ((), ((0, 1),)):
+        with pytest.raises(TypeError):
+            PathSet(paths, 0.5, 1, mask)
+    assert PathSet((), np.int32(1), np.uint8(2), mask).k == 0
 
 
 def test_path_set_rejects_paths_that_share_an_edge():
@@ -93,6 +102,122 @@ def test_path_set_rejects_paths_that_share_an_edge():
                        source=0, sink=0, mask=dense)
     assert path_set.k == 3
     assert max_disjoint_paths(mask, 0, 0).k == brute_force_min_cut(mask, 0, 0) == 3
+
+
+def test_path_set_names_its_first_failing_path():
+    dense = ObservationMask.from_dense(np.ones((4, 4)))
+    # a path can revisit a row along edges that are all distinct
+    with pytest.raises(InvalidPathError, match=r"path \(0, 1, 1, 2, 0, 3\) revisits"):
+        PathSet(paths=((0, 1, 1, 2, 0, 3),), source=0, sink=3, mask=dense)
+    # a later path's earlier check does not hide an earlier path's failure
+    with pytest.raises(InvalidPathError, match=r"path \(0, 1\) does not join"):
+        PathSet(paths=((0, 0), (0, 1), (0, 1, 1)), source=0, sink=0, mask=dense)
+    with pytest.raises(InvalidPathError, match=r"path \(0, 1, 1\) must alternate"):
+        PathSet(paths=((0, 0), (0, 1, 1), (0, 5)), source=0, sink=0, mask=dense)
+    with pytest.raises(InvalidPathError, match=r"path \(1, 0\) does not join"):
+        PathSet(paths=((0, 0), (1, 0), (0, 0, 1)), source=0, sink=0, mask=dense)
+    # an index that is not an integer is found before any other failure
+    with pytest.raises(InvalidPathError, match=r"path \(0, 2.0\) has a non-integer"):
+        PathSet(paths=((0, 1, 1),) * 2 + ((0, 2.0),), source=0, sink=0, mask=dense)
+
+
+def _random_paths(rng, mask, source, sink):
+    """Max-flow paths, or none, among random walks and random index runs."""
+    paths = list(max_disjoint_paths(mask, source, sink).paths
+                 if rng.random() < 0.5 else ())
+    sizes = (mask.n_rows, mask.n_cols)
+    for _ in range(int(rng.integers(0, 3))):
+        length = int(rng.choice([0, 1, 2, 2, 3, 4, 4, 6, 6, 8]))
+        path = [source if rng.random() < 0.9
+                else int(rng.integers(-1, mask.n_rows + 1))]
+        for s in range(1, length):
+            ends = mask.rows == path[-1] if s % 2 else mask.cols == path[-1]
+            options = (mask.cols if s % 2 else mask.rows)[ends]
+            if options.size and rng.random() < 0.8:  # along an observed edge
+                path.append(int(rng.choice(options)))
+            else:
+                path.append(int(rng.integers(-1, sizes[s % 2] + 1)))
+        if length > 1 and rng.random() < 0.7:
+            path[-1] = sink
+        paths.insert(int(rng.integers(len(paths) + 1)), tuple(path))
+    return tuple(paths)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=400, deadline=None)
+def test_path_check_matches_the_per_path_loop(seed):
+    # one numpy pass names the path, and the check, that the loop fails first
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    mask = random_mask(rng, n, m, rng.uniform(0.3, 1.0))
+    source, sink = int(rng.integers(n)), int(rng.integers(m))
+    paths = _random_paths(rng, mask, source, sink)
+    failure = first_bad_path(paths, source, sink, mask)
+    if failure is None:
+        path_set = PathSet(paths, source, sink, mask)
+        assert path_set.k == len(paths)
+        for path in paths:
+            validate_path(path, mask)
+        return
+    index, check = failure
+    with pytest.raises(InvalidPathError) as raised:
+        PathSet(paths, source, sink, mask)
+    assert str(raised.value).startswith(f"path {paths[index]} ")
+    assert check in str(raised.value)
+    if check not in ("does not join entry", "shares an edge"):
+        with pytest.raises(InvalidPathError, match=check):
+            validate_path(paths[index], mask)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+       m=st.integers(1, 12), p=st.floats(0.05, 0.95))
+@example(seed=0, n=8, m=8, p=0.3)  # 64 entries: exactly one chunk of sets
+@example(seed=1, n=5, m=13, p=0.5)  # one set past a chunk
+@example(seed=2, n=12, m=12, p=0.95)
+@settings(max_examples=40, deadline=None)
+def test_flow_plan_matches_the_path_set_route(seed, n, m, p):
+    # built from the walks and checked in chunks: the same arrays and dtypes
+    # as reading checked PathSets one at a time
+    mask = random_mask(np.random.default_rng(seed), n, m, p)
+    entries = list(np.ndindex(n, m))
+    plan, want = _flow_plan(mask, entries), path_set_plan(mask, entries)
+    assert len(plan) == len(want) == 6
+    for got, expected in zip(plan, want):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+    # also for any subset of entries, in any order
+    order = np.random.default_rng(seed).permutation(len(entries))
+    picked = [entries[t] for t in order[:70]]
+    for got, expected in zip(_flow_plan(mask, picked), path_set_plan(mask, picked)):
+        assert np.array_equal(got, expected)
+
+
+def test_path_cells_checks_every_chunk():
+    # 100 path sets span two chunks; a broken path in either one is named
+    mask = random_mask(np.random.default_rng(3), 10, 10, 0.5)
+    path_sets = [max_disjoint_paths(mask, i, j) for i, j in np.ndindex(10, 10)]
+    sets = np.array([(s.source, s.sink, s.k, s.max_len) for s in path_sets])
+    lengths = np.array([len(p) for s in path_sets for p in s.paths], dtype=np.intc)
+    joined = np.array([v for s in path_sets for p in s.paths for v in p], dtype=np.intc)
+    plan = graph._path_cells(mask, sets, lengths, joined)
+    assert all(np.array_equal(a, b) for a, b in zip(plan, path_set_plan(
+        mask, np.ndindex(10, 10))))
+    for entry in (3, 97):
+        path = path_sets[entry].paths[0]
+        broken = joined.copy()
+        broken[sum(map(len, chain.from_iterable(
+            s.paths for s in path_sets[:entry]))) + 1] = -1  # its first column
+        with pytest.raises(InvalidPathError, match=rf"path \({path[0]}, -1, "):
+            graph._path_cells(mask, sets, lengths, broken)
+
+
+def test_flow_plan_of_an_empty_mask():
+    mask = ObservationMask.from_pairs(9, 8, [])
+    entries = list(np.ndindex(9, 8))
+    plan, want = _flow_plan(mask, entries), path_set_plan(mask, entries)
+    for got, expected in zip(plan, want):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    assert not plan[1].any() and not plan[4].size and not plan[5].size
 
 
 def test_disconnected_pair():

@@ -127,11 +127,13 @@ def test_rank1_entry_does_not_revalidate_its_paths(monkeypatch):
     mask = extreme_sparsity_mask(5)
     path_set = max_disjoint_paths(mask, 0, 0)
 
-    def refuse(path, mask):
+    def refuse(*args):
         raise AssertionError("path validated again")
 
-    for module in (graph, maxflow, rank1):
-        monkeypatch.setattr(module, "validate_path", refuse)
+    # every path check, of a set or of one path, is a call of _path_cells
+    for module, name in ((graph, "_path_cells"), (maxflow, "_path_cells"),
+                         (graph, "validate_path"), (rank1, "validate_path")):
+        monkeypatch.setattr(module, name, refuse)
     assert rank1_entry(path_set, np.ones((5, 5))) == 1.0
 
 

@@ -306,13 +306,13 @@ def test_rank1_paths_are_validated_once_per_experiment(monkeypatch):
     import flowcomplete.maxflow as maxflow
 
     calls = []
-    original = maxflow.validate_path
+    original = maxflow._path_cells
 
-    def counting(path, mask):
-        calls.append(path)
-        return original(path, mask)
+    def counting(mask, sets, lengths, vertices):  # one call per chunk of sets
+        calls.append(len(sets))
+        return original(mask, sets, lengths, vertices)
 
-    monkeypatch.setattr(maxflow, "validate_path", counting)
+    monkeypatch.setattr(maxflow, "_path_cells", counting)
     counts = []
     for trials in (1, 7):
         calls.clear()
