@@ -15,6 +15,7 @@ and column indices at even positions (0-based internally).
 
 from __future__ import annotations
 
+import math
 import operator
 from array import array
 from dataclasses import dataclass
@@ -121,13 +122,17 @@ class ObservationMask:
         return len(self.adjacency[vertex])
 
     @cached_property
+    def edge_ids(self) -> np.ndarray:
+        """Read-only ``intc`` grid of each cell's edge index, ``-1`` if unobserved."""
+        ids = np.full((self.n_rows, self.n_cols), -1, dtype=np.intc)
+        ids[self.rows, self.cols] = np.arange(self.n_observed)
+        ids.setflags(write=False)
+        return ids
+
+    @property
     def grid(self) -> np.ndarray:
-        """Read-only boolean ``n_rows x n_cols`` grid of the pattern, built on
-        first use; also the observed-cell lookup of the path check."""
-        grid = np.zeros((self.n_rows, self.n_cols), dtype=bool)
-        grid[self.rows, self.cols] = True
-        grid.setflags(write=False)
-        return grid
+        """Boolean ``n_rows x n_cols`` grid of the pattern (a new array)."""
+        return self.edge_ids >= 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,10 +213,10 @@ def checked_vec_omega(mask: ObservationMask, data) -> np.ndarray:
 
 
 def check_noise(sigma: float | None, delta: float | None) -> None:
-    """Reject a given noise ``sigma`` that is negative or NaN and a given
-    confidence ``delta`` outside (0, 1)."""
-    if sigma is not None and not sigma >= 0:
-        raise ValueError("sigma must be non-negative")
+    """Reject a given noise ``sigma`` that is negative, infinite or NaN and a
+    given confidence ``delta`` outside (0, 1)."""
+    if sigma is not None and not 0 <= sigma < math.inf:
+        raise ValueError("sigma must be non-negative and finite")
     if delta is not None and not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
 
@@ -255,11 +260,11 @@ def _path_cells(mask: ObservationMask, sets: np.ndarray, lengths: np.ndarray,
     ``sets`` holds a ``(source, sink, path count, longest path)`` row per set,
     ``lengths`` each path's vertex count and ``vertices`` the joined index
     sequences (``intc``).  The plan holds per set its flat entry, path count
-    and longest path; per path its forward cell count; and the flat cells
-    pairing each row of the joined vertices with the next column (forward)
-    and the previous one (backward).  Paths have even vertex counts, so each
-    path's run starts at half its first place (a pair across two paths is
-    never read).
+    and longest path; per path its forward edge count; and the edge ids
+    (:attr:`ObservationMask.edge_ids`) pairing each row of the joined
+    vertices with the next column (forward) and the previous one (backward).
+    Paths have even vertex counts, so each path's run starts at half its
+    first place (a pair across two paths is never read).
     """
     path_at = np.concatenate([[0], np.cumsum(sets[:, 2])])  # each set's first
     vertex_at = np.concatenate([[0], np.cumsum(lengths)])  # each path's first
@@ -267,12 +272,10 @@ def _path_cells(mask: ObservationMask, sets: np.ndarray, lengths: np.ndarray,
         first, end = path_at[start], path_at[min(start + _PLAN_CHUNK, len(sets))]
         _check_paths(mask, sets[start:start + _PLAN_CHUNK], lengths[first:end],
                      vertices[vertex_at[first]:vertex_at[end]])
-    m = mask.n_cols
-    forward, backward = vertices[0::2] * m, vertices[2::2] * m
-    forward += vertices[1::2]
-    backward += vertices[1:-1:2]
-    return (sets[:, 0] * m + sets[:, 1], sets[:, 2], sets[:, 3], lengths // 2,
-            forward, backward)
+    ids = mask.edge_ids
+    return (sets[:, 0] * mask.n_cols + sets[:, 1], sets[:, 2], sets[:, 3],
+            lengths // 2, ids[vertices[0::2], vertices[1::2]],
+            ids[vertices[2::2], vertices[1:-1:2]])
 
 
 def _check_paths(mask: ObservationMask, sets: np.ndarray, lengths: np.ndarray,
@@ -315,7 +318,7 @@ def _check_paths(mask: ObservationMask, sets: np.ndarray, lengths: np.ndarray,
     flags = np.zeros((5, len(lengths)), dtype=bool)
     flags[0, path_of[outside]] = True
     flags[1, visits[1:][np.diff(visits) == 0] // (n + m)] = True
-    flags[2, owners[~mask.grid.ravel()[cells]]] = True
+    flags[2, owners[mask.edge_ids.ravel()[cells] < 0]] = True
     flags[3] = ((vertices[starts] != sources[set_of])
                 | (vertices[starts + lengths - 1] != sinks[set_of]))
     flags[4, owners[order[1:][np.diff(uses[order]) == 0]]] = True

@@ -26,7 +26,8 @@ def read_mask_csv(path, n_rows: int | None = None,
     """Read a ``row,col`` mask file; returns (mask, duplicate count).
 
     Dimensions default to the largest index seen; pass ``n_rows``/``n_cols``
-    to pad with trailing unobserved rows or columns.
+    to pad with trailing unobserved rows or columns.  An entry beyond a given
+    positive dimension is named by its line and 1-based indices.
     """
     pairs: list[tuple[int, int]] = []
     with open(path, newline="") as handle:
@@ -43,6 +44,10 @@ def read_mask_csv(path, n_rows: int | None = None,
                 raise ValueError(f"{path}:{line_no}: malformed mask row") from exc
             if row < 1 or col < 1:
                 raise ValueError(f"{path}:{line_no}: indices are 1-based")
+            for index, size, name in ((row, n_rows, "rows"), (col, n_cols, "columns")):
+                if size is not None and 0 < size < index:
+                    raise ValueError(f"{path}:{line_no}: entry ({row}, {col}) "
+                                     f"out of bounds for {size} {name}")
             pairs.append((row - 1, col - 1))
     if not pairs and (n_rows is None or n_cols is None):
         raise ValueError(f"{path}: empty mask needs explicit dimensions")

@@ -19,6 +19,12 @@ import numpy as np
 from .graph import ObservationMask, _path_cells, _path_set_cells
 
 
+def _check_entry(mask: ObservationMask, i: int, j: int) -> None:
+    if not (0 <= i < mask.n_rows and 0 <= j < mask.n_cols):
+        raise ValueError(f"entry {(i, j)} outside the "
+                         f"{mask.n_rows}x{mask.n_cols} pattern")
+
+
 @dataclass(frozen=True)
 class PathSet:
     """Maximal collection of edge-disjoint ``u_source -> v_sink`` paths.
@@ -27,6 +33,7 @@ class PathSet:
     against ``mask``, the endpoints and each other once, when the set is built,
     by the one path check of :func:`~flowcomplete.graph._path_cells`, whose
     gather plan the set keeps for :func:`~flowcomplete.rank1.rank1_entry`;
+    an entry outside the pattern is a ``ValueError``, with or without paths;
     ``k`` equals the minimum edge cut separating the pair (Menger);
     ``max_len`` is the largest edge count of a path (0 if none).
     """
@@ -37,6 +44,7 @@ class PathSet:
     mask: ObservationMask
 
     def __post_init__(self) -> None:
+        _check_entry(self.mask, self.source, self.sink)
         object.__setattr__(self, "_cells", _path_set_cells(
             self.mask, self.paths, (self.source, self.sink)))
 
@@ -90,9 +98,7 @@ def _unit_max_flow(mask: ObservationMask, i: int, j: int):
     flow, since the search neither re-enters the source nor leaves the sink.
     The value cannot pass ``min(deg u_i, deg v_j)``, so the flow stops there
     without the search that must fail; only a cut needs what it reaches."""
-    if not (0 <= i < mask.n_rows and 0 <= j < mask.n_cols):
-        raise ValueError(f"entry {(i, j)} outside the "
-                         f"{mask.n_rows}x{mask.n_cols} pattern")
+    _check_entry(mask, i, j)
     adjacency, to_sink = mask.adjacency, dict(mask.adjacency[mask.n_rows + j])
     net, value = [0] * mask.n_observed, 0
     while value < min(mask.degree(i), mask.degree(mask.n_rows + j)):

@@ -92,19 +92,20 @@ def path_alpha_beta(path, data, mask: ObservationMask) -> PathStatistics:
     return PathStatistics(alpha=alpha, beta=beta, length=len(path) - 1)
 
 
-def _estimates(arr: np.ndarray, cells) -> tuple[np.ndarray, np.ndarray]:
-    """Ratio estimates (``nan`` where degenerate) and mean denominators at
-    the entries of a gather plan (:func:`~flowcomplete.graph._path_cells`),
-    ``nan`` elsewhere: bit for bit the scalar loop over :func:`_path_products`
-    (products and sums in path order, ``beta ** 2`` as libm's ``pow``)."""
-    entries, counts, _, halves, forward, backward = cells
-    values, first = arr.ravel(), np.cumsum(halves) - halves  # paths' first cells
+def _estimates(observations: np.ndarray, plan) -> tuple[np.ndarray, np.ndarray]:
+    """Ratio estimates (``nan`` where degenerate) and mean denominators of
+    the path sets of a gather plan (:func:`~flowcomplete.graph._path_cells`),
+    one per set, from the observations in edge order: bit for bit the scalar
+    loop over :func:`_path_products` (products and sums in path order,
+    ``beta ** 2`` as libm's ``pow``)."""
+    _, counts, _, halves, forward, backward = plan
+    first = np.cumsum(halves) - halves  # each path's first edge in its run
     alpha, beta = np.ones((2, len(halves)))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for products, run, sizes in ((alpha, forward, halves), (beta, backward, halves - 1)):
             for position in range(sizes.max(initial=0)):
                 live = np.flatnonzero(sizes > position)
-                products[live] *= values[run[first[live] + position]]
+                products[live] *= observations[run[first[live] + position]]
         alpha *= beta  # each path's numerator term
         np.float_power(beta, 2, out=beta)
         numerator, denominator = np.zeros((2, len(counts)))
@@ -117,9 +118,7 @@ def _estimates(arr: np.ndarray, cells) -> tuple[np.ndarray, np.ndarray]:
         quotient = numerator / counts / denominator
     degenerate = ~(np.isfinite(quotient) & (denominator >= DENOMINATOR_FLOOR)
                    & np.isfinite(denominator))
-    grids = np.full((2, arr.size), np.nan)  # estimates, denominators
-    grids[:, entries] = np.where(degenerate, np.nan, quotient), denominator
-    return tuple(grids.reshape(2, *arr.shape))
+    return np.where(degenerate, np.nan, quotient), denominator
 
 
 def rank1_entry(path_set: PathSet, data) -> float:
@@ -134,14 +133,13 @@ def rank1_entry(path_set: PathSet, data) -> float:
     entry = (path_set.source, path_set.sink)
     if path_set.k == 0:
         raise NoPathError(f"no connecting path for entry {entry}")
-    arr = np.asarray(data, dtype=float)
-    checked_vec_omega(path_set.mask, arr)
-    estimates, denominators = _estimates(arr, path_set._cells)
-    if math.isnan(estimates[entry]):
-        reason = ("path products overflow" if denominators[entry] >= DENOMINATOR_FLOOR
-                  else f"denominator {denominators[entry]:.3e} below {DENOMINATOR_FLOOR}")
+    observations = checked_vec_omega(path_set.mask, data)
+    (estimate,), (denominator,) = _estimates(observations, path_set._cells)
+    if math.isnan(estimate):
+        reason = ("path products overflow" if denominator >= DENOMINATOR_FLOOR
+                  else f"denominator {denominator:.3e} below {DENOMINATOR_FLOOR}")
         raise DegenerateDenominatorError(f"{reason} for entry {entry}")
-    return float(estimates[entry])
+    return float(estimate)
 
 
 def rank1_full(mask: ObservationMask, data) -> Rank1Report:
@@ -152,11 +150,11 @@ def rank1_full(mask: ObservationMask, data) -> Rank1Report:
     unobserved cells are ignored.  Path sets are computed independently per
     entry from the same graph.
     """
-    arr = np.asarray(data, dtype=float)
-    checked_vec_omega(mask, arr)
-    cells = _flow_plan(mask, np.ndindex(arr.shape))
-    estimates, _ = _estimates(arr, cells)
-    path_counts, max_lens = cells[1].reshape(arr.shape), cells[2].reshape(arr.shape)
+    observations = checked_vec_omega(mask, data)
+    shape = (mask.n_rows, mask.n_cols)
+    plan = _flow_plan(mask, np.ndindex(shape))  # row-major: set s is entry s
+    estimates, path_counts, max_lens = (per_set.reshape(shape) for per_set in (
+        _estimates(observations, plan)[0], plan[1], plan[2]))
     return Rank1Report(estimates=estimates, identifiable=path_counts > 0,
                        path_counts=path_counts, max_lens=max_lens,
                        degenerate=(path_counts > 0) & np.isnan(estimates))

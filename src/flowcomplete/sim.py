@@ -7,8 +7,8 @@ their errors are computed from the noise alone, many trials per matrix
 product; the rank-1 estimator runs per trial on unit factors plus noise.
 The per-entry mean squared error is compared against the effective
 resistance (or the control+treatment sum for panels): their ratio should
-concentrate at the noise variance.  A seed fully determines the experiment;
-trials draw from spawned substreams so results are reproducible.
+concentrate at the noise variance.  A seed fully determines the experiment:
+the pattern and each trial draw from their own spawned child of it.
 """
 
 from __future__ import annotations
@@ -111,18 +111,15 @@ class SimResult:
     runtime_stats: dict = field(repr=False, default_factory=dict)
 
 
-def _substreams(config: SimConfig):
-    # child 1 is unused (errors do not depend on latent effects); it stays
-    # spawned so that trial t keeps child t + 2
-    children = np.random.SeedSequence(config.seed).spawn(2 + config.trials)
-    pattern_rng = np.random.default_rng(children[0])
-    trial_rngs = [np.random.default_rng(c) for c in children[2:]]
-    return pattern_rng, trial_rngs
+def _child_rng(config: SimConfig, child: int) -> np.random.Generator:
+    # child 0 draws the pattern, t + 2 trial t; 1 (latent effects) is unused
+    return np.random.default_rng(
+        np.random.SeedSequence(config.seed, spawn_key=(child,)))
 
 
 def generate_pattern(config: SimConfig) -> GeneratedPattern:
     """Realize the configured pattern (deterministic given the seed)."""
-    pattern_rng, _ = _substreams(config)
+    pattern_rng = _child_rng(config, 0)
     meta: dict = {"pattern": config.pattern}
     treatment = None
     if config.pattern == "extreme_sparsity":
@@ -130,8 +127,10 @@ def generate_pattern(config: SimConfig) -> GeneratedPattern:
             raise ValueError("extreme_sparsity is a square pattern")
         mask = patterns.extreme_sparsity_mask(config.n_rows)
     elif config.pattern == "dense_submatrix":
-        block_rows = config.block_rows or max(1, config.n_rows - 1)
-        block_cols = config.block_cols or max(1, config.n_cols - 1)
+        block_rows, block_cols = (
+            max(1, size - 1) if block is None else block
+            for block, size in ((config.block_rows, config.n_rows),
+                                (config.block_cols, config.n_cols)))
         mask = patterns.dense_submatrix_mask(
             config.n_rows, config.n_cols, block_rows, block_cols)
         meta.update(block_rows=block_rows, block_cols=block_cols)
@@ -167,11 +166,10 @@ def generate_pattern(config: SimConfig) -> GeneratedPattern:
 def run_experiment(config: SimConfig) -> SimResult:
     """Run the configured Monte-Carlo experiment."""
     started = time.perf_counter()
-    _, trial_rngs = _substreams(config)
     realized = generate_pattern(config)
     run = {"additive": _run_additive, "panel": _run_panel,
            "rank1": _run_rank1}[config.model]
-    mse, reference, identifiable = run(config, realized, trial_rngs)
+    mse, reference, identifiable = run(config, realized)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(identifiable, mse / reference, np.nan)
     # with no finite ratio, numpy spans the bins over [0, 1]
@@ -187,47 +185,53 @@ def run_experiment(config: SimConfig) -> SimResult:
                      runtime_stats=runtime)
 
 
-def _run_additive(config, realized, trial_rngs):
-    return _run_linear(config, trial_rngs, [(build_core(realized.mask), 1.0)])
+def _observed_noise(config, masks):
+    """Every model's trial noise, ``_TRIAL_CHUNK`` trials at a time: for each
+    mask a ``(observed cells, trials)`` array gathered from each trial's full
+    standard-normal grid, drawn by a generator made only when its trial comes
+    (times sigma, bit for bit ``rng.normal(0, sigma, shape)``)."""
+    grid = np.empty((config.n_rows, config.n_cols))
+    for start in range(0, config.trials, _TRIAL_CHUNK):
+        size = min(_TRIAL_CHUNK, config.trials - start)
+        chunk = [np.empty((mask.n_observed, size)) for mask in masks]
+        for t in range(size):
+            _child_rng(config, start + t + 2).standard_normal(out=grid)
+            for mask, values in zip(masks, chunk):
+                values[:, t] = grid[mask.rows, mask.cols]
+        yield chunk
 
 
-def _run_panel(config, realized, trial_rngs):
+def _run_additive(config, realized):
+    return _run_linear(config, [(build_core(realized.mask), 1.0)])
+
+
+def _run_panel(config, realized):
     base_panel = PanelData(outcomes=np.zeros((config.n_rows, config.n_cols)),
                            treatment=realized.treatment,
                            observed=realized.mask.grid.astype(np.int8))
     control_mask, treated_mask = split_masks(base_panel)
     # the effect estimate is the treated fit minus the control fit
     arms = [(build_core(control_mask), -1.0), (build_core(treated_mask), 1.0)]
-    return _run_linear(config, trial_rngs, arms)
+    return _run_linear(config, arms)
 
 
-def _run_linear(config, trial_rngs, arms):
+def _run_linear(config, arms):
     """Per-entry mean squared error of a signed sum of additive estimators.
 
     ``arms`` pairs each :class:`SpectralCore` with its sign; the reference
     is the sum of the arms' resistances.  The estimators are linear and exact
     on additive matrices, so on identifiable entries a trial's error is the
-    estimate from its noise alone: ``da[i] + db[j]``.  Noise is drawn per
-    trial as a full standard-normal grid; the observed cells of
-    ``_TRIAL_CHUNK`` trials are scaled by sigma (bit for bit the values of
-    ``rng.normal(0, sigma, shape)``) and solved together, and the squared
-    errors summed as ``sum da[i]^2 + sum db[j]^2 + 2 (da db^T)[i, j]``.
+    estimate from its noise alone: ``da[i] + db[j]``.  Each chunk of
+    :func:`_observed_noise` is scaled by sigma and solved at once, and the
+    squared errors summed as ``sum da[i]^2 + sum db[j]^2 + 2 (da db^T)[i, j]``.
     """
     reference = sum(core.resistances for core, _ in arms)
     identifiable = np.isfinite(reference)
-    shape = (config.n_rows, config.n_cols)
-    row_squares, col_squares = np.zeros(shape[0]), np.zeros(shape[1])
-    cross, noise = np.zeros(shape), np.empty(shape)
-    for start in range(0, config.trials, _TRIAL_CHUNK):
-        rngs = trial_rngs[start:start + _TRIAL_CHUNK]
-        observed = [np.empty((core.mask.n_observed, len(rngs)))
-                    for core, _ in arms]
-        for t, rng in enumerate(rngs):
-            rng.standard_normal(out=noise)
-            for (core, _), values in zip(arms, observed):
-                values[:, t] = noise[core.mask.rows, core.mask.cols]
+    row_squares, col_squares = np.zeros(config.n_rows), np.zeros(config.n_cols)
+    cross = np.zeros((config.n_rows, config.n_cols))
+    for chunk in _observed_noise(config, [core.mask for core, _ in arms]):
         da, db = 0.0, 0.0
-        for (core, sign), values in zip(arms, observed):
+        for (core, sign), values in zip(arms, chunk):
             a_hat, b_hat = observation_factors(core, config.noise_sigma * values)
             da, db = da + sign * a_hat, db + sign * b_hat
         row_squares += np.sum(da ** 2, axis=1)
@@ -238,27 +242,24 @@ def _run_linear(config, trial_rngs, arms):
     return mse, reference, identifiable
 
 
-def _run_rank1(config, realized, trial_rngs):
-    mask = realized.mask
-    truth = np.ones((config.n_rows, config.n_cols))  # unit factors
-    entries = ([config.target] if config.target is not None
-               else np.ndindex(truth.shape))
-    cells = _flow_plan(mask, entries)
-    accum = np.zeros_like(truth)
-    counts = np.zeros_like(truth)
-    noise = np.empty_like(truth)
-    for rng in trial_rngs:  # the stream of rng.normal(0, sigma), bit for bit
-        data = truth + config.noise_sigma * rng.standard_normal(out=noise)
-        errors = _estimates(data, cells)[0] - truth
-        usable = ~np.isnan(errors)
-        # float_power rounds as the scalar ``error ** 2`` does
-        accum[usable] += np.float_power(errors[usable], 2)
-        counts += usable
-    identifiable = np.zeros(truth.shape, dtype=bool)
-    identifiable.flat[cells[0]] = cells[1] > 0
+def _run_rank1(config, realized):
+    """Ratio errors on unit factors plus noise, a trial at a time."""
+    shape = (config.n_rows, config.n_cols)
+    entries = [config.target] if config.target is not None else np.ndindex(shape)
+    plan = _flow_plan(realized.mask, entries)
+    accum, counts = np.zeros((2, len(plan[0])))
+    for (values,) in _observed_noise(config, [realized.mask]):
+        for noise in values.T:
+            errors = _estimates(1.0 + config.noise_sigma * noise, plan)[0] - 1.0
+            usable = ~np.isnan(errors)
+            # float_power rounds as the scalar ``error ** 2`` does
+            accum[usable] += np.float_power(errors[usable], 2)
+            counts += usable
+    mse, identifiable = np.full(shape, np.nan), np.zeros(shape, dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore"):
-        mse = np.where(counts > 0, accum / counts, np.nan)
-    return mse, build_core(mask).resistances, identifiable
+        mse.flat[plan[0]] = np.where(counts > 0, accum / counts, np.nan)
+    identifiable.flat[plan[0]] = plan[1] > 0
+    return mse, build_core(realized.mask).resistances, identifiable
 
 
 def export_result(result: SimResult, out_dir) -> list[Path]:

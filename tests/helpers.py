@@ -384,28 +384,31 @@ def first_bad_path(paths, source: int, sink: int, mask: ObservationMask):
     return None
 
 
-def tuple_path_cells(path_sets, shape: tuple) -> tuple:
+def tuple_path_cells(path_sets, mask: ObservationMask) -> tuple:
     """Reference for the gather plan: read from path sets one at a time, each
     also checked by :func:`first_bad_path`; per set its flat entry, path count
-    and longest path; per path its forward cell count; and the flat forward
-    and backward cells of the joined vertices."""
+    and longest path; per path its forward edge count; and the edge ids (by
+    a cell dictionary, -1 off the pattern) of the forward and backward pairs
+    of the joined vertices."""
     per_set, lengths, vertices = array("q"), array("i"), array("i")
     for path_set in path_sets:
         assert first_bad_path(path_set.paths, path_set.source, path_set.sink,
                               path_set.mask) is None
-        per_set.extend((path_set.source * shape[1] + path_set.sink, path_set.k,
-                        path_set.max_len))
+        per_set.extend((path_set.source * mask.n_cols + path_set.sink,
+                        path_set.k, path_set.max_len))
         lengths.extend(map(len, path_set.paths))
         vertices.extend(chain.from_iterable(path_set.paths))
-    vertices = np.frombuffer(vertices, dtype=np.intc)
-    forward, backward = vertices[0::2] * shape[1], vertices[2::2] * shape[1]
-    forward += vertices[1::2]
-    backward += vertices[1:-1:2]
+    edge_of = {cell: e for e, cell in enumerate(zip(mask.rows.tolist(),
+                                                    mask.cols.tolist()))}
+    rows, cols = vertices[0::2].tolist(), vertices[1::2].tolist()
+    forward, backward = ([edge_of.get(cell, -1) for cell in pairs]
+                         for pairs in (zip(rows, cols), zip(rows[1:], cols)))
     return (*np.frombuffer(per_set, dtype=np.int64).reshape(-1, 3).T,
-            np.frombuffer(lengths, dtype=np.intc) // 2, forward, backward)
+            np.frombuffer(lengths, dtype=np.intc) // 2,
+            np.array(forward, dtype=np.intc), np.array(backward, dtype=np.intc))
 
 
 def path_set_plan(mask: ObservationMask, entries) -> tuple:
     """The gather plan of ``entries`` by way of one checked ``PathSet`` each."""
     return tuple_path_cells((max_disjoint_paths(mask, i, j) for i, j in entries),
-                          (mask.n_rows, mask.n_cols))
+                            mask)

@@ -438,6 +438,34 @@ def test_generate_pattern_rejects_zero_columns(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("key", ["block_rows", "block_cols"])
+def test_zero_block_dimensions_are_rejected(tmp_path, capsys, key):
+    # an explicit 0 used to fall back to the default block of n - 1
+    out_dir = tmp_path / "pattern"
+    assert main(["generate-pattern", "--pattern", "dense_submatrix", "--rows", "5",
+                 "--" + key.replace("_", "-"), "0", "--out-dir", str(out_dir)]) == 1
+    assert "block dimensions must be positive" in capsys.readouterr().err
+    config = _write(tmp_path / "sim.cfg",
+                    "pattern = dense_submatrix\nmodel = additive\nn_rows = 5\n"
+                    f"n_cols = 5\nnoise_sigma = 0.1\ntrials = 2\nseed = 0\n{key} = 0\n")
+    assert main(["simulate", "--config", config, "--out-dir", str(out_dir)]) == 1
+    assert "block dimensions must be positive" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_mask_entry_beyond_given_dimensions_is_named_1_based(tmp_path, capsys):
+    # it used to be reported 0-based, as "observed entry (4, 1) out of bounds"
+    mask = _write(tmp_path / "mask.csv", "row,col\n1,1\n2,2\n5,2\n")
+    data = _write(tmp_path / "data.csv", "1,2\n3,4\n")
+    assert main(["paths", "--mask", mask, "--rows", "3", "--pair", "1,1"]) == 1
+    assert "mask.csv:4: entry (5, 2) out of bounds for 3 rows" in capsys.readouterr().err
+    out = tmp_path / "r.json"
+    assert main(["estimate-rank1", "--data", data, "--mask", mask,
+                 "--out", str(out)]) == 1
+    assert "mask.csv:4: entry (5, 2) out of bounds for 2 rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_pattern_round_trip_mask(tmp_path, capsys):
     out_dir = tmp_path / "pattern"
     assert main(["generate-pattern", "--pattern", "extreme_sparsity",

@@ -66,6 +66,21 @@ def test_mask_requires_header_and_one_based_indices(tmp_path):
         read_mask_csv(zero_based)
 
 
+def test_mask_entry_beyond_given_dimensions_names_its_line(tmp_path):
+    path = tmp_path / "mask.csv"
+    path.write_text("row,col\n1,1\n\n5,3\n")
+    with pytest.raises(ValueError, match=r"mask\.csv:4: entry \(5, 3\) "
+                                         r"out of bounds for 4 rows$"):
+        read_mask_csv(path, n_rows=4)
+    with pytest.raises(ValueError, match=r":4: entry \(5, 3\) out of bounds "
+                                         r"for 2 columns$"):
+        read_mask_csv(path, n_rows=6, n_cols=2)
+    # within the given dimensions, or with none given, the entry is read
+    for dims in ({"n_rows": 5, "n_cols": 3}, {"n_cols": 4}, {}):
+        mask, _ = read_mask_csv(path, **dims)
+        assert (mask.rows.tolist(), mask.cols.tolist()) == ([0, 4], [0, 2])
+
+
 def test_grid_round_trip(tmp_path):
     grid = np.array([[1.5, math.nan], [math.inf, -2.25]])
     path = tmp_path / "grid.csv"

@@ -74,6 +74,20 @@ def test_path_set_validates_its_paths_against_its_mask():
                 mask=ObservationMask.from_pairs(4, 4, [(0, 1), (1, 0)]))
 
 
+def test_path_set_rejects_an_entry_outside_its_mask():
+    # an empty set used to build with a plan entry of 36 (or -4), leaving
+    # rank1_entry to raise NoPathError
+    mask = extreme_sparsity_mask(4)
+    paths = max_disjoint_paths(mask, 0, 0).paths
+    for source, sink in ((9, 0), (-1, 0), (0, 4), (0, -1)):
+        message = rf"entry \({source}, {sink}\) outside the 4x4 pattern"
+        for given_paths in ((), paths):
+            with pytest.raises(ValueError, match=message):
+                PathSet(paths=given_paths, source=source, sink=sink, mask=mask)
+        with pytest.raises(ValueError, match=message):
+            max_disjoint_paths(mask, source, sink)
+
+
 def test_path_set_rejects_non_integer_indices():
     # used to build, leaving rank1_entry to fail with a TypeError
     mask = dense_submatrix_mask(4, 4, block_rows=3, block_cols=3)

@@ -312,14 +312,21 @@ def test_rank1_full_dense_submatrix_certificates():
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_rank1_path_counts_commute_with_permutations(seed):
+    # a row permutation reorders the edge ids, so noiseless rank-1 estimates
+    # that move with the entries show each path gathers its own cells
     rng = np.random.default_rng(seed)
     n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
     mask = random_mask(rng, n, m, 0.4)
-    data = rng.uniform(0.5, 1.5, size=(n, m))
+    data = np.outer(rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, m))
     p, q = rng.permutation(n), rng.permutation(m)
-    base = rank1_full(mask, data).path_counts
-    moved = rank1_full(permuted(mask, p, q), data[np.ix_(p, q)]).path_counts
-    assert np.array_equal(moved, base[np.ix_(p, q)])
+    base = rank1_full(mask, data)
+    moved = rank1_full(permuted(mask, p, q), data[np.ix_(p, q)])
+    assert np.array_equal(moved.path_counts, base.path_counts[np.ix_(p, q)])
+    assert np.array_equal(np.isnan(moved.estimates), ~moved.identifiable)
+    assert np.allclose(moved.estimates, base.estimates[np.ix_(p, q)],
+                       rtol=1e-12, atol=0.0, equal_nan=True)
+    assert np.allclose(base.estimates[base.identifiable],
+                       data[base.identifiable], rtol=1e-12, atol=0.0)
 
 
 def test_error_bound_formula():
@@ -340,7 +347,7 @@ def test_error_bound_formula():
     assert rank1_error_bound(1, 199, 0.05, 1e8, 100, 100, 0.05) == np.inf
 
 
-@pytest.mark.parametrize("sigma", [-0.1, math.nan])
+@pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf])
 def test_error_bound_rejects_bad_sigma(sigma):
     with pytest.raises(ValueError, match="sigma must be non-negative"):
         rank1_error_bound(8, 3, sigma, 1.0, 10, 10, 0.05)

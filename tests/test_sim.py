@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -75,6 +77,17 @@ def test_generate_pattern_deterministic():
     assert first.metadata == second.metadata
 
 
+def test_dense_submatrix_rejects_zero_block_dimensions():
+    # an explicit 0 used to fall back to the default block of n - 1
+    for blocks in ({"block_rows": 0}, {"block_cols": 0}):
+        config = SimConfig(pattern="dense_submatrix", model="additive",
+                           n_rows=5, n_cols=5, noise_sigma=0.1, trials=1,
+                           seed=0, **blocks)
+        for run in (generate_pattern, run_experiment):
+            with pytest.raises(ValueError, match="block dimensions must be positive"):
+                run(config)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(pattern="staircase", model="additive", n_rows=4, n_cols=4,
@@ -88,9 +101,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(pattern="extreme_sparsity", model="additive", n_rows=4,
                   n_cols=4, noise_sigma=0.1, trials=0, seed=0)
-    with pytest.raises(ValueError, match="sigma must be non-negative"):
-        SimConfig(pattern="extreme_sparsity", model="rank1", n_rows=4,
-                  n_cols=4, noise_sigma=np.nan, trials=1, seed=0)
+    for sigma in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma must be non-negative and finite"):
+            SimConfig(pattern="extreme_sparsity", model="rank1", n_rows=4,
+                      n_cols=4, noise_sigma=sigma, trials=1, seed=0)
     for bins in (0, -1):
         with pytest.raises(ValueError, match="histogram_bins must be at least 1"):
             SimConfig(pattern="uniform_bernoulli", model="additive", n_rows=4,
@@ -300,6 +314,22 @@ def test_rank1_target_mode():
     assert np.isfinite(result.per_entry_mse[0, 0])
     assert result.per_entry_mse[0, 0] < 0.01  # K = 8 short paths, tiny noise
     assert np.isnan(result.per_entry_mse[1, 1])  # not computed in target mode
+
+
+def test_rank1_target_mode_reads_the_full_run_at_its_entry():
+    # one entry's errors are scattered back to that entry, and the trials
+    # see the same noise as a run over every entry
+    config = SimConfig(pattern="uniform_bernoulli", model="rank1", n_rows=7,
+                       n_cols=6, noise_sigma=0.3, trials=70, seed=17,
+                       bernoulli_p=0.4)
+    full = run_experiment(config)
+    for target in ((4, 2), (6, 5)):
+        assert full.identifiable[target]
+        one = run_experiment(dataclasses.replace(
+            config, target_row=target[0], target_col=target[1]))
+        assert np.array_equal(np.argwhere(one.identifiable), [target])
+        assert np.array_equal(np.argwhere(np.isfinite(one.per_entry_mse)), [target])
+        assert one.per_entry_mse[target] == full.per_entry_mse[target]
 
 
 def test_rank1_paths_are_validated_once_per_experiment(monkeypatch):
