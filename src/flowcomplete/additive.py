@@ -149,12 +149,12 @@ def efe_full(core: SpectralCore, data, sigma: float | None = None,
     resist = core.resistances
     identifiable = np.isfinite(resist)
     variance = high_prob = None
-    with np.errstate(invalid="ignore"):  # sigma = 0 at R = inf: nan, not 0
+    with np.errstate(over="ignore", invalid="ignore"):  # inf; nan at 0 * inf
         if sigma is not None:
-            variance = sigma ** 2 * resist
+            variance = np.float_power(sigma, 2) * resist
             if delta is not None:
-                n, m = core.mask.n_rows, core.mask.n_cols
-                high_prob = 2.0 * sigma ** 2 * resist * math.log(2 * n * m / delta)
+                log_term = math.log(2 * core.mask.n_rows * core.mask.n_cols / delta)
+                high_prob = 2.0 * np.float_power(sigma, 2) * resist * log_term
     return EstimateReport(
         estimates=np.where(identifiable, a_hat[:, None] + b_hat[None, :], np.nan),
         effective_resistances=resist, identifiable=identifiable,
@@ -215,4 +215,5 @@ def estimate_noise_variance(core: SpectralCore, data) -> float:
                              - core.components.component_count)
     if dof <= 0:
         raise ValueError("no residual degrees of freedom on this pattern")
-    return float(np.sum(residuals ** 2) / dof)
+    with np.errstate(over="ignore"):  # an overflowing sum of squares is inf
+        return float(np.sum(residuals ** 2) / dof)

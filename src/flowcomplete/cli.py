@@ -208,10 +208,10 @@ def _cmd_estimate_rank1(args) -> int:
         finite = report.estimates[np.isfinite(report.estimates)]
         m_inf = float(np.max(np.abs(finite))) if finite.size else 0.0
         bounds = np.full(report.estimates.shape, np.nan)
-        for i, j in zip(*np.nonzero(report.path_counts)):
-            bounds[i, j] = rank1_error_bound(
-                int(report.path_counts[i, j]), int(report.max_lens[i, j]),
-                args.sigma, m_inf, mask.n_rows, mask.n_cols, args.delta)
+        known = report.identifiable
+        bounds[known] = rank1_error_bound(
+            report.path_counts[known], report.max_lens[known], args.sigma,
+            m_inf, mask.n_rows, mask.n_cols, args.delta)
         payload["error_bound"] = bounds  # NaN where unidentifiable
         payload["error_bound_m_inf"] = m_inf
     return _report(args.out, payload, report.identifiable)

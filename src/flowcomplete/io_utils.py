@@ -4,8 +4,8 @@ Indices in files are 1-based (matching the usual matrix notation); they are
 shifted to the 0-based internal convention on read.  Matrix grids are plain
 comma-separated values where an empty cell or ``NaN`` means unobserved.
 Numeric text output uses 17 significant digits so values round-trip.
-JSON report grids are streamed from their arrays row by row, a non-finite
-cell as ``null``, in the unchanged format of ``json.dump(indent=2)``.
+A JSON report is a flat dict whose grids are streamed row by row, a
+non-finite cell as ``null``, in the format of ``json.dump(indent=2)``.
 """
 
 from __future__ import annotations
@@ -78,16 +78,11 @@ def read_grid_csv(path) -> np.ndarray:
             values = []
             for field in fields:
                 text = field.strip()
-                if not text or text.lower() == "nan":
-                    values.append(math.nan)
-                elif text.lower() in ("inf", "+inf", "infinity"):
-                    values.append(math.inf)
-                else:
-                    try:
-                        values.append(float(text))
-                    except ValueError as exc:
-                        raise ValueError(
-                            f"{path}:{line_no}: bad cell {text!r}") from exc
+                try:  # float() reads nan and inf in any case, signed too
+                    values.append(float(text) if text else math.nan)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{path}:{line_no}: bad cell {text!r}") from exc
             rows.append(values)
     if not rows:
         raise ValueError(f"{path}: empty grid")
@@ -121,49 +116,32 @@ def write_resistance_csv(handle, resistances: np.ndarray) -> None:
         start += len(block)
 
 
-def _write_indented(write, value, level: int = 0) -> None:
-    """``json.dump(value, indent=2)`` as a stream of writes; each innermost
-    list or array row goes through the C encoder at once."""
-    if isinstance(value, np.ndarray) and value.ndim > 1:
-        value = list(value)  # its rows, each written as below
-    elif isinstance(value, np.ndarray):  # tolist(), None at non-finite cells
-        value, nonfinite = value.tolist(), np.flatnonzero(~np.isfinite(value))
-        for k in nonfinite.tolist():
-            value[k] = None
-    pad = "\n" + "  " * level
-    if isinstance(value, dict) and value:
-        # '{"key": 0}'[1:-2] is '"key": ', the key as json converts it
-        items = [(json.dumps({key: 0})[1:-2], item) for key, item in value.items()]
-    elif isinstance(value, (list, tuple)) and value:
-        if not isinstance(value[0], (list, tuple, dict, np.ndarray)):
-            body = json.dumps(value)[1:-1]
-            if not any(mark in body for mark in '"[{'):  # no string, no nesting
-                write("[" + pad + "  " + body.replace(", ", "," + pad + "  ") + pad + "]")
-                return
-        items = [("", item) for item in value]
-    else:
-        write(json.dumps(value))
-        return
-    opener, closer = "{}" if isinstance(value, dict) else "[]"
-    for n, (prefix, item) in enumerate(items):
-        write(("," if n else opener) + pad + "  " + prefix)
-        _write_indented(write, item, level + 1)
-    write(pad + closer)
-
-
 def open_output(path):
     """The text file at ``path`` opened for writing, or stdout without a path."""
     return open(path, "w") if path else nullcontext(sys.stdout)
 
 
-def write_json(path, payload) -> None:
-    """The bytes of ``json.dump(payload, handle, indent=2)`` and a newline,
-    written to :func:`open_output` row by row without building the document
-    in memory.  An array stands for its nested lists, with ``null`` at
-    non-finite float cells."""
+def write_json(path, report: dict) -> None:
+    """The bytes of ``json.dump(report, handle, indent=2)`` and a newline,
+    written to :func:`open_output` a row at a time.  A report is a flat dict
+    of JSON scalars, ``None`` and grids: 2-D arrays, or lists of integer
+    rows.  Each row's ``tolist()``, ``None`` at non-finite cells, goes
+    through the C encoder at once."""
     with open_output(path) as handle:
-        _write_indented(handle.write, payload)
-        handle.write("\n")
+        for n, (key, value) in enumerate(report.items()):
+            handle.write(("," if n else "{") + f"\n  {json.dumps(key)}: ")
+            if not isinstance(value, (list, np.ndarray)):
+                handle.write(json.dumps(value))
+                continue
+            for r, row in enumerate(map(np.asarray, value)):
+                cells = row.tolist()
+                for k in np.flatnonzero(~np.isfinite(row)).tolist():
+                    cells[k] = None
+                body = json.dumps(cells)[1:-1].replace(", ", ",\n      ")
+                handle.write(("," if r else "[") + (
+                    f"\n    [\n      {body}\n    ]" if body else "\n    []"))
+            handle.write("\n  ]" if len(value) else "[]")
+        handle.write("\n}\n" if report else "{}\n")
 
 
 def read_config_file(path) -> dict[str, str]:

@@ -130,9 +130,9 @@ def estimate_effects(panel: PanelData, sigma: float | None = None,
     resistance_sum = control.effective_resistances + treated.effective_resistances
     high_prob = None
     if sigma is not None and delta is not None:
-        cells = panel.n_units * panel.n_periods
-        with np.errstate(invalid="ignore"):  # sigma = 0 at R = inf: nan
-            high_prob = 2.0 * sigma ** 2 * resistance_sum * math.log(cells / delta)
+        log_term = math.log(panel.n_units * panel.n_periods / delta)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in efe_full
+            high_prob = 2.0 * np.float_power(sigma, 2) * resistance_sum * log_term
     return CausalReport(beta_hat=treated.estimates - control.estimates,
                         control_estimates=control.estimates,
                         treatment_estimates=treated.estimates,

@@ -160,24 +160,26 @@ def rank1_full(mask: ObservationMask, data) -> Rank1Report:
                        degenerate=(path_counts > 0) & np.isnan(estimates))
 
 
-def rank1_error_bound(k: int, max_len: int, sigma: float, m_inf: float,
+def rank1_error_bound(k, max_len, sigma: float, m_inf: float,
                       n_rows: int, n_cols: int, delta: float,
-                      constant: float = 1.0) -> float:
+                      constant: float = 1.0):
     """High-probability error bound for the multi-path ratio estimate.
 
     Evaluates ``C * sigma**L * (1 + m_inf**L) * sqrt(2**L *
     log(nm/delta)**(L+1) / K)``; the leading constant is caller-supplied.
-    A bound beyond the floating-point range is returned as ``inf``.
+    ``k`` and ``max_len`` may be arrays of one shape, one bound per entry;
+    a bound beyond the double range is ``inf`` (``nan`` at ``0 * inf``).
     """
-    if k < 1:
+    if np.any(k < 1):
         raise ValueError("k must be at least 1")
     check_noise(sigma, delta)
     log_term = math.log(n_rows * n_cols / delta)
-    try:
-        return float(constant * sigma ** max_len * (1.0 + m_inf ** max_len)
-                     * math.sqrt(2.0 ** max_len * log_term ** (max_len + 1) / k))
-    except OverflowError:  # a float power beyond the double range
-        return math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = (constant * np.float_power(sigma, max_len)
+                 * (1.0 + np.float_power(m_inf, max_len))
+                 * np.sqrt(np.float_power(2.0, max_len)
+                           * np.float_power(log_term, max_len + 1) / k))
+    return bound if bound.ndim else float(bound)
 
 
 def hard_instance_rank1(mask: ObservationMask, i: int, j: int,

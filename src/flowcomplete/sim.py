@@ -13,8 +13,7 @@ the pattern and each trial draw from their own spawned child of it.
 
 from __future__ import annotations
 
-import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -108,7 +107,6 @@ class SimResult:
     histogram_counts: np.ndarray
     config: SimConfig
     metadata: dict
-    runtime_stats: dict = field(repr=False, default_factory=dict)
 
 
 def _child_rng(config: SimConfig, child: int) -> np.random.Generator:
@@ -165,7 +163,6 @@ def generate_pattern(config: SimConfig) -> GeneratedPattern:
 
 def run_experiment(config: SimConfig) -> SimResult:
     """Run the configured Monte-Carlo experiment."""
-    started = time.perf_counter()
     realized = generate_pattern(config)
     run = {"additive": _run_additive, "panel": _run_panel,
            "rank1": _run_rank1}[config.model]
@@ -175,14 +172,10 @@ def run_experiment(config: SimConfig) -> SimResult:
     # with no finite ratio, numpy spans the bins over [0, 1]
     counts, edges = np.histogram(ratio[np.isfinite(ratio)],
                                  bins=config.histogram_bins)
-    elapsed = time.perf_counter() - started
-    runtime = {"seconds": elapsed,
-               "trials_per_second": config.trials / elapsed if elapsed else None}
     return SimResult(per_entry_mse=mse, resistance_reference=reference,
                      ratio=ratio, identifiable=identifiable,
                      histogram_bin_edges=edges, histogram_counts=counts,
-                     config=config, metadata=realized.metadata,
-                     runtime_stats=runtime)
+                     config=config, metadata=realized.metadata)
 
 
 def _observed_noise(config, masks):
@@ -229,15 +222,17 @@ def _run_linear(config, arms):
     identifiable = np.isfinite(reference)
     row_squares, col_squares = np.zeros(config.n_rows), np.zeros(config.n_cols)
     cross = np.zeros((config.n_rows, config.n_cols))
-    for chunk in _observed_noise(config, [core.mask for core, _ in arms]):
-        da, db = 0.0, 0.0
-        for (core, sign), values in zip(arms, chunk):
-            a_hat, b_hat = observation_factors(core, config.noise_sigma * values)
-            da, db = da + sign * a_hat, db + sign * b_hat
-        row_squares += np.sum(da ** 2, axis=1)
-        col_squares += np.sum(db ** 2, axis=1)
-        cross += da @ db.T
-    accum = row_squares[:, None] + col_squares[None, :] + 2.0 * cross
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: inf per entry
+        for chunk in _observed_noise(config, [core.mask for core, _ in arms]):
+            da, db = 0.0, 0.0
+            for (core, sign), values in zip(arms, chunk):
+                a_hat, b_hat = observation_factors(core, config.noise_sigma * values)
+                da, db = da + sign * a_hat, db + sign * b_hat
+            row_squares += np.sum(da ** 2, axis=1)
+            col_squares += np.sum(db ** 2, axis=1)
+            cross += da @ db.T
+        accum = row_squares[:, None] + col_squares[None, :] + 2.0 * cross
+    accum[np.isnan(accum)] = np.inf  # a sum of squares is NaN only by overflow
     mse = np.where(identifiable, accum / config.trials, np.nan)
     return mse, reference, identifiable
 
@@ -248,13 +243,14 @@ def _run_rank1(config, realized):
     entries = [config.target] if config.target is not None else np.ndindex(shape)
     plan = _flow_plan(realized.mask, entries)
     accum, counts = np.zeros((2, len(plan[0])))
-    for (values,) in _observed_noise(config, [realized.mask]):
-        for noise in values.T:
-            errors = _estimates(1.0 + config.noise_sigma * noise, plan)[0] - 1.0
-            usable = ~np.isnan(errors)
-            # float_power rounds as the scalar ``error ** 2`` does
-            accum[usable] += np.float_power(errors[usable], 2)
-            counts += usable
+    with np.errstate(over="ignore"):  # an overflowing squared error is inf
+        for (values,) in _observed_noise(config, [realized.mask]):
+            for noise in values.T:
+                errors = _estimates(1.0 + config.noise_sigma * noise, plan)[0] - 1.0
+                usable = ~np.isnan(errors)
+                # float_power rounds as the scalar ``error ** 2`` does
+                accum[usable] += np.float_power(errors[usable], 2)
+                counts += usable
     mse, identifiable = np.full(shape, np.nan), np.zeros(shape, dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore"):
         mse.flat[plan[0]] = np.where(counts > 0, accum / counts, np.nan)
@@ -267,7 +263,7 @@ def export_result(result: SimResult, out_dir) -> list[Path]:
 
     Heatmaps are full grids with ``inf`` on unidentifiable entries; the
     histogram rows are ``bin_left, bin_right, count``.  Output bytes depend
-    only on the configuration (runtime statistics are not exported).
+    only on the configuration.
     """
     import json
 

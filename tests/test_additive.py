@@ -536,3 +536,11 @@ def test_estimate_noise_variance():
     with pytest.raises(ValueError):
         estimate_noise_variance(build_core(ObservationMask.from_pairs(1, 1, [(0, 0)])),
                                 [[1.0]])
+
+
+def test_estimate_noise_variance_overflow_is_inf():
+    # residuals near 1e200 square beyond the double range: inf, no warning
+    rng = np.random.default_rng(12)
+    mask = random_connected_mask(rng, 6, 6, extra=0.5)
+    data = rng.normal(0.0, 1e200, (6, 6))
+    assert estimate_noise_variance(build_core(mask), data) == math.inf

@@ -1,14 +1,18 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import flowcomplete
 from flowcomplete import PanelData, maxflow
@@ -151,6 +155,62 @@ def test_zero_sigma_bounds_raise_no_runtime_warning(tmp_path, capsys):
     assert panel["high_prob_bound"] == [[0.0 if k else None for k in row]
                                         for row in known]
     assert capsys.readouterr().err == ""
+
+
+def _report_runs(tmp_path):
+    """Each report command on a small pattern with unidentifiable entries,
+    as a function of the noise flags that returns the exit code and JSON."""
+    mask = _write(tmp_path / "mask.csv", "row,col\n1,1\n1,2\n2,1\n3,3\n")
+    data = _write(tmp_path / "data.csv", "1,2,\n3,,\n,,5\n")
+    outcomes = _write(tmp_path / "y.csv", "1,2,3\n4,5,6\n7,8,9\n")
+    treatment = _write(tmp_path / "x.csv", "0,0,0\n0,1,1\n0,0,1\n")
+    observed = _write(tmp_path / "o.csv", "1,1,0\n1,1,1\n0,1,1\n")
+    commands = {
+        "estimate-additive": ["--data", data, "--mask", mask],
+        "estimate-rank1": ["--data", data, "--mask", mask],
+        "panel": ["--outcomes", outcomes, "--treatment", treatment,
+                  "--observed", observed, "--did"]}
+
+    def run(command, *noise):
+        out = tmp_path / f"{command}.json"
+        code = main([command, *commands[command], *noise, "--out", str(out)])
+        return code, json.loads(out.read_text())
+    return {command: partial(run, command) for command in commands}
+
+
+def test_overflowing_sigma_squared_bounds_are_null(tmp_path, capsys):
+    # sigma**2 beyond the double range is inf at every entry, written null,
+    # not an OverflowError traceback (warnings are errors in this suite)
+    runs = _report_runs(tmp_path)
+    for command, keys in (("estimate-additive", ("variance_bound", "high_prob_bound")),
+                          ("panel", ("high_prob_bound",))):
+        code, report = runs[command]("--sigma", "1e300", "--delta", "0.1")
+        assert code == 0, command
+        assert any(map(any, report["identifiable"]))
+        for key in keys:
+            assert all(v is None for row in report[key] for v in row), key
+    assert capsys.readouterr().err == ""
+
+
+@given(sigma=st.floats(0.0, sys.float_info.max))
+@example(sigma=sys.float_info.max)
+@example(sigma=1.3e154)  # sigma**2 just beyond the double range
+@example(sigma=5e-324)
+@settings(max_examples=30, deadline=None)
+def test_report_commands_take_any_finite_sigma(sigma):
+    # every bound is a finite non-negative number or null, with no warning
+    with tempfile.TemporaryDirectory() as work:
+        runs = _report_runs(Path(work))
+        for command, run in runs.items():
+            code, report = run("--sigma", repr(sigma), "--delta", "0.1")
+            assert code == 0, command
+            bounds = [v for key in ("variance_bound", "high_prob_bound",
+                                    "error_bound") if key in report
+                      for row in report[key] for v in row]
+            assert bounds and all(v is None or 0 <= v < math.inf
+                                  for v in bounds), command
+            _, plain = run()
+            assert report["identifiable"] == plain["identifiable"]
 
 
 @pytest.mark.parametrize("command", ["estimate-additive", "estimate-rank1"])

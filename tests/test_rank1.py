@@ -353,6 +353,45 @@ def test_error_bound_rejects_bad_sigma(sigma):
         rank1_error_bound(8, 3, sigma, 1.0, 10, 10, 0.05)
 
 
+def _scalar_error_bound(k, max_len, sigma, m_inf, n_rows, n_cols, delta):
+    """Reference bound in Python floats, ``inf`` where a power overflows."""
+    log_term = math.log(n_rows * n_cols / delta)
+    try:
+        return (sigma ** max_len * (1.0 + m_inf ** max_len)
+                * math.sqrt(2.0 ** max_len * log_term ** (max_len + 1) / k))
+    except OverflowError:
+        return math.inf
+
+
+def test_error_bound_on_arrays_matches_the_scalar_powers():
+    # one float64 expression over (k, L) arrays gives each entry's scalar
+    # bound bit for bit; an overflow is inf, and 0 * inf (sigma**L
+    # underflowing or 0, m_inf**L overflowing) is nan
+    rng = np.random.default_rng(21)
+    k = rng.integers(1, 40, 300)
+    max_len = 2 * rng.integers(0, 120, 300) + 1
+    for sigma, m_inf in ((0.05, 1e8), (0.1, 1.0), (1.5, 2.5), (1e-200, 1e200),
+                         (1e300, 0.0), (0.0, 1e8), (0.0, 0.5)):
+        bounds = rank1_error_bound(k, max_len, sigma, m_inf, 56, 56, 0.05)
+        assert bounds.shape == k.shape and bounds.dtype == float
+        for n, (k_n, length) in enumerate(zip(k.tolist(), max_len.tolist())):
+            want = _scalar_error_bound(k_n, length, sigma, m_inf, 56, 56, 0.05)
+            scalar = rank1_error_bound(k_n, length, sigma, m_inf, 56, 56, 0.05)
+            assert type(scalar) is float
+            assert scalar == bounds[n] or math.isnan(scalar) and math.isnan(bounds[n])
+            if math.isfinite(want):
+                assert bounds[n] == want
+            elif sigma < 1 and sigma ** length == 0.0:
+                assert math.isnan(bounds[n])
+            else:
+                assert bounds[n] == math.inf
+    assert rank1_error_bound(np.array([1]), np.array([199]), 0.05, 1e8,
+                             100, 100, 0.05)[0] == np.inf
+    assert math.isnan(rank1_error_bound(1, 199, 0.0, 1e8, 100, 100, 0.05))
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        rank1_error_bound(np.array([3, 0]), np.array([3, 3]), 0.1, 1.0, 10, 10, 0.05)
+
+
 def test_stability_of_denominator():
     # factors >= 1 and sigma <= 0.1: the averaged squared backward product
     # stays above 0.5 essentially always once K >= 30

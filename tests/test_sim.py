@@ -260,6 +260,25 @@ def test_rank1_squared_errors_round_as_the_scalar_power():
                           _per_trial_rank1_mse(config))
 
 
+@pytest.mark.parametrize("model,pattern", [("additive", "uniform_bernoulli"),
+                                           ("panel", "staircase"),
+                                           ("rank1", "uniform_bernoulli")])
+@pytest.mark.parametrize("sigma", [1e300, np.finfo(float).max])
+def test_overflowing_noise_gives_inf_mse_without_a_warning(model, pattern, sigma):
+    # squared errors beyond the double range are inf per entry (warnings are
+    # errors in this suite); a rank-1 entry with no usable trial stays NaN
+    config = SimConfig(pattern=pattern, model=model, n_rows=6, n_cols=6,
+                       noise_sigma=sigma, trials=20, seed=1, bernoulli_p=0.5,
+                       groups=2)
+    result = run_experiment(config)
+    mse = result.per_entry_mse[result.identifiable]
+    assert mse.size and not np.isfinite(mse).any()
+    if model == "rank1":
+        assert (mse[~np.isnan(mse)] == np.inf).any()
+    else:
+        assert (mse == np.inf).all()
+
+
 def test_histogram_counts_sum_to_identifiable():
     config = SimConfig(pattern="uniform_bernoulli", model="additive",
                        n_rows=8, n_cols=8, noise_sigma=0.1, trials=10,
