@@ -132,9 +132,15 @@ def lse_factors(core: SpectralCore, data) -> tuple[np.ndarray, np.ndarray]:
     cell (a ``ValueError`` names the first cell that is not); values at
     unobserved cells are ignored.  Only the sums ``a[i] + b[j]`` within a
     connected component are identified; the returned gauge is the min-norm
-    one.
+    one.  Observations whose largest magnitude is beyond ``2**±500`` are
+    solved scaled by a power of two to below 1, so that no sum of them
+    overflows and no product underflows; the scale is exact.
     """
-    return observation_factors(core, checked_vec_omega(core.mask, data))
+    observations = checked_vec_omega(core.mask, data)
+    peak = np.max(np.abs(observations), initial=0.0)
+    shift = 0 if 2.0 ** -500 < peak < 2.0 ** 500 else int(np.frexp(peak)[1])
+    a_hat, b_hat = observation_factors(core, np.ldexp(observations, -shift))
+    return np.ldexp(a_hat, shift), np.ldexp(b_hat, shift)
 
 
 def efe_full(core: SpectralCore, data, sigma: float | None = None,

@@ -18,7 +18,10 @@ from contextlib import nullcontext
 
 import numpy as np
 
+from .forkjoin import fork_join
 from .graph import ObservationMask
+
+_JSON_FLOOR = 1 << 15  # float cells that pay for a forked part of write_json
 
 
 def read_mask_csv(path, n_rows: int | None = None,
@@ -121,27 +124,48 @@ def open_output(path):
     return open(path, "w") if path else nullcontext(sys.stdout)
 
 
+def _json_text(report: dict, start: int, stop: int):
+    """:func:`write_json`'s text from grid row ``start`` to before ``stop``
+    (the rows of all grids counted in order, then the end), each row with
+    the text before it."""
+    r = 0
+    for n, (key, value) in enumerate(report.items()):
+        grid = isinstance(value, (list, np.ndarray))
+        if start <= r < stop:
+            yield ("," if n else "{") + f"\n  {json.dumps(key)}: " + (
+                "" if grid else json.dumps(value))
+        for k in range(max(start - r, 0), min(stop - r, len(value))) if grid else ():
+            row = np.asarray(value[k])
+            cells = row.tolist()
+            for c in np.flatnonzero(~np.isfinite(row)).tolist():
+                cells[c] = None
+            body = json.dumps(cells)[1:-1].replace(", ", ",\n      ")
+            yield ("," if k else "[") + (
+                f"\n    [\n      {body}\n    ]" if body else "\n    []")
+        r += len(value) if grid else 0
+        if grid and start <= r < stop:
+            yield "\n  ]" if len(value) else "[]"
+    if start <= r < stop:
+        yield "\n}\n" if report else "{}\n"
+
+
 def write_json(path, report: dict) -> None:
     """The bytes of ``json.dump(report, handle, indent=2)`` and a newline,
     written to :func:`open_output` a row at a time.  A report is a flat dict
     of JSON scalars, ``None`` and grids: 2-D arrays, or lists of integer
     rows.  Each row's ``tolist()``, ``None`` at non-finite cells, goes
-    through the C encoder at once."""
-    with open_output(path) as handle:
-        for n, (key, value) in enumerate(report.items()):
-            handle.write(("," if n else "{") + f"\n  {json.dumps(key)}: ")
-            if not isinstance(value, (list, np.ndarray)):
-                handle.write(json.dumps(value))
-                continue
-            for r, row in enumerate(map(np.asarray, value)):
-                cells = row.tolist()
-                for k in np.flatnonzero(~np.isfinite(row)).tolist():
-                    cells[k] = None
-                body = json.dumps(cells)[1:-1].replace(", ", ",\n      ")
-                handle.write(("," if r else "[") + (
-                    f"\n    [\n      {body}\n    ]" if body else "\n    []"))
-            handle.write("\n  ]" if len(value) else "[]")
-        handle.write("\n}\n" if report else "{}\n")
+    through the C encoder at once.  Rows are split, by float cells, into
+    parts of at least ``_JSON_FLOOR`` (:func:`~.forkjoin.fork_join`)."""
+    weights = np.concatenate([np.full(len(v), v.size // max(len(v), 1)) if (
+        isinstance(v, np.ndarray) and v.dtype.kind == "f") else np.zeros(len(v))
+        for v in report.values() if isinstance(v, (list, np.ndarray))] + [[0]])
+    with fork_join(lambda start, stop: "".join(_json_text(report, start, stop)).encode(),
+                   weights, _JSON_FLOOR) as ((start, stop), tails), \
+            open_output(path) as handle:
+        handle.writelines(_json_text(report, start, stop))
+        for _, _, chunks in tails:
+            for chunk in chunks:
+                handle.write(chunk.decode("ascii"))
 
 
 def read_config_file(path) -> dict[str, str]:

@@ -16,7 +16,10 @@ from itertools import chain
 
 import numpy as np
 
+from .forkjoin import fork_join
 from .graph import ObservationMask, _path_cells, _path_set_cells
+
+_FLOW_FLOOR = 512  # entries that pay for a forked part of _flow_plan
 
 
 def _check_entry(mask: ObservationMask, i: int, j: int) -> None:
@@ -76,17 +79,22 @@ def _augmenting_path(adjacency: tuple, net: list, source: int, to_sink: dict):
     parent[source] = source
     if source in to_sink and net[to_sink[source]] != 1:
         return parent, via, source
-    level, saturated = [source], 1
-    while level:
-        discovered = []
-        for u in level:
+    rows = [source]
+    while rows:
+        columns = []
+        for u in rows:  # arcs out of a row saturate at net == 1
             for v, e in adjacency[u]:
-                if parent[v] < 0 and net[e] != saturated:
+                if parent[v] < 0 and net[e] != 1:
                     parent[v], via[v] = u, e
-                    discovered.append(v)
+                    columns.append(v)
+        rows = []
+        for u in columns:  # and out of a column at net == -1
+            for v, e in adjacency[u]:
+                if parent[v] < 0 and net[e] != -1:
+                    parent[v], via[v] = u, e
+                    rows.append(v)
                     if v in to_sink and net[to_sink[v]] != 1:
                         return parent, via, v
-        level, saturated = discovered, -saturated
     return parent, via, None
 
 
@@ -101,7 +109,8 @@ def _unit_max_flow(mask: ObservationMask, i: int, j: int):
     _check_entry(mask, i, j)
     adjacency, to_sink = mask.adjacency, dict(mask.adjacency[mask.n_rows + j])
     net, value = [0] * mask.n_observed, 0
-    while value < min(mask.degree(i), mask.degree(mask.n_rows + j)):
+    cap = min(mask.degree(i), mask.degree(mask.n_rows + j))
+    while value < cap:
         parent, via, u = _augmenting_path(adjacency, net, i, to_sink)
         if u is None:
             break
@@ -116,12 +125,12 @@ def _unit_max_flow(mask: ObservationMask, i: int, j: int):
 def _walk_paths(mask: ObservationMask, net: list, source: int, sink: int, k: int):
     """Decompose the net flow into k paths, consuming it as each walk goes and
     cutting out cycles (two augmenting paths can cross two routes oppositely)."""
-    paths = []
+    adjacency, n_rows, paths = mask.adjacency, mask.n_rows, []
     for _ in range(k):
         walk, position = [source], {source: 0}
-        while walk[-1] != sink:
-            d = 1 if walk[-1] < mask.n_rows else -1
-            for v, e in mask.adjacency[walk[-1]]:
+        while (u := walk[-1]) != sink:
+            d = 1 if u < n_rows else -1
+            for v, e in adjacency[u]:
                 if d * net[e] > 0:
                     break
             else:
@@ -146,9 +155,7 @@ def _path_set(mask: ObservationMask, net: list, value: int, i: int, j: int) -> P
     return PathSet(paths=paths, source=i, sink=j, mask=mask)
 
 
-def _flow_plan(mask: ObservationMask, entries) -> tuple:
-    """:func:`~flowcomplete.graph._path_cells` plan of the max-flow paths of
-    ``entries``, built straight from the walks."""
+def _flow_buffers(mask: ObservationMask, entries) -> tuple:
     sets, lengths, vertices = array("q"), array("i"), array("i")  # no objects
     for i, j in entries:
         net, value = _unit_max_flow(mask, i, j)
@@ -156,6 +163,29 @@ def _flow_plan(mask: ObservationMask, entries) -> tuple:
         sets.extend((i, j, value, max(map(len, walks), default=1) - 1))
         lengths.extend(map(len, walks))
         vertices.extend(chain.from_iterable(walks))
+    return sets, lengths, vertices
+
+
+def _flow_plan(mask: ObservationMask, entries) -> tuple:
+    """:func:`~flowcomplete.graph._path_cells` plan of the max-flow paths of
+    ``entries``, built straight from the walks, in parts of at least
+    ``_FLOW_FLOOR`` entries (:func:`~.forkjoin.fork_join`) once all are checked."""
+    entries = np.fromiter(chain.from_iterable(entries), np.intp).reshape(-1, 2)
+    outside = (entries < 0) | (entries >= (mask.n_rows, mask.n_cols))
+    for i, j in entries[outside.any(axis=1)][:1].tolist():
+        _check_entry(mask, i, j)  # the first, as a loop of max flows meets it
+
+    def part(start, stop):
+        return _flow_buffers(mask, zip(*entries[start:stop].T.tolist()))
+    with fork_join(lambda start, stop: b"".join(part(start, stop)),
+                   np.ones(len(entries)), _FLOW_FLOOR) as ((start, stop), tails):
+        sets, lengths, vertices = part(start, stop)
+        for start, stop, chunks in tails:  # a child's three buffers, joined
+            data, at = memoryview(b"".join(chunks)), 32 * (stop - start)
+            sets.frombytes(data[:at])
+            paths = at + 4 * sum(sets[len(sets) - 4 * (stop - start) + 2::4])
+            lengths.frombytes(data[at:paths])
+            vertices.frombytes(data[paths:])
     vertices = np.frombuffer(vertices, dtype=np.intc)
     vertices[1::2] -= mask.n_rows  # global vertex ids -> column indices
     return _path_cells(mask, np.frombuffer(sets, dtype=np.int64).reshape(-1, 4),

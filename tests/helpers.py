@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from array import array
 from collections import deque
 from itertools import chain, combinations
 
 import numpy as np
+import pytest
 
 from flowcomplete import (
     NO_LENGTH_THREE_PATH,
@@ -412,3 +414,38 @@ def path_set_plan(mask: ObservationMask, entries) -> tuple:
     """The gather plan of ``entries`` by way of one checked ``PathSet`` each."""
     return tuple_path_cells((max_disjoint_paths(mask, i, j) for i, j in entries),
                             mask)
+
+
+def forked_parts(monkeypatch, cpus: int) -> list:
+    """Make ``cpus`` CPUs usable to ``fork_join``; returns the list that
+    collects the pid of every child forked from then on.  Skips the test
+    where parts are never forked (no ``os.sched_getaffinity``)."""
+    if not hasattr(os, "sched_getaffinity"):
+        pytest.skip("forked parts need Linux")
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    return forks
+
+
+def assert_no_child_left():
+    """Every forked child is reaped: there is none left to wait for."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError("a child process is left")
+
+
+def benchmark_mask(seed: int, n: int = 56, cells: int = 384) -> ObservationMask:
+    """``cells`` distinct uniform cells of an ``n x n`` pattern, as the
+    benchmark's rank-1 input draws them."""
+    flat = np.sort(np.random.default_rng(seed).choice(n * n, cells, replace=False))
+    return ObservationMask.from_pairs(n, n, list(zip((flat // n).tolist(),
+                                                     (flat % n).tolist())))

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flowcomplete import (
     AdditiveModel,
@@ -293,6 +293,28 @@ def test_per_component_gauge_shift_leaves_estimates_unchanged(seed):
     core = build_core(mask)
     np.testing.assert_allclose(efe_full(core, shifted).estimates,
                                efe_full(core, truth).estimates, rtol=0, atol=1e-9)
+
+
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.integers(-1000, 1000))
+@example(seed=0, exponent=1000)
+@example(seed=1, exponent=-1000)
+@example(seed=2, exponent=490)  # the data's peak just past 2**500
+@settings(max_examples=40, deadline=None)
+def test_efe_full_commutes_with_power_of_two_scales(seed, exponent):
+    # a power-of-two scale is exact where nothing overflows or turns
+    # subnormal, so the estimates of scaled data are the scaled estimates,
+    # bit for bit, also where the sums of the scaled data overflow
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 13)), int(rng.integers(1, 13))
+    mask = random_mask(rng, n, m, float(rng.uniform(0.05, 0.95)))
+    data = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-5, 3)
+    core = build_core(mask)
+    base = efe_full(core, data).estimates
+    scaled = efe_full(core, np.ldexp(data, exponent)).estimates
+    with np.errstate(over="ignore"):
+        want = np.ldexp(base, exponent)
+    kept = np.isnan(base) | (np.abs(want) >= np.finfo(float).tiny) & np.isfinite(want)
+    assert np.array_equal(scaled[kept], want[kept], equal_nan=True)
 
 
 def test_efe_full_does_not_build_the_adjacency_lists(monkeypatch):

@@ -192,6 +192,22 @@ def test_overflowing_sigma_squared_bounds_are_null(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_estimate_additive_near_the_double_maximum(tmp_path, capsys):
+    # observations of 1e308 sum beyond the double range; the estimates are
+    # still the representable entries, not null, and nothing warns
+    out = tmp_path / "report.json"
+    for rows, want in (("1e308,1e308,1e308\n" * 3, [[1e308] * 3] * 3),
+                       ("1e308,5e307,0\n0,-5e307,-1e308\n",
+                        [[1e308, 5e307, 0.0], [0.0, -5e307, -1e308]])):
+        data = _write(tmp_path / "data.csv", rows)
+        assert main(["estimate-additive", "--data", data, "--mask-from-data",
+                     "--sigma", "1", "--delta", "0.1", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        np.testing.assert_allclose(report["estimates"], want, rtol=1e-12,
+                                   atol=1e-12 * 1e308)
+    assert capsys.readouterr().err == ""
+
+
 @given(sigma=st.floats(0.0, sys.float_info.max))
 @example(sigma=sys.float_info.max)
 @example(sigma=1.3e154)  # sigma**2 just beyond the double range

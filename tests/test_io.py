@@ -1,11 +1,13 @@
 import io
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from flowcomplete import io_utils
 from flowcomplete.io_utils import (
     read_grid_csv,
     read_mask_csv,
@@ -15,6 +17,7 @@ from flowcomplete.io_utils import (
     write_resistance_csv,
 )
 from flowcomplete import ObservationMask
+from helpers import assert_no_child_left, forked_parts
 
 
 def test_grid_csv_specials(tmp_path):
@@ -200,6 +203,58 @@ def test_write_json_streams_a_grid_in_little_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def _forking_payloads():
+    """Reports past the writer's floor for three parts: parts split inside a
+    grid, and (three grids of equal float cells) at grid boundaries."""
+    rng = np.random.default_rng(13)
+    grid = rng.standard_normal((600, 100)) * 10.0 ** rng.integers(-300, 300, (600, 100))
+    grid[::7, ::3], grid[1::5, 2::9], grid[2::11, 1::4] = math.nan, math.inf, -math.inf
+    wide = rng.standard_normal((400, 120))
+    return [
+        {"n_rows": 600, "estimates": grid, "empty": grid[:0], "label": "a, b",
+         "identifiable": grid > 0, "k": rng.integers(0, 5, (3, 4)).tolist(),
+         "wide": wide, "paths": [[1, 2], []], "m_inf": None},
+        {"first": wide[:, :100], "second": grid[:400], "n": 2, "third": -wide[:, 20:]},
+    ]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_forked_write_json_writes_the_serial_bytes(tmp_path, capsys, monkeypatch,
+                                                   cpus):
+    path = tmp_path / "out.json"
+    for payload in _forking_payloads():
+        forks = forked_parts(monkeypatch, 1)
+        write_json(path, payload)
+        serial = path.read_bytes()
+        assert forks == [] and serial.decode() == _dumps(payload) + "\n"
+        forks = forked_parts(monkeypatch, cpus)
+        write_json(path, payload)
+        write_json(None, payload)  # to stdout
+        assert len(forks) == 2 * (cpus - 1)
+        assert path.read_bytes() == serial
+        assert capsys.readouterr().out == serial.decode()
+    assert_no_child_left()
+
+
+def test_write_json_forks_only_past_its_floor(tmp_path, monkeypatch):
+    forks = forked_parts(monkeypatch, 2)
+    grid = np.ones((2 * io_utils._JSON_FLOOR // 64, 64))  # two parts' worth
+    write_json(tmp_path / "small.json", {"grid": grid[1:], "flags": grid > 0})
+    assert forks == []
+    write_json(tmp_path / "large.json", {"grid": grid})
+    assert len(forks) == 1
+
+
+def test_write_json_kills_its_child_when_the_output_cannot_open(tmp_path,
+                                                                 monkeypatch):
+    # the child is forked before the file is opened; the open fails
+    forks = forked_parts(monkeypatch, 2)
+    with pytest.raises(IsADirectoryError):
+        write_json(tmp_path, _forking_payloads()[0])
+    assert len(forks) == 1
+    assert_no_child_left()
 
 
 def test_csv_writers_stream_row_blocks_in_little_memory(tmp_path):

@@ -1,3 +1,6 @@
+import os
+import threading
+import time
 from itertools import chain
 from types import SimpleNamespace
 
@@ -13,16 +16,19 @@ from flowcomplete import (
     min_cut,
     validate_path,
 )
-from flowcomplete import graph
+from flowcomplete import graph, maxflow
 from flowcomplete.maxflow import _flow_plan, _unit_max_flow, _walk_paths, paths_and_cut
 from flowcomplete.patterns import dense_submatrix_mask, extreme_sparsity_mask
 from helpers import (
+    assert_no_child_left,
+    benchmark_mask,
     brute_force_min_cut,
     cells,
     chain_mask,
     dict_max_disjoint_paths,
     dict_min_cut,
     first_bad_path,
+    forked_parts,
     is_observed,
     path_set_plan,
     random_mask,
@@ -232,6 +238,90 @@ def test_flow_plan_of_an_empty_mask():
     for got, expected in zip(plan, want):
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
     assert not plan[1].any() and not plan[4].size and not plan[5].size
+
+
+def test_max_flow_reads_the_two_degrees_once(monkeypatch):
+    # its cap, min(deg u_i, deg v_j), is read once, not per augmentation
+    mask = benchmark_mask(1)
+    i, j = int(np.argmax(np.bincount(mask.rows))), int(np.argmax(np.bincount(mask.cols)))
+    calls, degree = [], ObservationMask.degree
+    monkeypatch.setattr(ObservationMask, "degree",
+                        lambda self, v: calls.append(v) or degree(self, v))
+    assert _unit_max_flow(mask, i, j)[1] >= 3
+    assert sorted(calls) == [i, 56 + j]
+
+
+@pytest.mark.parametrize("cpus, count", [(2, 3136), (2, 2047), (3, 3136)])
+def test_forked_flow_plan_equals_the_serial_plan(monkeypatch, cpus, count):
+    # above the floor the entries go to one forked part per further CPU,
+    # an odd count too; the joined buffers give the serial plan exactly
+    mask = benchmark_mask(1)
+    entries = list(np.ndindex(56, 56))[:count]
+    assert count >= cpus * maxflow._FLOW_FLOOR
+    forks = forked_parts(monkeypatch, 1)
+    serial = _flow_plan(mask, entries)
+    assert forks == []
+    forks = forked_parts(monkeypatch, cpus)
+    plan = _flow_plan(mask, iter(entries))
+    assert len(forks) == cpus - 1
+    assert_no_child_left()
+    for got, expected in zip(plan, serial, strict=True):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def test_flow_plan_checks_every_entry_before_forking(monkeypatch):
+    forks = forked_parts(monkeypatch, 2)
+    entries = [*np.ndindex(56, 56), (0, 56)]
+    with pytest.raises(ValueError, match=r"entry \(0, 56\) outside the 56x56"):
+        _flow_plan(benchmark_mask(1), entries)
+    assert forks == []
+
+
+def test_a_failing_forked_part_raises_in_the_parent(monkeypatch):
+    parent, buffers = os.getpid(), maxflow._flow_buffers
+
+    def fail_in_child(mask, entries):
+        if os.getpid() != parent:
+            raise MemoryError("in the child")
+        return buffers(mask, entries)
+    monkeypatch.setattr(maxflow, "_flow_buffers", fail_in_child)
+    forks = forked_parts(monkeypatch, 2)
+    with pytest.raises(ChildProcessError, match="exited with 1"):
+        _flow_plan(benchmark_mask(2), np.ndindex(56, 56))
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_a_failing_parent_part_kills_its_child(monkeypatch):
+    parent = os.getpid()
+
+    def fail_in_parent(mask, entries):
+        if os.getpid() == parent:
+            raise RuntimeError("in the parent")
+        time.sleep(60)  # only a kill ends the child within the bound below
+        return ()
+    monkeypatch.setattr(maxflow, "_flow_buffers", fail_in_parent)
+    forks = forked_parts(monkeypatch, 2)
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="in the parent"):
+        _flow_plan(benchmark_mask(2), np.ndindex(56, 56))
+    assert time.monotonic() - started < 30
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_one_cpu_or_another_thread_gives_the_serial_plan(monkeypatch):
+    mask, entries = benchmark_mask(3), list(np.ndindex(56, 56))
+    forks = forked_parts(monkeypatch, 1)
+    want = _flow_plan(mask, entries)
+    forks = forked_parts(monkeypatch, 2)
+    plans = []
+    worker = threading.Thread(target=lambda: plans.append(_flow_plan(mask, entries)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and forks == []
+    for got, expected in zip(plans[0], want, strict=True):
+        assert np.array_equal(got, expected)
 
 
 def test_disconnected_pair():
