@@ -125,6 +125,16 @@ def observation_factors(core: SpectralCore,
     return stacked[:n], -stacked[n:]
 
 
+def _scaled(observations: np.ndarray) -> tuple[np.ndarray, int]:
+    """``observations * 2**-shift`` and ``shift``: 0 unless the largest
+    magnitude is beyond ``2**±500``, else the power of two that takes it to
+    below 1, so that no sum of the observations overflows and no product
+    underflows.  The scale is exact."""
+    peak = np.max(np.abs(observations), initial=0.0)
+    shift = 0 if 2.0 ** -500 < peak < 2.0 ** 500 else int(np.frexp(peak)[1])
+    return np.ldexp(observations, -shift), shift
+
+
 def lse_factors(core: SpectralCore, data) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-Euclidean-norm least-squares factors for the observed data.
 
@@ -133,13 +143,10 @@ def lse_factors(core: SpectralCore, data) -> tuple[np.ndarray, np.ndarray]:
     unobserved cells are ignored.  Only the sums ``a[i] + b[j]`` within a
     connected component are identified; the returned gauge is the min-norm
     one.  Observations whose largest magnitude is beyond ``2**±500`` are
-    solved scaled by a power of two to below 1, so that no sum of them
-    overflows and no product underflows; the scale is exact.
+    solved scaled by a power of two (:func:`_scaled`).
     """
-    observations = checked_vec_omega(core.mask, data)
-    peak = np.max(np.abs(observations), initial=0.0)
-    shift = 0 if 2.0 ** -500 < peak < 2.0 ** 500 else int(np.frexp(peak)[1])
-    a_hat, b_hat = observation_factors(core, np.ldexp(observations, -shift))
+    observations, shift = _scaled(checked_vec_omega(core.mask, data))
+    a_hat, b_hat = observation_factors(core, observations)
     return np.ldexp(a_hat, shift), np.ldexp(b_hat, shift)
 
 
@@ -174,9 +181,12 @@ def verify_equivalence(core: SpectralCore, data, tol: float = 1e-8) -> bool:
     of a unit injection at each vertex, a chunk of vertices per
     ``core.solve``; by linearity ``g[i] - g[n + j]`` is the flow estimate of
     ``(i, j)``.  The factor side sums the closed-form least-squares factors.
+    Both run on the observations scaled as in :func:`lse_factors`, and their
+    gaps are compared in those units: beyond ``2**±500`` the tolerance is
+    relative to ``2**shift``, and otherwise absolute, as given.
     """
     mask = core.mask
-    observations = checked_vec_omega(mask, data)
+    observations, _ = _scaled(checked_vec_omega(mask, data))
     a_hat, b_hat = observation_factors(core, observations)
     g = np.empty(mask.n_vertices)
     for start in range(0, mask.n_vertices, _VERTEX_CHUNK):
@@ -211,15 +221,17 @@ def estimate_noise_variance(core: SpectralCore, data) -> float:
     """Residual-based noise variance with degrees-of-freedom correction.
 
     A convenience beyond the estimator itself: divides the least-squares
-    residual sum of squares by ``n_e - (n + m - n_components)``.
+    residual sum of squares by ``n_e - (n + m - n_components)``.  The
+    residuals are taken of the observations scaled as in :func:`lse_factors`,
+    and the variance is scaled back by ``4**shift``.
     """
     mask = core.mask
-    observations = checked_vec_omega(mask, data)
+    observations, shift = _scaled(checked_vec_omega(mask, data))
     a_hat, b_hat = observation_factors(core, observations)
     residuals = observations - (a_hat[mask.rows] + b_hat[mask.cols])
     dof = mask.n_observed - (mask.n_rows + mask.n_cols
                              - core.components.component_count)
     if dof <= 0:
         raise ValueError("no residual degrees of freedom on this pattern")
-    with np.errstate(over="ignore"):  # an overflowing sum of squares is inf
-        return float(np.sum(residuals ** 2) / dof)
+    with np.errstate(over="ignore"):  # a variance beyond the double range is inf
+        return float(np.ldexp(np.sum(residuals ** 2) / dof, 2 * shift))

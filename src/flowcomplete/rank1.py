@@ -93,29 +93,29 @@ def path_alpha_beta(path, data, mask: ObservationMask) -> PathStatistics:
 
 
 def _estimates(observations: np.ndarray, plan) -> tuple[np.ndarray, np.ndarray]:
-    """Ratio estimates (``nan`` where degenerate) and mean denominators of
-    the path sets of a gather plan (:func:`~flowcomplete.graph._path_cells`),
-    one per set, from the observations in edge order: bit for bit the scalar
-    loop over :func:`_path_products` (products and sums in path order,
-    ``beta ** 2`` as libm's ``pow``)."""
+    """Ratio estimates (``nan`` where degenerate) and mean denominators,
+    ``(sets, data sets)``, of the path sets of a gather plan
+    (:func:`~flowcomplete.graph._path_cells`) from ``(edges, data sets)``
+    observations in edge order: bit for bit the scalar loop over
+    :func:`_path_products` per data set (products and sums in path order,
+    ``beta ** 2`` as libm's ``pow``), the ``rank``-th paths of all sets at once."""
     _, counts, _, halves, forward, backward = plan
-    first = np.cumsum(halves) - halves  # each path's first edge in its run
-    alpha, beta = np.ones((2, len(halves)))
+    path_at = np.cumsum(counts) - counts  # each set's first path
+    edge_at = np.cumsum(halves) - halves  # each path's first edge in its run
+    numerator, denominator = np.zeros((2, len(counts), observations.shape[1]))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for products, run, sizes in ((alpha, forward, halves), (beta, backward, halves - 1)):
-            for position in range(sizes.max(initial=0)):
-                live = np.flatnonzero(sizes > position)
-                products[live] *= observations[run[first[live] + position]]
-        alpha *= beta  # each path's numerator term
-        np.float_power(beta, 2, out=beta)
-        numerator, denominator = np.zeros((2, len(counts)))
-        first = np.cumsum(counts) - counts  # each set's first path
         for rank in range(counts.max(initial=0)):
-            live = first[counts > rank] + rank
-            numerator[counts > rank] += alpha[live]
-            denominator[counts > rank] += beta[live]
-        denominator /= counts
-        quotient = numerator / counts / denominator
+            paths = path_at[counts > rank] + rank  # the rank-th of each set
+            alpha, beta = np.ones((2, len(paths), observations.shape[1]))
+            for products, run, sizes in ((alpha, forward, halves[paths]),
+                                         (beta, backward, halves[paths] - 1)):
+                for position in range(sizes.max(initial=0)):
+                    live = np.flatnonzero(sizes > position)
+                    products[live] *= observations[run[edge_at[paths[live]] + position]]
+            numerator[counts > rank] += np.multiply(alpha, beta, out=alpha)
+            denominator[counts > rank] += np.float_power(beta, 2, out=beta)
+        denominator /= counts[:, None]
+        quotient = numerator / counts[:, None] / denominator
     degenerate = ~(np.isfinite(quotient) & (denominator >= DENOMINATOR_FLOOR)
                    & np.isfinite(denominator))
     return np.where(degenerate, np.nan, quotient), denominator
@@ -133,8 +133,8 @@ def rank1_entry(path_set: PathSet, data) -> float:
     entry = (path_set.source, path_set.sink)
     if path_set.k == 0:
         raise NoPathError(f"no connecting path for entry {entry}")
-    observations = checked_vec_omega(path_set.mask, data)
-    (estimate,), (denominator,) = _estimates(observations, path_set._cells)
+    observations = checked_vec_omega(path_set.mask, data)[:, None]
+    ((estimate,),), ((denominator,),) = _estimates(observations, path_set._cells)
     if math.isnan(estimate):
         reason = ("path products overflow" if denominator >= DENOMINATOR_FLOOR
                   else f"denominator {denominator:.3e} below {DENOMINATOR_FLOOR}")
@@ -154,7 +154,7 @@ def rank1_full(mask: ObservationMask, data) -> Rank1Report:
     shape = (mask.n_rows, mask.n_cols)
     plan = _flow_plan(mask, np.ndindex(shape))  # row-major: set s is entry s
     estimates, path_counts, max_lens = (per_set.reshape(shape) for per_set in (
-        _estimates(observations, plan)[0], plan[1], plan[2]))
+        _estimates(observations[:, None], plan)[0], plan[1], plan[2]))
     return Rank1Report(estimates=estimates, identifiable=path_counts > 0,
                        path_counts=path_counts, max_lens=max_lens,
                        degenerate=(path_counts > 0) & np.isnan(estimates))

@@ -4,7 +4,7 @@ One experiment fixes the pattern, redraws the noise per trial, runs the
 configured estimator, and accumulates per-entry squared errors.  The
 additive and panel estimators are linear and exact on their models, so
 their errors are computed from the noise alone, many trials per matrix
-product; the rank-1 estimator runs per trial on unit factors plus noise.
+product; the rank-1 ratio runs on unit factors plus noise, a chunk per call.
 The per-entry mean squared error is compared against the effective
 resistance (or the control+treatment sum for panels): their ratio should
 concentrate at the noise variance.  A seed fully determines the experiment:
@@ -238,19 +238,19 @@ def _run_linear(config, arms):
 
 
 def _run_rank1(config, realized):
-    """Ratio errors on unit factors plus noise, a trial at a time."""
+    """Ratio errors on unit factors plus noise, a chunk of trials per call."""
     shape = (config.n_rows, config.n_cols)
     entries = [config.target] if config.target is not None else np.ndindex(shape)
     plan = _flow_plan(realized.mask, entries)
     accum, counts = np.zeros((2, len(plan[0])))
     with np.errstate(over="ignore"):  # an overflowing squared error is inf
         for (values,) in _observed_noise(config, [realized.mask]):
-            for noise in values.T:
-                errors = _estimates(1.0 + config.noise_sigma * noise, plan)[0] - 1.0
-                usable = ~np.isnan(errors)
-                # float_power rounds as the scalar ``error ** 2`` does
-                accum[usable] += np.float_power(errors[usable], 2)
-                counts += usable
+            errors = _estimates(1.0 + config.noise_sigma * values, plan)[0] - 1.0
+            counts += np.sum(~np.isnan(errors), axis=1)
+            # squares as the scalar ``error ** 2`` rounds, nan (unusable) as 0
+            np.fmax(np.float_power(errors, 2, out=errors), 0.0, out=errors)
+            for column in errors.T:  # in trial order, as a trial loop adds
+                accum += column
     mse, identifiable = np.full(shape, np.nan), np.zeros(shape, dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore"):
         mse.flat[plan[0]] = np.where(counts > 0, accum / counts, np.nan)

@@ -425,6 +425,28 @@ def test_verify_equivalence_rejects_a_core_that_is_not_a_pseudoinverse():
         assert verify_equivalence(broken, data, tol=1e-8) is False
 
 
+def test_verify_equivalence_compares_gaps_in_the_scaled_units():
+    # sums of 1e308 overflow unscaled; beyond 2**±500 both routes run on the
+    # observations scaled as in lse_factors, so the tolerance is relative to
+    # 2**shift: gaps of rounding pass at 2**600 and a broken core's gaps of
+    # 1e-3 still fail at 2**-1000
+    assert verify_equivalence(build_core(ObservationMask.from_dense(np.ones((3, 3)))),
+                              np.full((3, 3), 1e308))
+    rng = np.random.default_rng(23)
+    mask = random_connected_mask(rng, 9, 7)
+    core = build_core(mask)
+    data = rng.normal(size=(9, 7))
+    elim, kept, inv_degree, w, p = core.blocks[0]
+    p = p.copy()
+    p[0, 1] += 1e-3
+    broken = SpectralCore(mask=mask, components=core.components,
+                          blocks=((elim, kept, inv_degree, w, p),))
+    for exponent in (-1000, 600, 1000):
+        scaled = np.ldexp(data, exponent)
+        assert verify_equivalence(core, scaled, tol=1e-8)
+        assert verify_equivalence(broken, scaled, tol=1e-8) is False
+
+
 def test_verify_equivalence_streams_the_currents_in_little_memory():
     # on this 1000x50 pattern of 5000 cells, dense n_observed x V incidence
     # and current matrices (~42 MB each) peaked at ~210 MB traced; chunks of
@@ -566,3 +588,24 @@ def test_estimate_noise_variance_overflow_is_inf():
     mask = random_connected_mask(rng, 6, 6, extra=0.5)
     data = rng.normal(0.0, 1e200, (6, 6))
     assert estimate_noise_variance(build_core(mask), data) == math.inf
+
+
+def test_estimate_noise_variance_scales_back_by_four_to_the_shift():
+    # the full 3x3 pattern of 1e308 has zero residuals, where unscaled sums
+    # overflow to inf - inf; data with a peak in [0.5, 1) are their own
+    # scaled observations, so a power-of-two scale 2**e beyond 2**±500
+    # multiplies the variance by exactly 4**e, inf (or 0) past the range
+    core = build_core(ObservationMask.from_dense(np.ones((3, 3))))
+    assert estimate_noise_variance(core, np.full((3, 3), 1e308)) == 0.0
+    rng = np.random.default_rng(24)
+    mask = random_connected_mask(rng, 8, 8, extra=0.5)
+    core = build_core(mask)
+    data = rng.uniform(-0.5, 0.5, (8, 8))
+    data[mask.rows[0], mask.cols[0]] = 0.75
+    base = estimate_noise_variance(core, data)
+    assert 0.0 < base < 1.0
+    for exponent in (-1000, -600, 510, 1000):
+        with np.errstate(over="ignore"):
+            want = np.ldexp(base, 2 * exponent)
+        assert estimate_noise_variance(core, np.ldexp(data, exponent)) == want
+    assert estimate_noise_variance(core, np.ldexp(data, 1000)) == math.inf

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flowcomplete import (
     DegenerateDenominatorError,
@@ -19,7 +19,9 @@ from flowcomplete import (
     rank1_error_bound,
     rank1_full,
 )
+from flowcomplete.maxflow import _flow_plan
 from flowcomplete.patterns import dense_submatrix_mask, extreme_sparsity_mask
+from flowcomplete.rank1 import _estimates
 from helpers import (
     cells,
     chain_mask,
@@ -184,6 +186,51 @@ def test_gathered_ratio_matches_scalar_route_bitwise():
             path_set = max_disjoint_paths(mask, int(i), int(j))
             assert rank1_entry(path_set, data) == expected[i, j]
     assert degenerate > 10
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_estimates_of_a_batch_are_its_one_column_calls_bit_for_bit(seed):
+    # each column of an (edges, T) batch is estimated as if alone, in its
+    # place; one column of 1e-7 takes every denominator of paths longer than
+    # one edge below the floor, and one of +-1e300 overflows their products
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+    mask = random_mask(rng, n, m, float(rng.uniform(0.2, 0.8)))
+    plan = _flow_plan(mask, np.ndindex(n, m))
+    trials = int(rng.integers(3, 10))
+    batch = rng.normal(1.0, 0.5, (mask.n_observed, trials))
+    tiny, huge = rng.choice(trials, 2, replace=False)
+    batch[:, tiny] = 1e-7
+    batch[:, huge] = rng.choice([-1e300, 1e300], mask.n_observed)
+    estimates, denominators = _estimates(batch, plan)
+    assert estimates.shape == denominators.shape == (n * m, trials)
+    for t in range(trials):
+        one, denominator = _estimates(batch[:, t:t + 1], plan)
+        assert estimates[:, t:t + 1].tobytes() == one.tobytes()
+        assert denominators[:, t:t + 1].tobytes() == denominator.tobytes()
+    # an identifiable entry that is not observed has no one-edge path
+    longer = (plan[1] > 0) & ~mask.grid.ravel()
+    assert np.isnan(estimates[longer][:, [tiny, huge]]).all()
+
+
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.floats(-300, 300))
+@example(seed=0, exponent=300.0)
+@example(seed=1, exponent=-300.0)
+@settings(max_examples=40, deadline=None)
+def test_rank1_full_stays_per_entry_at_any_data_magnitude(seed, exponent):
+    # data scaled by c from 1e-300 to 1e300 overflow or underflow in their
+    # path products: no exception, no unguarded warning, and every entry
+    # whose estimate is not finite is reported degenerate (nan)
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+    mask = random_mask(rng, n, m, float(rng.uniform(0.2, 0.8)))
+    data = rng.normal(1.0, 0.5, (n, m)) * 10.0 ** exponent
+    report = rank1_full(mask, data)
+    assert not np.isinf(report.estimates).any()
+    assert np.array_equal(report.degenerate,
+                          report.identifiable & np.isnan(report.estimates))
+    assert np.isnan(report.estimates[~report.identifiable]).all()
 
 
 @given(seed=st.integers(0, 2**32 - 1))

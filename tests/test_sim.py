@@ -237,10 +237,12 @@ def _per_trial_rank1_mse(config):
         return np.where(counts > 0, accum / counts, np.nan)
 
 
-def test_rank1_loop_matches_per_trial_oracle():
-    # exact equality pins the rank-1 noise stream and the ratio arithmetic
+@pytest.mark.parametrize("trials", [40, 70])
+def test_rank1_loop_matches_per_trial_oracle(trials):
+    # exact equality pins the rank-1 noise stream and the ratio arithmetic;
+    # 70 trials cross a chunk boundary
     config = SimConfig(pattern="uniform_bernoulli", model="rank1", n_rows=7,
-                       n_cols=6, noise_sigma=0.3, trials=40, seed=17,
+                       n_cols=6, noise_sigma=0.3, trials=trials, seed=17,
                        bernoulli_p=0.3)
     result = run_experiment(config)
     expected = _per_trial_rank1_mse(config)
@@ -250,11 +252,13 @@ def test_rank1_loop_matches_per_trial_oracle():
     assert np.array_equal(result.resistance_reference, resistances)
 
 
-def test_rank1_squared_errors_round_as_the_scalar_power():
-    # with this seed, squaring the errors as x * x instead of the scalar
-    # ``error ** 2`` moves one mean squared error by 5.6e-17
+@pytest.mark.parametrize("trials", [60, 130])
+def test_rank1_squared_errors_round_as_the_scalar_power(trials):
+    # with this seed and 60 trials, squaring the errors as x * x instead of
+    # the scalar ``error ** 2`` moves one mean squared error by 5.6e-17;
+    # 130 trials are two full chunks and a partial one
     config = SimConfig(pattern="uniform_bernoulli", model="rank1", n_rows=8,
-                       n_cols=8, noise_sigma=0.3, trials=60, seed=24,
+                       n_cols=8, noise_sigma=0.3, trials=trials, seed=24,
                        bernoulli_p=0.35)
     assert np.array_equal(run_experiment(config).per_entry_mse,
                           _per_trial_rank1_mse(config))
