@@ -143,11 +143,13 @@ def lse_factors(core: SpectralCore, data) -> tuple[np.ndarray, np.ndarray]:
     unobserved cells are ignored.  Only the sums ``a[i] + b[j]`` within a
     connected component are identified; the returned gauge is the min-norm
     one.  Observations whose largest magnitude is beyond ``2**±500`` are
-    solved scaled by a power of two (:func:`_scaled`).
+    solved scaled by a power of two (:func:`_scaled`), and a factor beyond
+    the double range is ``±inf``.
     """
     observations, shift = _scaled(checked_vec_omega(core.mask, data))
     a_hat, b_hat = observation_factors(core, observations)
-    return np.ldexp(a_hat, shift), np.ldexp(b_hat, shift)
+    with np.errstate(over="ignore"):
+        return np.ldexp(a_hat, shift), np.ldexp(b_hat, shift)
 
 
 def efe_full(core: SpectralCore, data, sigma: float | None = None,
@@ -155,21 +157,24 @@ def efe_full(core: SpectralCore, data, sigma: float | None = None,
     """Estimate every entry of ``core``'s pattern per connected component.
 
     The variance bounds need ``sigma`` and the high-probability bounds also
-    ``delta``; each is checked whenever it is given.
+    ``delta``; each is checked whenever it is given.  The estimates are
+    summed in the units of :func:`_scaled`; one beyond the double range is ``±inf``.
     """
     check_noise(sigma, delta)
-    a_hat, b_hat = lse_factors(core, data)
+    observations, shift = _scaled(checked_vec_omega(core.mask, data))
+    a_hat, b_hat = observation_factors(core, observations)
     resist = core.resistances
     identifiable = np.isfinite(resist)
     variance = high_prob = None
     with np.errstate(over="ignore", invalid="ignore"):  # inf; nan at 0 * inf
+        estimates = np.ldexp(a_hat[:, None] + b_hat[None, :], shift)
         if sigma is not None:
             variance = np.float_power(sigma, 2) * resist
             if delta is not None:
                 log_term = math.log(2 * core.mask.n_rows * core.mask.n_cols / delta)
                 high_prob = 2.0 * np.float_power(sigma, 2) * resist * log_term
     return EstimateReport(
-        estimates=np.where(identifiable, a_hat[:, None] + b_hat[None, :], np.nan),
+        estimates=np.where(identifiable, estimates, np.nan),
         effective_resistances=resist, identifiable=identifiable,
         variance_bounds=variance, high_prob_bounds=high_prob)
 

@@ -10,8 +10,6 @@ import argparse
 import os
 import sys
 import typing
-from functools import partial
-from operator import methodcaller
 
 import numpy as np
 
@@ -20,7 +18,6 @@ from .additive import efe_full
 from .errors import FlowCompleteError
 from .graph import ObservationMask, check_noise, vec_omega
 from .io_utils import (
-    open_output,
     read_config_file,
     read_grid_csv,
     read_mask_csv,
@@ -221,14 +218,12 @@ def _cmd_resistance(args) -> int:
     mask = _read_mask(args.mask, args.rows, args.cols)
     core = build_core(mask)
     if args.all:
-        write = partial(write_resistance_csv, resistances=core.resistances)
+        rows, cols = np.indices(core.resistances.shape, sparse=True)
+        values = core.resistances
     else:
-        i, j = _parse_pair(args.pair, mask.n_rows, mask.n_cols)
-        text = ("row,col,effective_resistance\n"
-                f"{i + 1},{j + 1},{core.resistance(i, j):.17g}\n")
-        write = methodcaller("write", text)
-    with open_output(args.out) as handle:
-        write(handle)
+        rows, cols = _parse_pair(args.pair, mask.n_rows, mask.n_cols)
+        values = core.resistance(rows, cols)
+    write_resistance_csv(args.out, rows, cols, values)
     return _EXIT_OK
 
 

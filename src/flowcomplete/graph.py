@@ -221,6 +221,13 @@ def check_noise(sigma: float | None, delta: float | None) -> None:
         raise ValueError("delta must lie in (0, 1)")
 
 
+def check_entry(mask: ObservationMask, i: int, j: int) -> None:
+    """Reject an entry ``(i, j)`` (0-based) outside ``mask``'s pattern."""
+    if not (0 <= i < mask.n_rows and 0 <= j < mask.n_cols):
+        raise ValueError(f"entry {(i, j)} outside the "
+                         f"{mask.n_rows}x{mask.n_cols} pattern")
+
+
 def validate_path(path: Sequence[int], mask: ObservationMask) -> None:
     """Check that ``path`` is a simple, observed, alternating walk.
 

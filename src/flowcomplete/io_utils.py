@@ -3,7 +3,8 @@
 Indices in files are 1-based (matching the usual matrix notation); they are
 shifted to the 0-based internal convention on read.  Matrix grids are plain
 comma-separated values where an empty cell or ``NaN`` means unobserved.
-Numeric text output uses 17 significant digits so values round-trip.
+Every CSV file is written by :func:`_write_table`: indices as ``%d``, floats
+as ``%.17g``, which round-trips and spells ``inf``, ``-inf`` and ``nan``.
 A JSON report is a flat dict whose grids are streamed row by row, a
 non-finite cell as ``null``, in the format of ``json.dump(indent=2)``.
 """
@@ -22,6 +23,7 @@ from .forkjoin import fork_join
 from .graph import ObservationMask
 
 _JSON_FLOOR = 1 << 15  # float cells that pay for a forked part of write_json
+_BLOCK_CELLS = 4096  # CSV cells formatted by one template; bounds the text held
 
 
 def read_mask_csv(path, n_rows: int | None = None,
@@ -63,11 +65,8 @@ def read_mask_csv(path, n_rows: int | None = None,
 
 
 def write_mask_csv(path, mask: ObservationMask) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["row", "col"])
-        writer.writerows(zip((mask.rows + 1).tolist(),
-                             (mask.cols + 1).tolist()))
+    """``row,col`` lines of the observed cells, 1-based, in row-major order."""
+    _write_table(path, "row,col\n", "%d,%d\n", mask.rows + 1, mask.cols + 1)
 
 
 def read_grid_csv(path) -> np.ndarray:
@@ -96,32 +95,43 @@ def read_grid_csv(path) -> np.ndarray:
 
 
 def write_grid_csv(path, matrix) -> None:
-    """One CSV line per row of a 2-D grid, each value ``%.17g`` (which
-    spells ``inf``, ``-inf`` and ``nan``), one template per block of rows."""
-    arr = np.asarray(matrix, dtype=float)
-    line = ",".join(["%.17g"] * arr.shape[1]) + "\n"
-    with open(path, "w", newline="") as handle:
-        for block in np.array_split(arr, arr.size // 4096 + 1):  # ~4096 cells
+    """One CSV line per row of a 2-D grid."""
+    grid = np.asarray(matrix, dtype=float)
+    _write_table(path, "", ",".join(["%.17g"] * grid.shape[1]) + "\n", grid)
+
+
+def write_resistance_csv(path, rows, cols, resistances) -> None:
+    """``row,col,effective_resistance`` lines, 1-based, of the 0-based
+    ``rows`` and ``cols`` broadcast against ``resistances``, in C order:
+    ``np.indices(grid.shape, sparse=True)`` and a grid give all pairs."""
+    fields = np.atleast_1d(*np.broadcast_arrays(np.add(rows, 1), np.add(cols, 1),
+                                                resistances))
+    _write_table(path, "row,col,effective_resistance\n",
+                 "%d,%d,%.17g\n" * math.prod(fields[0].shape[1:]), *fields)
+
+
+def write_histogram_csv(path, edges, counts) -> None:
+    """``bin_left,bin_right,count`` lines of a histogram's bins."""
+    _write_table(path, "bin_left,bin_right,count\n", "%.17g,%.17g,%d\n",
+                 edges[:-1], edges[1:], counts)
+
+
+def _write_table(path, header: str, line: str, *fields) -> None:
+    """The CSV writer: ``header``, then ``line % cells`` per index of the
+    first axis of ``fields`` broadcast together, the cells taken field by
+    field at each position below it, one template per ``_BLOCK_CELLS``."""
+    fields = np.broadcast_arrays(*fields)
+    step = max(1, _BLOCK_CELLS // max(1, fields[0][:1].size * len(fields)))
+    with open_output(path) as handle:
+        handle.write(header)
+        for start in range(0, len(fields[0]), step):
+            block = np.stack([field[start:start + step] for field in fields], axis=-1)
             handle.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
-def write_resistance_csv(handle, resistances: np.ndarray) -> None:
-    """CSV ``row,col,effective_resistance`` (1-based, inf allowed) to an
-    open text handle, formatted by one template a block of rows at a time."""
-    handle.write("row,col,effective_resistance\n")
-    start = 0
-    for block in np.array_split(resistances, resistances.size // 4096 + 1):
-        rows, cols = np.indices(block.shape).reshape(2, -1) + 1
-        cells = [None] * (3 * block.size)
-        cells[0::3], cells[1::3], cells[2::3] = (
-            (rows + start).tolist(), cols.tolist(), block.ravel().tolist())
-        handle.write(("%d,%d,%.17g\n" * block.size) % tuple(cells))
-        start += len(block)
-
-
 def open_output(path):
-    """The text file at ``path`` opened for writing, or stdout without a path."""
-    return open(path, "w") if path else nullcontext(sys.stdout)
+    """The file at ``path`` opened to write text lines as they are, or stdout."""
+    return open(path, "w", newline="") if path else nullcontext(sys.stdout)
 
 
 def _json_text(report: dict, start: int, stop: int):

@@ -10,6 +10,7 @@ of the final residual graph reaches form the minimum cut's side.
 
 from __future__ import annotations
 
+import pickle
 from array import array
 from dataclasses import dataclass
 from itertools import chain
@@ -17,15 +18,9 @@ from itertools import chain
 import numpy as np
 
 from .forkjoin import fork_join
-from .graph import ObservationMask, _path_cells, _path_set_cells
+from .graph import ObservationMask, _path_cells, _path_set_cells, check_entry
 
 _FLOW_FLOOR = 512  # entries that pay for a forked part of _flow_plan
-
-
-def _check_entry(mask: ObservationMask, i: int, j: int) -> None:
-    if not (0 <= i < mask.n_rows and 0 <= j < mask.n_cols):
-        raise ValueError(f"entry {(i, j)} outside the "
-                         f"{mask.n_rows}x{mask.n_cols} pattern")
 
 
 @dataclass(frozen=True)
@@ -47,7 +42,7 @@ class PathSet:
     mask: ObservationMask
 
     def __post_init__(self) -> None:
-        _check_entry(self.mask, self.source, self.sink)
+        check_entry(self.mask, self.source, self.sink)
         object.__setattr__(self, "_cells", _path_set_cells(
             self.mask, self.paths, (self.source, self.sink)))
 
@@ -106,7 +101,7 @@ def _unit_max_flow(mask: ObservationMask, i: int, j: int):
     flow, since the search neither re-enters the source nor leaves the sink.
     The value cannot pass ``min(deg u_i, deg v_j)``, so the flow stops there
     without the search that must fail; only a cut needs what it reaches."""
-    _check_entry(mask, i, j)
+    check_entry(mask, i, j)
     adjacency, to_sink = mask.adjacency, dict(mask.adjacency[mask.n_rows + j])
     net, value = [0] * mask.n_observed, 0
     cap = min(mask.degree(i), mask.degree(mask.n_rows + j))
@@ -173,19 +168,17 @@ def _flow_plan(mask: ObservationMask, entries) -> tuple:
     entries = np.fromiter(chain.from_iterable(entries), np.intp).reshape(-1, 2)
     outside = (entries < 0) | (entries >= (mask.n_rows, mask.n_cols))
     for i, j in entries[outside.any(axis=1)][:1].tolist():
-        _check_entry(mask, i, j)  # the first, as a loop of max flows meets it
+        check_entry(mask, i, j)  # the first, as a loop of max flows meets it
 
     def part(start, stop):
         return _flow_buffers(mask, zip(*entries[start:stop].T.tolist()))
-    with fork_join(lambda start, stop: b"".join(part(start, stop)),
+    with fork_join(lambda start, stop: pickle.dumps(part(start, stop)),
                    np.ones(len(entries)), _FLOW_FLOOR) as ((start, stop), tails):
-        sets, lengths, vertices = part(start, stop)
-        for start, stop, chunks in tails:  # a child's three buffers, joined
-            data, at = memoryview(b"".join(chunks)), 32 * (stop - start)
-            sets.frombytes(data[:at])
-            paths = at + 4 * sum(sets[len(sets) - 4 * (stop - start) + 2::4])
-            lengths.frombytes(data[at:paths])
-            vertices.frombytes(data[paths:])
+        buffers = part(start, stop)
+        for _, _, chunks in tails:  # a child's three buffers, pickled
+            for buffer, more in zip(buffers, pickle.loads(b"".join(chunks))):
+                buffer.extend(more)
+    sets, lengths, vertices = buffers
     vertices = np.frombuffer(vertices, dtype=np.intc)
     vertices[1::2] -= mask.n_rows  # global vertex ids -> column indices
     return _path_cells(mask, np.frombuffer(sets, dtype=np.int64).reshape(-1, 4),

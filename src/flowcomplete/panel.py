@@ -129,11 +129,12 @@ def estimate_effects(panel: PanelData, sigma: float | None = None,
                         for mask in split_masks(panel))
     resistance_sum = control.effective_resistances + treated.effective_resistances
     high_prob = None
-    if sigma is not None and delta is not None:
-        log_term = math.log(panel.n_units * panel.n_periods / delta)
-        with np.errstate(over="ignore", invalid="ignore"):  # as in efe_full
+    with np.errstate(over="ignore", invalid="ignore"):  # as in efe_full
+        if sigma is not None and delta is not None:
+            log_term = math.log(panel.n_units * panel.n_periods / delta)
             high_prob = 2.0 * np.float_power(sigma, 2) * resistance_sum * log_term
-    return CausalReport(beta_hat=treated.estimates - control.estimates,
+        beta_hat = treated.estimates - control.estimates
+    return CausalReport(beta_hat=beta_hat,
                         control_estimates=control.estimates,
                         treatment_estimates=treated.estimates,
                         resistance_sum=resistance_sum,

@@ -13,6 +13,7 @@ the pattern and each trial draw from their own spawned child of it.
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import numpy as np
 from . import patterns
 from .additive import observation_factors
 from .graph import ObservationMask, check_noise
-from .io_utils import write_grid_csv
+from .io_utils import write_grid_csv, write_histogram_csv
 from .maxflow import _flow_plan
 from .panel import PanelData, split_masks
 from .rank1 import _estimates
@@ -265,34 +266,17 @@ def export_result(result: SimResult, out_dir) -> list[Path]:
     histogram rows are ``bin_left, bin_right, count``.  Output bytes depend
     only on the configuration.
     """
-    import json
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    def grid(values):
-        return np.where(result.identifiable, values, np.inf)
-
-    for name, values in (("mse", grid(result.per_entry_mse)),
-                         ("resistance", grid(result.resistance_reference)),
-                         ("ratio", grid(result.ratio))):
-        path = out / f"{name}.csv"
-        write_grid_csv(path, values)
-        written.append(path)
-
-    histogram_path = out / "histogram.csv"
-    with open(histogram_path, "w") as handle:
-        handle.write("bin_left,bin_right,count\n")
-        edges = result.histogram_bin_edges
-        for k, count in enumerate(result.histogram_counts):
-            handle.write(f"{edges[k]:.17g},{edges[k + 1]:.17g},{int(count)}\n")
-    written.append(histogram_path)
-
-    metadata_path = out / "metadata.json"
-    payload = {"config": asdict(result.config), "pattern": result.metadata}
-    with open(metadata_path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+    written = [out / name for name in ("mse.csv", "resistance.csv", "ratio.csv",
+                                       "histogram.csv", "metadata.json")]
+    for path, values in zip(written, (result.per_entry_mse,
+                                      result.resistance_reference, result.ratio)):
+        write_grid_csv(path, np.where(result.identifiable, values, np.inf))
+    write_histogram_csv(written[3], result.histogram_bin_edges,
+                        result.histogram_counts)
+    with open(written[4], "w") as handle:
+        json.dump({"config": asdict(result.config), "pattern": result.metadata},
+                  handle, indent=2, sort_keys=True)
         handle.write("\n")
-    written.append(metadata_path)
     return written

@@ -22,7 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import ComponentLabeling, ObservationMask, connected_components
+from .graph import (ComponentLabeling, ObservationMask, check_entry,
+                    connected_components)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,9 +78,7 @@ class SpectralCore:
 
     def resistance(self, i: int, j: int) -> float:
         """``resistances[i, j]``; a ``ValueError`` names a pair outside it."""
-        n_rows, n_cols = self.mask.n_rows, self.mask.n_cols
-        if not (0 <= i < n_rows and 0 <= j < n_cols):
-            raise ValueError(f"entry {(i, j)} outside the {n_rows}x{n_cols} pattern")
+        check_entry(self.mask, i, j)
         return float(self.resistances[i, j])
 
 

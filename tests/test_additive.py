@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -315,6 +316,24 @@ def test_efe_full_commutes_with_power_of_two_scales(seed, exponent):
         want = np.ldexp(base, exponent)
     kept = np.isnan(base) | (np.abs(want) >= np.finfo(float).tiny) & np.isfinite(want)
     assert np.array_equal(scaled[kept], want[kept], equal_nan=True)
+
+
+def test_efe_full_beyond_the_double_maximum_is_inf_per_entry():
+    # the min-norm factors of these observations (about 2.55e308) are beyond
+    # the double range, but every observed cell's estimate is its value; the
+    # entry (0, 1), 5.1e308, is inf, and nothing warns
+    mask = ObservationMask.from_pairs(2, 2, [(0, 0), (1, 0), (1, 1)])
+    core = build_core(mask)
+    data = np.array([[1.7e308, 0.0], [-1.7e308, 1.7e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimates = efe_full(core, data).estimates
+        a_hat, _ = lse_factors(core, data)
+        full = efe_full(core, np.full((2, 2), 1e308)).estimates
+    np.testing.assert_allclose(estimates[mask.rows, mask.cols],
+                               data[mask.rows, mask.cols], rtol=1e-15)
+    assert estimates[0, 1] == math.inf and a_hat[0] == math.inf
+    np.testing.assert_allclose(full, 1e308, rtol=1e-15)
 
 
 def test_efe_full_does_not_build_the_adjacency_lists(monkeypatch):

@@ -208,6 +208,30 @@ def test_estimate_additive_near_the_double_maximum(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_estimates_beyond_the_double_maximum_are_null_without_a_warning(tmp_path,
+                                                                     capsys):
+    # an estimate or an effect beyond the double range is null; the observed
+    # cells keep their values, and no warning turns into a traceback
+    data = _write(tmp_path / "data.csv", "1.7e308,\n-1.7e308,1.7e308\n")
+    outcomes = _write(tmp_path / "outcomes.csv", "0,0\n-1e308,1e308\n")
+    treatment = _write(tmp_path / "treatment.csv", "0,0\n0,1\n")
+    additive, panel = tmp_path / "additive.json", tmp_path / "panel.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["estimate-additive", "--data", data, "--mask-from-data",
+                     "--out", str(additive)]) == 0
+        assert main(["panel", "--outcomes", outcomes, "--treatment", treatment,
+                     "--out", str(panel)]) == 0
+    estimates = json.loads(additive.read_text())["estimates"]
+    assert estimates[0][1] is None
+    np.testing.assert_allclose([estimates[0][0], estimates[1][0], estimates[1][1]],
+                               [1.7e308, -1.7e308, 1.7e308], rtol=1e-15)
+    effects = json.loads(panel.read_text())
+    assert effects["beta_hat"] == [[None, None], [None, None]]
+    assert effects["identifiable"] == [[False, False], [False, True]]
+    assert capsys.readouterr().err == ""
+
+
 @given(sigma=st.floats(0.0, sys.float_info.max))
 @example(sigma=sys.float_info.max)
 @example(sigma=1.3e154)  # sigma**2 just beyond the double range
@@ -323,6 +347,21 @@ def test_resistance_all_and_pair(tmp_path, capsys):
     assert main(["resistance", "--mask", mask, "--pair", "1,2"]) == 0
     out = capsys.readouterr().out
     assert out.strip().split("\n")[1] == "1,2,inf"
+
+
+def test_resistance_pair_writes_17_digits_to_file_and_stdout(tmp_path, capsys):
+    # the --pair line is the entry's --all line, byte for byte, wherever it goes
+    mask = _write(tmp_path / "mask.csv", "row,col\n1,1\n1,2\n2,2\n3,2\n3,3\n2,4\n")
+    want = "row,col,effective_resistance\n1,2,0.99999999999999989\n"
+    assert main(["resistance", "--mask", mask, "--pair", "1,2"]) == 0
+    assert capsys.readouterr().out == want
+    out = tmp_path / "pair.csv"
+    assert main(["resistance", "--mask", mask, "--pair", "1,2", "--out", str(out)]) == 0
+    assert out.read_bytes() == want.encode()
+    everything = tmp_path / "all.csv"
+    assert main(["resistance", "--mask", mask, "--all", "--out", str(everything)]) == 0
+    assert want.split("\n")[1] in everything.read_text().split("\n")
+    assert capsys.readouterr().out == ""
 
 
 def test_resistance_bad_pair(tmp_path, capsys):
@@ -577,6 +616,35 @@ def test_generate_pattern_round_trip_panel(tmp_path, capsys):
                  "--treatment", str(treatment_path),
                  "--observed", str(observed_path),
                  "--out", str(tmp_path / "panel.json")]) == 0
+
+
+_GENERATED = {  # flags and the bytes of each file written, in printed order
+    "staircase": (["--rows", "4", "--cols", "5", "--groups", "2",
+                   "--base-density", "0.6", "--seed", "4"],
+                  {"treatment.csv": "1,1,1,1,1\n1,0,1,1,1\n0,0,0,1,1\n0,0,0,1,0\n",
+                   "observed.csv": "1,1,1,1,1\n" * 4}),
+    "staggered_exposure": (["--rows", "4", "--groups", "2"],
+                           {"treatment.csv": "1,1,1,1\n" * 2 + "0,0,1,1\n" * 2,
+                            "observed.csv": "1,1,1,1\n" * 4}),
+    "uniform_bernoulli": (["--rows", "3", "--cols", "4", "--p", "0.5", "--seed", "3"],
+                          {"mask.csv": "row,col\n1,2\n2,1\n2,2\n2,3\n3,4\n"}),
+    "extreme_sparsity": (["--rows", "3"],
+                         {"mask.csv": "row,col\n1,2\n1,3\n2,1\n2,2\n3,1\n3,3\n"}),
+    "dense_submatrix": (["--rows", "3", "--cols", "4"],
+                        {"mask.csv": "row,col\n1,2\n1,3\n1,4\n2,1\n2,2\n2,3\n"
+                                     "2,4\n3,1\n3,2\n3,3\n3,4\n"}),
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(_GENERATED))
+def test_generate_pattern_writes_pinned_bytes(tmp_path, capsys, pattern):
+    flags, files = _GENERATED[pattern]
+    out_dir = tmp_path / pattern
+    assert main(["generate-pattern", "--pattern", pattern, *flags,
+                 "--out-dir", str(out_dir)]) == 0
+    assert capsys.readouterr().out == "".join(f"{out_dir / name}\n" for name in files)
+    for name, text in files.items():
+        assert (out_dir / name).read_bytes() == text.encode(), name
 
 
 def test_simulate_from_config(tmp_path, capsys):

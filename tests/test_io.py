@@ -1,4 +1,3 @@
-import io
 import json
 import math
 import os
@@ -44,15 +43,15 @@ def test_grid_writers_match_cell_by_cell_reference(tmp_path):
     expected = "row,col,effective_resistance\n" + "".join(
         f"{i + 1},{j + 1},{value}\n"
         for i, row in enumerate(cells) for j, value in enumerate(row))
-    text = io.StringIO()
-    write_resistance_csv(text, grid)
-    assert text.getvalue() == expected
+    write_resistance_csv(path, *np.indices(grid.shape, sparse=True), grid)
+    assert path.read_text() == expected
 
 
 def test_mask_round_trip(tmp_path):
     mask = ObservationMask.from_pairs(3, 4, [(0, 1), (2, 3), (1, 0)])
     path = tmp_path / "mask.csv"
     write_mask_csv(path, mask)
+    assert path.read_bytes() == b"row,col\n1,2\n2,1\n3,4\n"  # row-major, 1-based
     loaded, duplicates = read_mask_csv(path, n_rows=3, n_cols=4)
     assert duplicates == 0
     assert loaded == mask
@@ -272,8 +271,8 @@ def test_csv_writers_stream_row_blocks_in_little_memory(tmp_path):
             write_grid_csv(grid_path, grid)
             grid_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            with open(resistance_path, "w") as handle:
-                write_resistance_csv(handle, grid)
+            write_resistance_csv(resistance_path,
+                                 *np.indices(grid.shape, sparse=True), grid)
             resistance_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

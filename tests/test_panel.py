@@ -397,6 +397,21 @@ def test_treatment_at_unobserved_cells_is_ignored_and_stored_as_zero(value, dtyp
                 == getattr(want_report, field.name).tobytes()), field.name
 
 
+def test_estimate_effects_beyond_the_double_maximum_is_inf_per_entry():
+    # the arms predict 1e308 and -1e308 at (1, 1); their difference is
+    # beyond the double range: inf there, with no warning
+    panel = PanelData(outcomes=np.array([[0.0, 0.0], [-1e308, 1e308]]),
+                      treatment=np.array([[0, 0], [0, 1]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = estimate_effects(panel, 0.1, 0.05)
+    np.testing.assert_allclose([report.treatment_estimates[1, 1],
+                                report.control_estimates[1, 1]],
+                               [1e308, -1e308], rtol=1e-15)
+    assert report.beta_hat[1, 1] == math.inf
+    assert report.identifiable.tolist() == [[False, False], [False, True]]
+
+
 def test_panel_validation():
     with pytest.raises(ValueError):
         PanelData(outcomes=np.zeros((2, 2)), treatment=np.zeros((3, 2), int))

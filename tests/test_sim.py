@@ -151,6 +151,10 @@ def test_run_experiment_deterministic_and_export(tmp_path):
     for name in ("mse.csv", "resistance.csv", "ratio.csv", "histogram.csv",
                  "metadata.json"):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+    edges = first.histogram_bin_edges.tolist()
+    assert (dir_a / "histogram.csv").read_text() == "bin_left,bin_right,count\n" + "".join(
+        f"{edges[k]:.17g},{edges[k + 1]:.17g},{int(count)}\n"
+        for k, count in enumerate(first.histogram_counts))
 
 
 def _per_trial_mse(config):
