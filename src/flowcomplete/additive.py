@@ -76,38 +76,44 @@ def path_estimate_additive(path, data, mask: ObservationMask) -> float:
 
     Observations on row-to-column steps are added and those on
     column-to-row steps subtracted, so intermediate factors cancel.
-    ``data`` must have the mask's shape.
+    ``data`` must have the mask's shape.  The sum runs in the units of
+    :func:`_scaled`, and one beyond the double range is ``±inf``.
     """
     validate_path(path, mask)
     arr = np.asarray(data, dtype=float)
     vec_omega(mask, arr)  # rejects a grid of another shape
+    rows, cols = np.asarray(path[0::2]), np.asarray(path[1::2])
+    values, shift = _scaled(np.concatenate([arr[rows, cols],
+                                            -arr[rows[1:], cols[:-1]]]))
     total = 0.0
-    for s in range(0, len(path) - 1, 2):
-        total += arr[path[s], path[s + 1]]
-    for s in range(2, len(path) - 1, 2):
-        total -= arr[path[s], path[s - 1]]
-    return float(total)
+    for value in values:  # left to right; sum() rounds differently since 3.12
+        total += value
+    return float(_unscaled(total, shift))
 
 
 def unit_flow_estimate(flow, data, mask: ObservationMask) -> float:
-    """Inner product of a valid unit flow with the observation vector."""
+    """Inner product of a valid unit flow with the observation vector, in
+    the units of :func:`_scaled`."""
     if not verify_unit_flow(flow, mask, flow.source, flow.sink):
         raise InvalidFlowError("flow violates unit-flow constraints")
     observations = vec_omega(mask, data)
     support = np.abs(flow.values) > 0
     if not np.all(np.isfinite(observations[support])):
         raise InvalidFlowError("data missing on the support of the flow")
-    return float(np.dot(flow.values, np.where(support, observations, 0.0)))
+    values, shift = _scaled(np.where(support, observations, 0.0))
+    return float(_unscaled(np.dot(flow.values, values), shift))
 
 
 def efe_entry(core: SpectralCore, data, i: int, j: int) -> float:
     """Electrical-flow estimate of a single entry (per-edge inner product).
 
     ``data`` must have the pattern's shape and be finite at every observed
-    cell, as for :func:`lse_factors`.
+    cell, as for :func:`lse_factors`; the product is taken in the units of
+    :func:`_scaled`.
     """
     flow = electrical_flow(core, i, j)
-    return float(np.dot(flow.values, checked_vec_omega(core.mask, data)))
+    values, shift = _scaled(checked_vec_omega(core.mask, data))
+    return float(_unscaled(np.dot(flow.values, values), shift))
 
 
 def observation_factors(core: SpectralCore,
@@ -135,6 +141,13 @@ def _scaled(observations: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(observations, -shift), shift
 
 
+def _unscaled(values, shift: int):
+    """Values found in the units of :func:`_scaled` (``values * 2**shift``),
+    scaled back: ``±inf`` beyond the double range, with no warning."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(values, shift)
+
+
 def lse_factors(core: SpectralCore, data) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-Euclidean-norm least-squares factors for the observed data.
 
@@ -148,8 +161,7 @@ def lse_factors(core: SpectralCore, data) -> tuple[np.ndarray, np.ndarray]:
     """
     observations, shift = _scaled(checked_vec_omega(core.mask, data))
     a_hat, b_hat = observation_factors(core, observations)
-    with np.errstate(over="ignore"):
-        return np.ldexp(a_hat, shift), np.ldexp(b_hat, shift)
+    return _unscaled(a_hat, shift), _unscaled(b_hat, shift)
 
 
 def efe_full(core: SpectralCore, data, sigma: float | None = None,
@@ -238,5 +250,4 @@ def estimate_noise_variance(core: SpectralCore, data) -> float:
                              - core.components.component_count)
     if dof <= 0:
         raise ValueError("no residual degrees of freedom on this pattern")
-    with np.errstate(over="ignore"):  # a variance beyond the double range is inf
-        return float(np.ldexp(np.sum(residuals ** 2) / dof, 2 * shift))
+    return float(_unscaled(np.sum(residuals ** 2) / dof, 2 * shift))

@@ -267,72 +267,68 @@ def _path_cells(mask: ObservationMask, sets: np.ndarray, lengths: np.ndarray,
     ``sets`` holds a ``(source, sink, path count, longest path)`` row per set,
     ``lengths`` each path's vertex count and ``vertices`` the joined index
     sequences (``intc``).  The plan holds per set its flat entry, path count
-    and longest path; per path its forward edge count; and the edge ids
-    (:attr:`ObservationMask.edge_ids`) pairing each row of the joined
-    vertices with the next column (forward) and the previous one (backward).
-    Paths have even vertex counts, so each path's run starts at half its
-    first place (a pair across two paths is never read).
+    and longest path; per path its edge count; and the edge ids
+    (:attr:`ObservationMask.edge_ids`) of every step of every path, in walk
+    order: step ``s`` of a path joins its places ``s`` and ``s + 1``.
     """
     path_at = np.concatenate([[0], np.cumsum(sets[:, 2])])  # each set's first
     vertex_at = np.concatenate([[0], np.cumsum(lengths)])  # each path's first
+    runs = [np.empty(0, dtype=np.intc)]
     for start in range(0, len(sets), _PLAN_CHUNK):
         first, end = path_at[start], path_at[min(start + _PLAN_CHUNK, len(sets))]
-        _check_paths(mask, sets[start:start + _PLAN_CHUNK], lengths[first:end],
-                     vertices[vertex_at[first]:vertex_at[end]])
-    ids = mask.edge_ids
+        runs.append(_check_paths(mask, sets[start:start + _PLAN_CHUNK],
+                                 lengths[first:end],
+                                 vertices[vertex_at[first]:vertex_at[end]]))
     return (sets[:, 0] * mask.n_cols + sets[:, 1], sets[:, 2], sets[:, 3],
-            lengths // 2, ids[vertices[0::2], vertices[1::2]],
-            ids[vertices[2::2], vertices[1:-1:2]])
+            lengths - 1, np.concatenate(runs))
 
 
 def _check_paths(mask: ObservationMask, sets: np.ndarray, lengths: np.ndarray,
-                 vertices: np.ndarray) -> None:
-    """Check path sets, laid out as for :func:`_path_cells`, in one numpy pass.
+                 vertices: np.ndarray) -> np.ndarray:
+    """Check path sets, laid out as for :func:`_path_cells`, in one numpy pass,
+    and return the edge id of each step in walk order.
 
-    :class:`InvalidPathError` names the first path that fails, and the first
-    check it fails of: an even length of at least 2, indices within bounds,
-    no vertex repeated, every cell observed, ends at its set's entry, and no
-    cell shared with an earlier path of its set.
+    A place's side is its parity within its path: rows at even places,
+    columns at odd ones.  :class:`InvalidPathError` names the first path that
+    fails, and the first check it fails of: an even length of at least 2,
+    indices within bounds, no vertex repeated, every cell observed, ends at
+    its set's entry, and no cell shared with an earlier path of its set.
     """
     n, m = mask.n_rows, mask.n_cols
     sources, sinks, counts = sets[:, :3].T
     starts = np.cumsum(lengths) - lengths
     set_of = np.repeat(np.arange(len(counts)), counts)
-
-    def fail(p: int, reason: str):
-        path = tuple(vertices[starts[p]:starts[p] + lengths[p]].tolist())
-        raise InvalidPathError(f"path {path} {reason}")
-
-    short = np.flatnonzero((lengths < 2) | (lengths % 2 == 1))
-    if short.size:  # the paths before it first: the pairs below need them even
-        q = short[0]
-        head = sets[:set_of[q] + 1].copy()
-        head[-1, 2] = q - counts[:set_of[q]].sum()  # its set's paths before it
-        _check_paths(mask, head, lengths[:q], vertices[:starts[q]])
-        fail(q, "must alternate row, col, ... with an odd number of edges")
     path_of = np.repeat(np.arange(len(lengths)), lengths)
-    pairs = vertices.reshape(-1, 2)  # (row, column) of each forward cell
-    outside = ((pairs < 0) | (pairs >= (n, m))).ravel()
-    # an index outside fails its path first; 0 keeps the lookups below in range
+    place = np.arange(len(vertices)) - starts[path_of]
+    left = lengths[path_of] - 1 - place  # places after this one on its path
+    side = place % 2  # 0 at a row, 1 at a column
+    outside = (vertices < 0) | (vertices >= np.where(side, m, n))
+    # an outside index fails its path before any lookup; 0 keeps lookups in range
     inside = np.where(outside, 0, vertices.astype(np.intp))
-    visits = np.sort(path_of * (n + m) + (inside.reshape(-1, 2) + (0, n)).ravel())
-    within = path_of[1:-1:2] == path_of[2::2]  # backward pairs on one path
-    cells = np.concatenate([inside[0::2] * m + inside[1::2],
-                            (inside[2::2] * m + inside[1:-1:2])[within]])
-    owners = np.concatenate([path_of[0::2], path_of[1:-1:2][within]])
+    visits = np.sort(path_of * (n + m) + inside + n * side)
+    steps = np.flatnonzero(left > 0)  # each place but a path's last, to the next
+    here, there = inside[steps], inside[steps + 1]
+    cells = np.where(side[steps], there * m + here, here * m + there)
+    ids = mask.edge_ids.ravel()[cells]
+    owners = path_of[steps]
     uses = set_of[owners] * (n * m) + cells  # (set, cell) keys
     order = np.lexsort((owners, uses))  # each cell's earliest path first
-    flags = np.zeros((5, len(lengths)), dtype=bool)
-    flags[0, path_of[outside]] = True
-    flags[1, visits[1:][np.diff(visits) == 0] // (n + m)] = True
-    flags[2, owners[mask.edge_ids.ravel()[cells] < 0]] = True
-    flags[3] = ((vertices[starts] != sources[set_of])
-                | (vertices[starts + lengths - 1] != sinks[set_of]))
-    flags[4, owners[order[1:][np.diff(uses[order]) == 0]]] = True
+    ends = (place == 0) | (left == 0)  # at its set's source, then its sink
+    flags = np.zeros((6, len(lengths)), dtype=bool)
+    flags[0] = (lengths < 2) | (lengths % 2 == 1)
+    flags[1, path_of[outside]] = True
+    flags[2, visits[1:][np.diff(visits) == 0] // (n + m)] = True
+    flags[3, owners[ids < 0]] = True
+    flags[4, path_of[ends & (vertices != sets[set_of[path_of], side])]] = True
+    flags[5, owners[order[1:][np.diff(uses[order]) == 0]]] = True
     failing = np.flatnonzero(flags.any(axis=0))
     if failing.size:
         p, s = failing[0], set_of[failing[0]]
-        fail(p, ("has an index out of bounds", "revisits a vertex",
-                 "uses an unobserved entry",
-                 f"does not join entry {(int(sources[s]), int(sinks[s]))}",
-                 "shares an edge with another")[np.argmax(flags[:, p])])
+        path = tuple(vertices[starts[p]:starts[p] + lengths[p]].tolist())
+        raise InvalidPathError(f"path {path} " + (
+            "must alternate row, col, ... with an odd number of edges",
+            "has an index out of bounds", "revisits a vertex",
+            "uses an unobserved entry",
+            f"does not join entry {(int(sources[s]), int(sinks[s]))}",
+            "shares an edge with another")[np.argmax(flags[:, p])])
+    return ids

@@ -151,7 +151,8 @@ def _did_period(outcomes: np.ndarray, donor: np.ndarray, t: int,
     and ``t``, then the smallest such unit ``j``.  As ``(i, t)`` is not in
     the donor arm, ``t' != t`` and ``j != i`` hold without a check.
     Returns the targets that have a donor and their contrasts
-    ``(y[i,t] - y[j,t]) - (y[i,t'] - y[j,t'])``.
+    ``(y[i,t] - y[j,t]) - (y[i,t'] - y[j,t'])``; a contrast beyond the double
+    range is ``±inf``, or ``nan`` where both differences overflow one way.
     """
     shared = donor & donor[:, t, None]  # unit j in the arm at both t' and t
     candidates = donor[units] & shared.any(axis=0)
@@ -160,7 +161,8 @@ def _did_period(outcomes: np.ndarray, donor: np.ndarray, t: int,
     t_prime = candidates[found].argmax(axis=1)
     j = shared.argmax(axis=0)[t_prime]
     y = outcomes
-    return units, (y[units, t] - y[j, t]) - (y[units, t_prime] - y[j, t_prime])
+    with np.errstate(over="ignore", invalid="ignore"):  # as in estimate_effects
+        return units, (y[units, t] - y[j, t]) - (y[units, t_prime] - y[j, t_prime])
 
 
 def did_grid(panel: PanelData) -> np.ndarray:

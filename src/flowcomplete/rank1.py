@@ -98,20 +98,20 @@ def _estimates(observations: np.ndarray, plan) -> tuple[np.ndarray, np.ndarray]:
     (:func:`~flowcomplete.graph._path_cells`) from ``(edges, data sets)``
     observations in edge order: bit for bit the scalar loop over
     :func:`_path_products` per data set (products and sums in path order,
-    ``beta ** 2`` as libm's ``pow``), the ``rank``-th paths of all sets at once."""
-    _, counts, _, halves, forward, backward = plan
+    ``beta ** 2`` as libm's ``pow``), the ``rank``-th paths of all sets at
+    once, each along its run of steps (even ones into alpha, odd into beta)."""
+    _, counts, _, sizes, run = plan
     path_at = np.cumsum(counts) - counts  # each set's first path
-    edge_at = np.cumsum(halves) - halves  # each path's first edge in its run
+    edge_at = np.cumsum(sizes) - sizes  # each path's first step in the run
     numerator, denominator = np.zeros((2, len(counts), observations.shape[1]))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for rank in range(counts.max(initial=0)):
             paths = path_at[counts > rank] + rank  # the rank-th of each set
-            alpha, beta = np.ones((2, len(paths), observations.shape[1]))
-            for products, run, sizes in ((alpha, forward, halves[paths]),
-                                         (beta, backward, halves[paths] - 1)):
-                for position in range(sizes.max(initial=0)):
-                    live = np.flatnonzero(sizes > position)
-                    products[live] *= observations[run[edge_at[paths[live]] + position]]
+            alpha, beta = products = np.ones((2, len(paths), observations.shape[1]))
+            steps, at = sizes[paths], edge_at[paths]
+            for position in range(steps.max(initial=0)):
+                live = np.flatnonzero(steps > position)
+                products[position % 2, live] *= observations[run[at[live] + position]]
             numerator[counts > rank] += np.multiply(alpha, beta, out=alpha)
             denominator[counts > rank] += np.float_power(beta, 2, out=beta)
         denominator /= counts[:, None]

@@ -7,7 +7,7 @@ import operator
 import os
 from array import array
 from collections import deque
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -389,25 +389,23 @@ def first_bad_path(paths, source: int, sink: int, mask: ObservationMask):
 def tuple_path_cells(path_sets, mask: ObservationMask) -> tuple:
     """Reference for the gather plan: read from path sets one at a time, each
     also checked by :func:`first_bad_path`; per set its flat entry, path count
-    and longest path; per path its forward edge count; and the edge ids (by
-    a cell dictionary, -1 off the pattern) of the forward and backward pairs
-    of the joined vertices."""
-    per_set, lengths, vertices = array("q"), array("i"), array("i")
+    and longest path; per path its edge count; and the edge ids (by a cell
+    dictionary) of every step of every path, in walk order."""
+    per_set, sizes, run = array("q"), array("i"), array("i")
+    edge_of = {cell: e for e, cell in enumerate(zip(mask.rows.tolist(),
+                                                    mask.cols.tolist()))}
     for path_set in path_sets:
         assert first_bad_path(path_set.paths, path_set.source, path_set.sink,
                               path_set.mask) is None
         per_set.extend((path_set.source * mask.n_cols + path_set.sink,
                         path_set.k, path_set.max_len))
-        lengths.extend(map(len, path_set.paths))
-        vertices.extend(chain.from_iterable(path_set.paths))
-    edge_of = {cell: e for e, cell in enumerate(zip(mask.rows.tolist(),
-                                                    mask.cols.tolist()))}
-    rows, cols = vertices[0::2].tolist(), vertices[1::2].tolist()
-    forward, backward = ([edge_of.get(cell, -1) for cell in pairs]
-                         for pairs in (zip(rows, cols), zip(rows[1:], cols)))
+        for path in path_set.paths:
+            sizes.append(len(path) - 1)
+            for s in range(len(path) - 1):  # a row at every even place
+                step = path[s:s + 2]
+                run.append(edge_of[step if s % 2 == 0 else step[::-1]])
     return (*np.frombuffer(per_set, dtype=np.int64).reshape(-1, 3).T,
-            np.frombuffer(lengths, dtype=np.intc) // 2,
-            np.array(forward, dtype=np.intc), np.array(backward, dtype=np.intc))
+            np.frombuffer(sizes, dtype=np.intc), np.frombuffer(run, dtype=np.intc))
 
 
 def path_set_plan(mask: ObservationMask, entries) -> tuple:

@@ -336,6 +336,29 @@ def test_efe_full_beyond_the_double_maximum_is_inf_per_entry():
     np.testing.assert_allclose(full, 1e308, rtol=1e-15)
 
 
+@pytest.mark.parametrize("n, value", [(2, 1.7e308), (3, 1.7e308), (4, 1.5e308)])
+def test_per_entry_routes_near_the_double_maximum_match_efe_full(n, value):
+    # their sums overflow unscaled; in the units of _scaled each route gives
+    # efe_full's estimate, a path beyond the double range gives inf, and
+    # nothing warns
+    mask = complete_mask(n, n)
+    core = build_core(mask)
+    data = np.full((n, n), value)
+    beyond = data.copy()
+    beyond[n - 1, n - 1] = -value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        full = efe_full(core, data).estimates
+        routes = [(efe_entry(core, data, i, j),
+                   unit_flow_estimate(electrical_flow(core, i, j), data, mask))
+                  for i, j in np.ndindex(n, n)]
+        path = path_estimate_additive((0, 1, 1, 0), data, mask)
+        overflow = path_estimate_additive((0, n - 1, n - 1, 0), beyond, mask)
+    np.testing.assert_allclose(routes, np.repeat(full.reshape(-1, 1), 2, axis=1),
+                               rtol=1e-15)
+    assert path == value and overflow == math.inf  # 3 * value
+
+
 def test_efe_full_does_not_build_the_adjacency_lists(monkeypatch):
     def refuse(mask):
         raise AssertionError("adjacency lists built")

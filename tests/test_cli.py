@@ -232,6 +232,21 @@ def test_estimates_beyond_the_double_maximum_are_null_without_a_warning(tmp_path
     assert capsys.readouterr().err == ""
 
 
+def test_did_beyond_the_double_maximum_is_null_without_a_warning(tmp_path, capsys):
+    # the contrast at (2, 2), 2e308, is null, as beta_hat is; the other
+    # cells have no donor
+    outcomes = _write(tmp_path / "outcomes.csv", "0,0\n-1e308,1e308\n")
+    treatment = _write(tmp_path / "treatment.csv", "0,0\n0,1\n")
+    out = tmp_path / "panel.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["panel", "--outcomes", outcomes, "--treatment", treatment,
+                     "--did", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["did"] == report["beta_hat"] == [[None, None], [None, None]]
+    assert capsys.readouterr().err == ""
+
+
 @given(sigma=st.floats(0.0, sys.float_info.max))
 @example(sigma=sys.float_info.max)
 @example(sigma=1.3e154)  # sigma**2 just beyond the double range

@@ -1,7 +1,11 @@
 import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 from itertools import chain
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -141,6 +145,29 @@ def test_path_set_names_its_first_failing_path():
         PathSet(paths=((0, 1, 1),) * 2 + ((0, 2.0),), source=0, sink=0, mask=dense)
 
 
+@pytest.mark.parametrize("paths, index, check", [
+    # a path that fails a later check, then an odd-length path
+    (((0, 0), (1, 0), (0, 1, 1)), 1, "does not join entry"),
+    (((0, 0), (0, 0), (0, 1, 1)), 1, "shares an edge"),
+    (((0, 1, 0, 0), (0,)), 0, "revisits"),
+    (((0, 4), (0, 1, 1)), 0, "out of bounds"),
+    # an odd-length path, then a path that shares its edge
+    (((0, 1, 1), (0, 1, 1, 0)), 0, "odd number of edges"),
+    (((0, 0), (0, 1, 1, 0, 2), (0, 1, 1, 0)), 1, "odd number of edges"),
+    # an empty path, alone, last or first
+    (((),), 0, "odd number of edges"),
+    (((0, 0), ()), 1, "odd number of edges"),
+    (((), (0, 5)), 0, "odd number of edges"),
+])
+def test_path_check_names_the_first_failing_path_in_path_order(paths, index, check):
+    dense = ObservationMask.from_dense(np.ones((4, 4)))
+    assert first_bad_path(paths, 0, 0, dense) == (index, check)
+    with pytest.raises(InvalidPathError) as raised:
+        PathSet(paths, 0, 0, dense)
+    assert str(raised.value).startswith(f"path {paths[index]} ")
+    assert check in str(raised.value)
+
+
 def _random_paths(rng, mask, source, sink):
     """Max-flow paths, or none, among random walks and random index runs."""
     paths = list(max_disjoint_paths(mask, source, sink).paths
@@ -201,7 +228,7 @@ def test_flow_plan_matches_the_path_set_route(seed, n, m, p):
     mask = random_mask(np.random.default_rng(seed), n, m, p)
     entries = list(np.ndindex(n, m))
     plan, want = _flow_plan(mask, entries), path_set_plan(mask, entries)
-    assert len(plan) == len(want) == 6
+    assert len(plan) == len(want) == 5
     for got, expected in zip(plan, want):
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
@@ -237,7 +264,7 @@ def test_flow_plan_of_an_empty_mask():
     plan, want = _flow_plan(mask, entries), path_set_plan(mask, entries)
     for got, expected in zip(plan, want):
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
-    assert not plan[1].any() and not plan[4].size and not plan[5].size
+    assert not plan[1].any() and not plan[3].size and not plan[4].size
 
 
 def test_max_flow_reads_the_two_degrees_once(monkeypatch):
@@ -267,6 +294,38 @@ def test_forked_flow_plan_equals_the_serial_plan(monkeypatch, cpus, count):
     assert_no_child_left()
     for got, expected in zip(plan, serial, strict=True):
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts OS threads in /proc/self/stat")
+def test_forked_flow_plan_forks_with_one_os_thread():
+    # Python 3.12+ warns in os.fork() when /proc/self/stat counts more than
+    # one OS thread, threading-listed or not, and reads that count after the
+    # fork handlers ran: numpy's OpenBLAS joins its workers in its own, so
+    # the parent has one OS thread at every fork, BLAS workers running or not
+    code = textwrap.dedent("""\
+        import os
+        import numpy as np
+        from flowcomplete.maxflow import _flow_plan
+        from helpers import benchmark_mask
+
+        def threads():
+            with open("/proc/self/stat") as stat:
+                return int(stat.read().rsplit(")", 1)[1].split()[17])
+        counts = []
+        os.register_at_fork(after_in_parent=lambda: counts.append(threads()))
+        os.sched_getaffinity = lambda pid: {0, 1}
+        for seed in (1, 2):
+            np.ones((256, 256)) @ np.ones((256, 256))  # the BLAS workers run
+            _flow_plan(benchmark_mask(seed), np.ndindex(56, 56))
+        assert counts == [1, 1], counts
+        """)
+    path = [str(Path(maxflow.__file__).parents[1]), str(Path(__file__).parent),
+            os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    child = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code],
+                           capture_output=True, text=True, env=env, timeout=120)
+    assert child.returncode == 0 and child.stderr == "", child.stderr
 
 
 def test_flow_plan_checks_every_entry_before_forking(monkeypatch):

@@ -412,6 +412,18 @@ def test_estimate_effects_beyond_the_double_maximum_is_inf_per_entry():
     assert report.identifiable.tolist() == [[False, False], [False, True]]
 
 
+def test_did_beyond_the_double_maximum_is_inf_without_a_warning():
+    # (1, 1) against donor (0, 0): (1e308 - 0) - (-1e308 - 0) is beyond the
+    # double range, so inf there; no other cell has a donor
+    panel = PanelData(outcomes=np.array([[0.0, 0.0], [-1e308, 1e308]]),
+                      treatment=np.array([[0, 0], [0, 1]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid, value = did_grid(panel), did_estimate(panel, 1, 1)
+    assert value == grid[1, 1] == math.inf
+    assert np.isnan(grid).tolist() == [[True, True], [True, False]]
+
+
 def test_panel_validation():
     with pytest.raises(ValueError):
         PanelData(outcomes=np.zeros((2, 2)), treatment=np.zeros((3, 2), int))
