@@ -1,5 +1,6 @@
-"""Ordered work split over the usable CPUs by ``os.fork``, for the loops that
-hold the GIL (package-internal)."""
+"""Ordered work split over the usable CPUs by ``os.fork`` (package-internal):
+max flows and JSON formatting, which hold the GIL, and trial noise draws,
+which in threads lose the second core to OpenBLAS's spinning workers."""
 
 from __future__ import annotations
 

@@ -104,16 +104,20 @@ def _estimates(observations: np.ndarray, plan) -> tuple[np.ndarray, np.ndarray]:
     path_at = np.cumsum(counts) - counts  # each set's first path
     edge_at = np.cumsum(sizes) - sizes  # each path's first step in the run
     numerator, denominator = np.zeros((2, len(counts), observations.shape[1]))
+    buffer = np.empty((2, np.count_nonzero(counts), observations.shape[1]))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for rank in range(counts.max(initial=0)):
             paths = path_at[counts > rank] + rank  # the rank-th of each set
-            alpha, beta = products = np.ones((2, len(paths), observations.shape[1]))
+            alpha, beta = products = buffer[:, :len(paths)]
+            products.fill(1.0)
             steps, at = sizes[paths], edge_at[paths]
-            for position in range(steps.max(initial=0)):
-                live = np.flatnonzero(steps > position)
-                products[position % 2, live] *= observations[run[at[live] + position]]
+            for position in range(steps.max(initial=0)):  # in place, ended paths kept
+                factor = products[position % 2]
+                np.multiply(factor, observations[run.take(at + position, mode="clip")],
+                            out=factor, where=(steps > position)[:, None])
             numerator[counts > rank] += np.multiply(alpha, beta, out=alpha)
             denominator[counts > rank] += np.float_power(beta, 2, out=beta)
+        buffer = products = alpha = beta = factor = None  # freed before the quotient
         denominator /= counts[:, None]
         quotient = numerator / counts[:, None] / denominator
     degenerate = ~(np.isfinite(quotient) & (denominator >= DENOMINATOR_FLOOR)

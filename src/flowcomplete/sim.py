@@ -21,6 +21,7 @@ import numpy as np
 
 from . import patterns
 from .additive import observation_factors
+from .forkjoin import fork_join
 from .graph import ObservationMask, check_noise
 from .io_utils import write_grid_csv, write_histogram_csv
 from .maxflow import _flow_plan
@@ -34,6 +35,7 @@ MODELS = ("additive", "rank1", "panel")
 _PANEL_PATTERNS = ("staircase", "staggered_exposure")
 # trials solved together; bounds the (observed cells x trials) noise buffer
 _TRIAL_CHUNK = 64
+_NOISE_FLOOR = 1 << 17  # normals that pay for a forked part of a chunk's draws
 
 
 @dataclass(frozen=True)
@@ -183,16 +185,34 @@ def _observed_noise(config, masks):
     """Every model's trial noise, ``_TRIAL_CHUNK`` trials at a time: for each
     mask a ``(observed cells, trials)`` array gathered from each trial's full
     standard-normal grid, drawn by a generator made only when its trial comes
-    (times sigma, bit for bit ``rng.normal(0, sigma, shape)``)."""
+    (times sigma, bit for bit ``rng.normal(0, sigma, shape)``), row blocks of
+    one buffer per chunk.  Its trials go to parts of at least ``_NOISE_FLOOR``
+    normals (:func:`~.forkjoin.fork_join`); a child's columns come back as raw
+    float64 bytes, copied into the buffer by whole rows as they arrive."""
     grid = np.empty((config.n_rows, config.n_cols))
-    for start in range(0, config.trials, _TRIAL_CHUNK):
-        size = min(_TRIAL_CHUNK, config.trials - start)
-        chunk = [np.empty((mask.n_observed, size)) for mask in masks]
-        for t in range(size):
-            _child_rng(config, start + t + 2).standard_normal(out=grid)
-            for mask, values in zip(masks, chunk):
-                values[:, t] = grid[mask.rows, mask.cols]
-        yield chunk
+    rows, cols = np.hstack([(mask.rows, mask.cols) for mask in masks])
+
+    def draw(first, start, stop, values):  # trials first + start..stop
+        for t in range(start, stop):
+            _child_rng(config, first + t + 2).standard_normal(out=grid)
+            values[:, t - start] = grid[rows, cols]
+        return values
+    for first in range(0, config.trials, _TRIAL_CHUNK):
+        size = min(_TRIAL_CHUNK, config.trials - first)
+        buffer = np.empty((len(rows), size))
+        with fork_join(lambda start, stop: draw(
+                first, start, stop, np.empty((len(rows), stop - start))).data.cast("B"),
+                np.full(size, grid.size), _NOISE_FLOOR) as ((start, stop), tails):
+            draw(first, start, stop, buffer[:, start:stop])
+            for start, stop, chunks in tails:
+                width, row, pending = stop - start, 0, b""
+                for piece in chunks:
+                    pending += piece
+                    whole = len(pending) // (8 * width)
+                    buffer[row:row + whole, start:stop] = np.frombuffer(
+                        pending, count=whole * width).reshape(whole, width)
+                    row, pending = row + whole, pending[8 * width * whole:]
+        yield np.split(buffer, np.cumsum([mask.n_observed for mask in masks[:-1]]))
 
 
 def _run_additive(config, realized):

@@ -1,4 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ from flowcomplete import (
     run_experiment,
     split_masks,
 )
+from flowcomplete import sim
 from flowcomplete.rank1 import DENOMINATOR_FLOOR, _path_products
 from flowcomplete.spectral import build_core
 from flowcomplete.patterns import (
@@ -24,7 +30,7 @@ from flowcomplete.patterns import (
     staircase_pattern,
     uniform_bernoulli_mask,
 )
-from helpers import is_observed
+from helpers import assert_no_child_left, forked_parts, is_observed
 
 
 def test_extreme_sparsity_count():
@@ -393,3 +399,111 @@ def test_additive_experiment_builds_its_mask_once(monkeypatch):
                              n_rows=30, n_cols=30, noise_sigma=1.0, trials=3,
                              seed=5, bernoulli_p=0.2))
     assert len(calls) == 1
+
+
+def _noise_masks(config):
+    """The masks whose noise a run of ``config`` draws: the pattern's, or
+    the control and treated arms of a panel."""
+    realized = generate_pattern(config)
+    if config.model != "panel":
+        return [realized.mask]
+    return list(split_masks(PanelData(
+        outcomes=np.zeros((config.n_rows, config.n_cols)),
+        treatment=realized.treatment, observed=realized.mask.grid.astype(np.int8))))
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("pattern, model, extra", [
+    ("uniform_bernoulli", "additive", {"bernoulli_p": 0.5}),
+    ("staggered_exposure", "panel", {"groups": 4}),
+])
+def test_forked_noise_draws_are_the_serial_draws(monkeypatch, cpus, pattern,
+                                                 model, extra):
+    # a floor of one trial's normals forks every chunk of at least ``cpus``
+    # trials; 150 trials are two full chunks and a partial one of 22.  A
+    # full chunk's child sends more than one 64 KiB pipe read
+    config = SimConfig(pattern=pattern, model=model, n_rows=40, n_cols=40,
+                       noise_sigma=0.3, trials=150, seed=41, **extra)
+    masks = _noise_masks(config)
+    assert len(masks) == (2 if model == "panel" else 1)
+    assert sum(mask.n_observed for mask in masks) * 8 * (64 // cpus) > 1 << 16
+    monkeypatch.setattr(sim, "_NOISE_FLOOR", config.n_rows * config.n_cols)
+    forks = forked_parts(monkeypatch, 1)
+    serial = list(sim._observed_noise(config, masks))
+    assert forks == [] and [len(chunk) for chunk in serial] == [len(masks)] * 3
+    forks = forked_parts(monkeypatch, cpus)
+    forked = list(sim._observed_noise(config, masks))
+    assert len(forks) == 3 * (cpus - 1)
+    assert_no_child_left()
+    for got_chunk, want_chunk in zip(forked, serial, strict=True):
+        for got, want, mask in zip(got_chunk, want_chunk, masks, strict=True):
+            assert got.flags.c_contiguous and got.shape == want.shape
+            assert got.shape[0] == mask.n_observed
+            assert got.tobytes() == want.tobytes()
+
+
+def test_noise_draws_fork_only_past_their_floor(monkeypatch):
+    # a full chunk of 64x64 grids is two parts of exactly the floor; one
+    # column less, or the staircase config's 30x30 panel, stays in one part
+    cols = 2 * sim._NOISE_FLOOR // (64 * sim._TRIAL_CHUNK)
+    forks = forked_parts(monkeypatch, 2)
+    for n_cols, expected in ((cols, 1), (cols - 1, 0)):
+        forks.clear()
+        config = SimConfig(pattern="uniform_bernoulli", model="additive",
+                           n_rows=64, n_cols=n_cols, noise_sigma=0.1,
+                           trials=sim._TRIAL_CHUNK, seed=7, bernoulli_p=0.1)
+        run_experiment(config)
+        assert len(forks) == expected
+    forks.clear()
+    run_experiment(SimConfig(pattern="staircase", model="panel", n_rows=30,
+                             n_cols=30, noise_sigma=0.1, trials=130, seed=1,
+                             groups=6))
+    assert forks == []
+
+
+def test_a_failing_noise_child_raises_in_the_parent(monkeypatch):
+    parent, child_rng = os.getpid(), sim._child_rng
+
+    def fail_in_child(config, child):
+        if os.getpid() != parent:
+            raise MemoryError("in the child")
+        return child_rng(config, child)
+    monkeypatch.setattr(sim, "_child_rng", fail_in_child)
+    config = SimConfig(pattern="uniform_bernoulli", model="additive", n_rows=128,
+                       n_cols=128, noise_sigma=0.1, trials=70, seed=3,
+                       bernoulli_p=0.05)
+    forks = forked_parts(monkeypatch, 2)
+    with pytest.raises(ChildProcessError, match="exited with 1"):
+        run_experiment(config)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts OS threads in /proc/self/stat")
+def test_forked_noise_draws_fork_with_one_os_thread():
+    # each chunk forks right after the previous chunk's BLAS solves; numpy's
+    # OpenBLAS joins its workers in its fork handler, so the parent has one
+    # OS thread at every fork (Python 3.12+ warns in os.fork() otherwise)
+    code = textwrap.dedent("""\
+        import os
+        from flowcomplete.sim import SimConfig, run_experiment
+
+        def threads():
+            with open("/proc/self/stat") as stat:
+                return int(stat.read().rsplit(")", 1)[1].split()[17])
+        counts = []
+        os.register_at_fork(after_in_parent=lambda: counts.append(threads()))
+        os.sched_getaffinity = lambda pid: {0, 1}
+        for model, pattern in (("additive", "uniform_bernoulli"),
+                               ("panel", "staggered_exposure")):
+            run_experiment(SimConfig(pattern=pattern, model=model, n_rows=128,
+                                     n_cols=128, noise_sigma=0.1, trials=130,
+                                     seed=5, bernoulli_p=0.05, groups=4))
+        assert counts == [1, 1, 1, 1], counts
+        """)
+    path = [str(Path(sim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    child = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code],
+                           capture_output=True, text=True, env=env, timeout=120)
+    assert child.returncode == 0 and child.stderr == "", child.stderr
