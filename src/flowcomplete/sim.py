@@ -35,7 +35,7 @@ MODELS = ("additive", "rank1", "panel")
 _PANEL_PATTERNS = ("staircase", "staggered_exposure")
 # trials solved together; bounds the (observed cells x trials) noise buffer
 _TRIAL_CHUNK = 64
-_NOISE_FLOOR = 1 << 17  # normals that pay for a forked part of a chunk's draws
+_NOISE_FLOOR = 1 << 18  # normals that pay for a forked part of a chunk's draws
 
 
 @dataclass(frozen=True)
@@ -187,8 +187,8 @@ def _observed_noise(config, masks):
     standard-normal grid, drawn by a generator made only when its trial comes
     (times sigma, bit for bit ``rng.normal(0, sigma, shape)``), row blocks of
     one buffer per chunk.  Its trials go to parts of at least ``_NOISE_FLOOR``
-    normals (:func:`~.forkjoin.fork_join`); a child's columns come back as raw
-    float64 bytes, copied into the buffer by whole rows as they arrive."""
+    normals and one trial (:func:`~.forkjoin.fork_join`); a child's columns
+    come back as raw float64 bytes, copied in by whole rows as they arrive."""
     grid = np.empty((config.n_rows, config.n_cols))
     rows, cols = np.hstack([(mask.rows, mask.cols) for mask in masks])
 
@@ -200,9 +200,9 @@ def _observed_noise(config, masks):
     for first in range(0, config.trials, _TRIAL_CHUNK):
         size = min(_TRIAL_CHUNK, config.trials - first)
         buffer = np.empty((len(rows), size))
-        with fork_join(lambda start, stop: draw(
-                first, start, stop, np.empty((len(rows), stop - start))).data.cast("B"),
-                np.full(size, grid.size), _NOISE_FLOOR) as ((start, stop), tails):
+        with fork_join(lambda start, stop: draw(first, start, stop, np.empty(
+                (len(rows), stop - start))).data.cast("B"), np.full(size, grid.size),
+                max(_NOISE_FLOOR, grid.size)) as ((start, stop), tails):
             draw(first, start, stop, buffer[:, start:stop])
             for start, stop, chunks in tails:
                 width, row, pending = stop - start, 0, b""

@@ -413,27 +413,30 @@ def _noise_masks(config):
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("trials, last", [(150, 22), (129, 1)])
 @pytest.mark.parametrize("pattern, model, extra", [
     ("uniform_bernoulli", "additive", {"bernoulli_p": 0.5}),
     ("staggered_exposure", "panel", {"groups": 4}),
 ])
-def test_forked_noise_draws_are_the_serial_draws(monkeypatch, cpus, pattern,
-                                                 model, extra):
-    # a floor of one trial's normals forks every chunk of at least ``cpus``
-    # trials; 150 trials are two full chunks and a partial one of 22.  A
-    # full chunk's child sends more than one 64 KiB pipe read
+def test_forked_noise_draws_are_the_serial_draws(monkeypatch, cpus, trials, last,
+                                                 pattern, model, extra):
+    # a floor below one trial's normals forks every chunk of at least ``cpus``
+    # trials, but never into a part with no trial: two full chunks, then a
+    # partial one of 22 trials, which forks, or of 1, which does not.  A full
+    # chunk's child sends more than one 64 KiB pipe read
     config = SimConfig(pattern=pattern, model=model, n_rows=40, n_cols=40,
-                       noise_sigma=0.3, trials=150, seed=41, **extra)
+                       noise_sigma=0.3, trials=trials, seed=41, **extra)
     masks = _noise_masks(config)
     assert len(masks) == (2 if model == "panel" else 1)
     assert sum(mask.n_observed for mask in masks) * 8 * (64 // cpus) > 1 << 16
-    monkeypatch.setattr(sim, "_NOISE_FLOOR", config.n_rows * config.n_cols)
+    monkeypatch.setattr(sim, "_NOISE_FLOOR", 1)
     forks = forked_parts(monkeypatch, 1)
     serial = list(sim._observed_noise(config, masks))
     assert forks == [] and [len(chunk) for chunk in serial] == [len(masks)] * 3
+    assert serial[-1][0].shape[1] == last
     forks = forked_parts(monkeypatch, cpus)
     forked = list(sim._observed_noise(config, masks))
-    assert len(forks) == 3 * (cpus - 1)
+    assert len(forks) == (2 + (last >= cpus)) * (cpus - 1)
     assert_no_child_left()
     for got_chunk, want_chunk in zip(forked, serial, strict=True):
         for got, want, mask in zip(got_chunk, want_chunk, masks, strict=True):
@@ -443,14 +446,17 @@ def test_forked_noise_draws_are_the_serial_draws(monkeypatch, cpus, pattern,
 
 
 def test_noise_draws_fork_only_past_their_floor(monkeypatch):
-    # a full chunk of 64x64 grids is two parts of exactly the floor; one
-    # column less, or the staircase config's 30x30 panel, stays in one part
+    # a full chunk of 64 x cols grids is two parts of exactly the floor, one
+    # column less is not; timed serial against forked, a chunk of 96x96
+    # grids drew faster forked and one of 88x88 broke even.  The staircase
+    # config's 30x30 panel stays in one part
     cols = 2 * sim._NOISE_FLOOR // (64 * sim._TRIAL_CHUNK)
     forks = forked_parts(monkeypatch, 2)
-    for n_cols, expected in ((cols, 1), (cols - 1, 0)):
+    for n_rows, n_cols, expected in ((64, cols, 1), (64, cols - 1, 0),
+                                     (96, 96, 1), (88, 88, 0)):
         forks.clear()
         config = SimConfig(pattern="uniform_bernoulli", model="additive",
-                           n_rows=64, n_cols=n_cols, noise_sigma=0.1,
+                           n_rows=n_rows, n_cols=n_cols, noise_sigma=0.1,
                            trials=sim._TRIAL_CHUNK, seed=7, bernoulli_p=0.1)
         run_experiment(config)
         assert len(forks) == expected
