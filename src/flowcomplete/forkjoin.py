@@ -27,11 +27,13 @@ def fork_join(work, weights, floor: int):
     """Split ``range(len(weights))`` into contiguous parts of about equal
     weight, each of at least ``floor``, and run ``work(start, stop) -> bytes``
     of every part but the first in a forked child: one part per usable CPU,
-    on Linux and with no other Python thread, else one part.  Yields the
-    first part's ``(start, stop)``, for the caller to run, and the later
-    parts in order as ``(start, stop, chunks)`` of the child's bytes.  On the
-    way out every child not yet reaped is killed and reaped, also when the
-    caller's own part raised."""
+    on Linux and with no other Python thread, else one part.  A child whose
+    ``work`` returns ``None`` sends nothing.  Yields the first part's
+    ``(start, stop)``, for the caller to run, and the later parts in order
+    as ``(start, stop, chunks)`` of the child's bytes.  Once ``os.fork``
+    fails, the calling process runs the parts left at once, as one more tail
+    whose bytes are its only chunk.  On the way out every child not yet
+    reaped is killed and reaped, also when the caller's own part raised."""
     cumulative = np.cumsum(weights)
     total, parts = (cumulative[-1] if len(cumulative) else 0), 1
     if hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
@@ -47,12 +49,15 @@ def fork_join(work, weights, floor: int):
                 if pid == 0:  # never returns: no atexit handler, no inherited flush
                     status = 1
                     try:
-                        data = memoryview(work(start, stop))
+                        data = memoryview(work(start, stop) or b"")
                         while data:
                             data = data[os.write(write_end, data):]
                         status = 0
                     finally:
                         os._exit(status)
+            except OSError:  # no process to spare: the rest runs here
+                tails.append((start, bounds[-1], [work(start, bounds[-1]) or b""]))
+                break
             finally:
                 os.close(write_end)
             children[pid] = read_end

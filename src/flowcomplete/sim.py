@@ -14,6 +14,7 @@ the pattern and each trial draw from their own spawned child of it.
 from __future__ import annotations
 
 import json
+import mmap
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -35,7 +36,7 @@ MODELS = ("additive", "rank1", "panel")
 _PANEL_PATTERNS = ("staircase", "staggered_exposure")
 # trials solved together; bounds the (observed cells x trials) noise buffer
 _TRIAL_CHUNK = 64
-_NOISE_FLOOR = 1 << 18  # normals that pay for a forked part of a chunk's draws
+_NOISE_FLOOR = 15 << 14  # normals that pay for a forked part of a chunk's draws
 
 
 @dataclass(frozen=True)
@@ -186,32 +187,26 @@ def _observed_noise(config, masks):
     mask a ``(observed cells, trials)`` array gathered from each trial's full
     standard-normal grid, drawn by a generator made only when its trial comes
     (times sigma, bit for bit ``rng.normal(0, sigma, shape)``), row blocks of
-    one buffer per chunk.  Its trials go to parts of at least ``_NOISE_FLOOR``
-    normals and one trial (:func:`~.forkjoin.fork_join`); a child's columns
-    come back as raw float64 bytes, copied in by whole rows as they arrive."""
+    one chunk buffer, valid only until the next chunk is drawn.  The buffer
+    is a shared anonymous mapping, made once per call; the calling process
+    and forked children draw their parts of at least ``_NOISE_FLOOR`` normals
+    and one trial (:func:`~.forkjoin.fork_join`) into its columns in place."""
     grid = np.empty((config.n_rows, config.n_cols))
     rows, cols = np.hstack([(mask.rows, mask.cols) for mask in masks])
+    shared = mmap.mmap(-1, max(1, 8 * len(rows) * min(_TRIAL_CHUNK, config.trials)))
 
-    def draw(first, start, stop, values):  # trials first + start..stop
+    def draw(start, stop):  # trials first + start..stop, into buffer's columns
         for t in range(start, stop):
             _child_rng(config, first + t + 2).standard_normal(out=grid)
-            values[:, t - start] = grid[rows, cols]
-        return values
+            buffer[:, t] = grid[rows, cols]
     for first in range(0, config.trials, _TRIAL_CHUNK):
         size = min(_TRIAL_CHUNK, config.trials - first)
-        buffer = np.empty((len(rows), size))
-        with fork_join(lambda start, stop: draw(first, start, stop, np.empty(
-                (len(rows), stop - start))).data.cast("B"), np.full(size, grid.size),
-                max(_NOISE_FLOOR, grid.size)) as ((start, stop), tails):
-            draw(first, start, stop, buffer[:, start:stop])
-            for start, stop, chunks in tails:
-                width, row, pending = stop - start, 0, b""
-                for piece in chunks:
-                    pending += piece
-                    whole = len(pending) // (8 * width)
-                    buffer[row:row + whole, start:stop] = np.frombuffer(
-                        pending, count=whole * width).reshape(whole, width)
-                    row, pending = row + whole, pending[8 * width * whole:]
+        buffer = np.frombuffer(shared, count=len(rows) * size).reshape(-1, size)
+        with fork_join(draw, np.full(size, grid.size),
+                       max(_NOISE_FLOOR, grid.size)) as ((start, stop), tails):
+            draw(start, stop)
+            for _, _, chunks in tails:  # no bytes: reading reaps the child, or raises
+                list(chunks)
         yield np.split(buffer, np.cumsum([mask.n_observed for mask in masks[:-1]]))
 
 

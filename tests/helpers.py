@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import errno
 import math
 import operator
 import os
 from array import array
 from collections import deque
-from itertools import combinations
+from itertools import combinations, count
 
 import numpy as np
 import pytest
@@ -414,15 +415,19 @@ def path_set_plan(mask: ObservationMask, entries) -> tuple:
                             mask)
 
 
-def forked_parts(monkeypatch, cpus: int) -> list:
+def forked_parts(monkeypatch, cpus: int, fail_at: int | None = None) -> list:
     """Make ``cpus`` CPUs usable to ``fork_join``; returns the list that
-    collects the pid of every child forked from then on.  Skips the test
-    where parts are never forked (no ``os.sched_getaffinity``)."""
+    collects the pid of every child forked from then on.  The ``fail_at``-th
+    call of ``os.fork`` from then on (1-based) raises ``EAGAIN``, as when no
+    process can be spared.  Skips the test where parts are never forked (no
+    ``os.sched_getaffinity``)."""
     if not hasattr(os, "sched_getaffinity"):
         pytest.skip("forked parts need Linux")
-    forks, fork = [], os.fork
+    forks, fork, calls = [], os.fork, count(1)
 
     def counted():
+        if next(calls) == fail_at:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
         pid = fork()
         if pid:
             forks.append(pid)

@@ -687,6 +687,27 @@ seed = 11
     assert metadata["pattern"]["groups"] == 2
 
 
+@pytest.mark.parametrize("model", ["additive", "rank1"])
+def test_simulate_with_no_observed_cell(tmp_path, capsys, model):
+    # an empty pattern draws into an empty noise buffer: every entry is
+    # unidentifiable (inf) and the histogram, over numpy's [0, 1], is empty
+    config = _write(tmp_path / "sim.cfg",
+                    "pattern = uniform_bernoulli\nmodel = %s\nn_rows = 3\n"
+                    "n_cols = 2\nbernoulli_p = 0\nnoise_sigma = 0.1\n"
+                    "trials = 70\nseed = 2\n" % model)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", config, "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    for name in ("mse.csv", "resistance.csv", "ratio.csv"):
+        assert (out / name).read_text() == "inf,inf\n" * 3
+    histogram = (out / "histogram.csv").read_text().splitlines()
+    assert histogram[0] == "bin_left,bin_right,count" and len(histogram) == 41
+    assert histogram[1] == "0,0.025000000000000001,0"
+    assert all(line.endswith(",0") for line in histogram[1:])
+    metadata = json.loads((out / "metadata.json").read_text())
+    assert metadata["pattern"]["observed_cells"] == 0
+
+
 def test_simulate_rejects_unknown_key(tmp_path, capsys):
     config = _write(tmp_path / "sim.cfg",
                     "pattern = staircase\nmodel = panel\nn_rows = 4\n"

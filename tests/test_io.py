@@ -237,6 +237,22 @@ def test_forked_write_json_writes_the_serial_bytes(tmp_path, capsys, monkeypatch
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("fail_at", [1, 2])
+def test_write_json_writes_here_when_a_fork_fails(tmp_path, monkeypatch, fail_at):
+    # of three parts, the one whose fork fails and the one after it are
+    # formatted in the calling process, in order
+    path = tmp_path / "out.json"
+    for payload in _forking_payloads():
+        forked_parts(monkeypatch, 1)
+        write_json(path, payload)
+        serial = path.read_bytes()
+        forks = forked_parts(monkeypatch, 3, fail_at=fail_at)
+        write_json(path, payload)
+        assert len(forks) == fail_at - 1
+        assert path.read_bytes() == serial
+    assert_no_child_left()
+
+
 def test_write_json_forks_only_past_its_floor(tmp_path, monkeypatch):
     forks = forked_parts(monkeypatch, 2)
     grid = np.ones((2 * io_utils._JSON_FLOOR // 64, 64))  # two parts' worth

@@ -296,6 +296,21 @@ def test_forked_flow_plan_equals_the_serial_plan(monkeypatch, cpus, count):
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
+@pytest.mark.parametrize("fail_at", [1, 2])
+def test_flow_plan_runs_here_when_a_fork_fails(monkeypatch, fail_at):
+    # of three parts, the one whose fork fails and the one after it run in
+    # the calling process, in order
+    mask, entries = benchmark_mask(1), list(np.ndindex(56, 56))
+    forked_parts(monkeypatch, 1)
+    serial = _flow_plan(mask, entries)
+    forks = forked_parts(monkeypatch, 3, fail_at=fail_at)
+    plan = _flow_plan(mask, entries)
+    assert len(forks) == fail_at - 1
+    assert_no_child_left()
+    for got, expected in zip(plan, serial, strict=True):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="counts OS threads in /proc/self/stat")
 def test_forked_flow_plan_forks_with_one_os_thread():

@@ -412,6 +412,17 @@ def _noise_masks(config):
         treatment=realized.treatment, observed=realized.mask.grid.astype(np.int8))))
 
 
+def _drawn(config, masks):
+    """Every chunk of ``_observed_noise``, copied as it is yielded: the chunks
+    share one buffer, so a chunk's arrays hold only until the next is drawn."""
+    chunks, previous = [], None
+    for chunk in sim._observed_noise(config, masks):
+        assert previous is None or np.shares_memory(previous, chunk[0])
+        previous = chunk[0]
+        chunks.append([values.copy() for values in chunk])
+    return chunks
+
+
 @pytest.mark.parametrize("cpus", [2, 3])
 @pytest.mark.parametrize("trials, last", [(150, 22), (129, 1)])
 @pytest.mark.parametrize("pattern, model, extra", [
@@ -422,20 +433,18 @@ def test_forked_noise_draws_are_the_serial_draws(monkeypatch, cpus, trials, last
                                                  pattern, model, extra):
     # a floor below one trial's normals forks every chunk of at least ``cpus``
     # trials, but never into a part with no trial: two full chunks, then a
-    # partial one of 22 trials, which forks, or of 1, which does not.  A full
-    # chunk's child sends more than one 64 KiB pipe read
+    # partial one of 22 trials, which forks, or of 1, which does not
     config = SimConfig(pattern=pattern, model=model, n_rows=40, n_cols=40,
                        noise_sigma=0.3, trials=trials, seed=41, **extra)
     masks = _noise_masks(config)
     assert len(masks) == (2 if model == "panel" else 1)
-    assert sum(mask.n_observed for mask in masks) * 8 * (64 // cpus) > 1 << 16
     monkeypatch.setattr(sim, "_NOISE_FLOOR", 1)
     forks = forked_parts(monkeypatch, 1)
-    serial = list(sim._observed_noise(config, masks))
+    serial = _drawn(config, masks)
     assert forks == [] and [len(chunk) for chunk in serial] == [len(masks)] * 3
     assert serial[-1][0].shape[1] == last
     forks = forked_parts(monkeypatch, cpus)
-    forked = list(sim._observed_noise(config, masks))
+    forked = _drawn(config, masks)
     assert len(forks) == (2 + (last >= cpus)) * (cpus - 1)
     assert_no_child_left()
     for got_chunk, want_chunk in zip(forked, serial, strict=True):
@@ -445,15 +454,35 @@ def test_forked_noise_draws_are_the_serial_draws(monkeypatch, cpus, trials, last
             assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("fail_at", [1, 2])
+def test_noise_draws_run_here_when_a_fork_fails(monkeypatch, fail_at):
+    # with 3 CPUs each full chunk forks twice; from the failed fork on, the
+    # chunk's parts left are drawn in the calling process, and the next chunk
+    # forks again
+    config = SimConfig(pattern="staggered_exposure", model="panel", n_rows=40,
+                       n_cols=40, noise_sigma=0.3, trials=150, seed=41, groups=4)
+    masks = _noise_masks(config)
+    monkeypatch.setattr(sim, "_NOISE_FLOOR", 1)
+    forked_parts(monkeypatch, 1)
+    serial = _drawn(config, masks)
+    forks = forked_parts(monkeypatch, 3, fail_at=fail_at)
+    drawn = _drawn(config, masks)
+    assert len(forks) == 6 - 1 - (fail_at == 1)
+    assert_no_child_left()
+    for got_chunk, want_chunk in zip(drawn, serial, strict=True):
+        for got, want in zip(got_chunk, want_chunk, strict=True):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_noise_draws_fork_only_past_their_floor(monkeypatch):
     # a full chunk of 64 x cols grids is two parts of exactly the floor, one
-    # column less is not; timed serial against forked, a chunk of 96x96
-    # grids drew faster forked and one of 88x88 broke even.  The staircase
+    # column less is not; timed serial against forked, a chunk of 88x88
+    # grids drew faster forked and one of 84x84 broke even.  The staircase
     # config's 30x30 panel stays in one part
     cols = 2 * sim._NOISE_FLOOR // (64 * sim._TRIAL_CHUNK)
     forks = forked_parts(monkeypatch, 2)
     for n_rows, n_cols, expected in ((64, cols, 1), (64, cols - 1, 0),
-                                     (96, 96, 1), (88, 88, 0)):
+                                     (88, 88, 1), (84, 84, 0)):
         forks.clear()
         config = SimConfig(pattern="uniform_bernoulli", model="additive",
                            n_rows=n_rows, n_cols=n_cols, noise_sigma=0.1,
