@@ -79,12 +79,9 @@ def path_estimate_additive(path, data, mask: ObservationMask) -> float:
     ``data`` must have the mask's shape.  The sum runs in the units of
     :func:`_scaled`, and one beyond the double range is ``±inf``.
     """
-    validate_path(path, mask)
-    arr = np.asarray(data, dtype=float)
-    vec_omega(mask, arr)  # rejects a grid of another shape
-    rows, cols = np.asarray(path[0::2]), np.asarray(path[1::2])
-    values, shift = _scaled(np.concatenate([arr[rows, cols],
-                                            -arr[rows[1:], cols[:-1]]]))
+    run = validate_path(path, mask)
+    observations = vec_omega(mask, data)[run]  # y_Ω in walk order
+    values, shift = _scaled(np.concatenate([observations[0::2], -observations[1::2]]))
     total = 0.0
     for value in values:  # left to right; sum() rounds differently since 3.12
         total += value

@@ -29,10 +29,10 @@ def fork_join(work, weights, floor: int):
     of every part but the first in a forked child: one part per usable CPU,
     on Linux and with no other Python thread, else one part.  A child whose
     ``work`` returns ``None`` sends nothing.  Yields the first part's
-    ``(start, stop)``, for the caller to run, and the later parts in order
-    as ``(start, stop, chunks)`` of the child's bytes.  Once ``os.fork``
-    fails, the calling process runs the parts left at once, as one more tail
-    whose bytes are its only chunk.  On the way out every child not yet
+    ``(start, stop)``, for the caller to run, and the later parts in order,
+    each as the chunks of its child's bytes.  Once ``os.fork`` fails, the
+    calling process runs the parts left at once, as one more tail whose
+    bytes are its only chunk.  On the way out every child not yet
     reaped is killed and reaped, also when the caller's own part raised."""
     cumulative = np.cumsum(weights)
     total, parts = (cumulative[-1] if len(cumulative) else 0), 1
@@ -56,12 +56,12 @@ def fork_join(work, weights, floor: int):
                     finally:
                         os._exit(status)
             except OSError:  # no process to spare: the rest runs here
-                tails.append((start, bounds[-1], [work(start, bounds[-1]) or b""]))
+                tails.append([work(start, bounds[-1]) or b""])
                 break
             finally:
                 os.close(write_end)
             children[pid] = read_end
-            tails.append((start, stop, _output(children, pid)))
+            tails.append(_output(children, pid))
         yield (bounds[0], bounds[1]), tails
     finally:
         for pid in children:

@@ -228,8 +228,9 @@ def check_entry(mask: ObservationMask, i: int, j: int) -> None:
                          f"{mask.n_rows}x{mask.n_cols} pattern")
 
 
-def validate_path(path: Sequence[int], mask: ObservationMask) -> None:
-    """Check that ``path`` is a simple, observed, alternating walk.
+def validate_path(path: Sequence[int], mask: ObservationMask) -> np.ndarray:
+    """Check that ``path`` is a simple, observed, alternating walk; return the
+    edge id of each of its steps in walk order (row to column at even steps).
 
     ``path`` is an index sequence ``(x_1, ..., x_{l+1})`` with row indices at
     odd positions and column indices at even positions (so it always starts
@@ -237,7 +238,7 @@ def validate_path(path: Sequence[int], mask: ObservationMask) -> None:
     Raises :class:`InvalidPathError` on any violation, by the check of a set
     of this one path that joins its own ends.
     """
-    _path_set_cells(mask, (path,))
+    return _path_set_cells(mask, (path,))[4]
 
 
 def _path_set_cells(mask: ObservationMask, paths, entry=None) -> tuple:

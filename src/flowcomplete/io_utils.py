@@ -173,7 +173,7 @@ def write_json(path, report: dict) -> None:
                    weights, _JSON_FLOOR) as ((start, stop), tails), \
             open_output(path) as handle:
         handle.writelines(_json_text(report, start, stop))
-        for _, _, chunks in tails:
+        for chunks in tails:
             for chunk in chunks:
                 handle.write(chunk.decode("ascii"))
 

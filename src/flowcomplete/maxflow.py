@@ -175,7 +175,7 @@ def _flow_plan(mask: ObservationMask, entries) -> tuple:
     with fork_join(lambda start, stop: pickle.dumps(part(start, stop)),
                    np.ones(len(entries)), _FLOW_FLOOR) as ((start, stop), tails):
         buffers = part(start, stop)
-        for _, _, chunks in tails:  # a child's three buffers, pickled
+        for chunks in tails:  # a child's three buffers, pickled
             for buffer, more in zip(buffers, pickle.loads(b"".join(chunks))):
                 buffer.extend(more)
     sets, lengths, vertices = buffers

@@ -87,12 +87,16 @@ def staircase_pattern(n_rows: int, n_cols: int, n_groups: int,
     inside block g survive with probability ``base_density * thinning**g``;
     a deterministic spine (first column of each window for every row, every
     window column for the first row of the group) is always kept so the
-    treatment graph stays connected.  Returns ``(observed, treatment)``.
+    treatment graph stays connected.  Every group needs a row and a column,
+    so ``n_groups`` is at most ``min(n_rows, n_cols)``.  Returns
+    ``(observed, treatment)``.
     """
     if not 0 < thinning <= 1 or not 0 < base_density <= 1:
         raise ValueError("densities must lie in (0, 1]")
     if n_groups < 1:
         raise ValueError("n_groups must be positive")
+    if n_groups > min(n_rows, n_cols):
+        raise ValueError("n_groups must be at most min(n_rows, n_cols)")
     row_groups = np.array_split(np.arange(n_rows), n_groups)
     col_groups = np.array_split(np.arange(n_cols), n_groups)
     treatment = np.zeros((n_rows, n_cols), dtype=np.int8)

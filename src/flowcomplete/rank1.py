@@ -68,28 +68,19 @@ class Rank1Report:
     degenerate: np.ndarray
 
 
-def _path_products(arr: np.ndarray, path) -> tuple[float, float]:
-    """Forward (row->col) and backward (col->row) products along ``path``."""
-    alpha = 1.0
-    for s in range(0, len(path) - 1, 2):
-        alpha *= arr[path[s], path[s + 1]]
-    beta = 1.0
-    for s in range(2, len(path) - 1, 2):
-        beta *= arr[path[s], path[s - 1]]
-    return float(alpha), float(beta)
-
-
 def path_alpha_beta(path, data, mask: ObservationMask) -> PathStatistics:
     """Products of forward (row->col) and backward (col->row) observations.
 
     A length-1 path has an empty backward product, so ``beta == 1``.  The
-    path must be observed in ``mask`` and ``data`` have its shape.
+    path must be observed in ``mask`` and ``data`` have its shape.  Each
+    product is taken left to right in Python floats, so one beyond the
+    double range is ``inf``, with no warning.
     """
-    arr = np.asarray(data, dtype=float)
-    validate_path(path, mask)
-    vec_omega(mask, arr)  # rejects a grid of another shape
-    alpha, beta = _path_products(arr, path)
-    return PathStatistics(alpha=alpha, beta=beta, length=len(path) - 1)
+    run = validate_path(path, mask)
+    observations = vec_omega(mask, data)[run].tolist()  # y_Ω in walk order
+    return PathStatistics(alpha=math.prod(observations[0::2], start=1.0),
+                          beta=math.prod(observations[1::2], start=1.0),
+                          length=len(run))
 
 
 def _estimates(observations: np.ndarray, plan) -> tuple[np.ndarray, np.ndarray]:
@@ -97,7 +88,7 @@ def _estimates(observations: np.ndarray, plan) -> tuple[np.ndarray, np.ndarray]:
     ``(sets, data sets)``, of the path sets of a gather plan
     (:func:`~flowcomplete.graph._path_cells`) from ``(edges, data sets)``
     observations in edge order: bit for bit the scalar loop over
-    :func:`_path_products` per data set (products and sums in path order,
+    :func:`path_alpha_beta` per data set (products and sums in path order,
     ``beta ** 2`` as libm's ``pow``), the ``rank``-th paths of all sets at
     once, each along its run of steps (even ones into alpha, odd into beta)."""
     _, counts, _, sizes, run = plan

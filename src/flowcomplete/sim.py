@@ -205,7 +205,7 @@ def _observed_noise(config, masks):
         with fork_join(draw, np.full(size, grid.size),
                        max(_NOISE_FLOOR, grid.size)) as ((start, stop), tails):
             draw(start, stop)
-            for _, _, chunks in tails:  # no bytes: reading reaps the child, or raises
+            for chunks in tails:  # no bytes: reading reaps the child, or raises
                 list(chunks)
         yield np.split(buffer, np.cumsum([mask.n_observed for mask in masks[:-1]]))
 

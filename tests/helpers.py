@@ -23,7 +23,8 @@ from flowcomplete import (
     max_disjoint_paths,
     split_masks,
 )
-from flowcomplete.rank1 import DENOMINATOR_FLOOR, _path_products
+from flowcomplete.additive import _scaled, _unscaled
+from flowcomplete.rank1 import DENOMINATOR_FLOOR
 
 
 def laplacian(mask: ObservationMask) -> np.ndarray:
@@ -333,14 +334,48 @@ def pseudo_inverse(core: SpectralCore) -> np.ndarray:
     return core.solve(np.eye(core.n_vertices))
 
 
+def path_walk(arr: np.ndarray, path) -> tuple[list, list]:
+    """The observations of ``path`` read off the grid ``arr`` by its indices:
+    its forward (row->col) steps, then its backward (col->row) ones, each in
+    walk order, as numpy scalars.  The reference for the edge-id run."""
+    forward = [arr[path[s], path[s + 1]] for s in range(0, len(path) - 1, 2)]
+    backward = [arr[path[s], path[s - 1]] for s in range(2, len(path) - 1, 2)]
+    return forward, backward
+
+
+def path_products(arr: np.ndarray, path) -> tuple[float, float]:
+    """Reference for ``path_alpha_beta``: the forward and backward products
+    of :func:`path_walk`, each from 1.0, left to right, in numpy scalars (so
+    an overflow warns unless an ``errstate`` guards it)."""
+    alpha = beta = np.float64(1.0)
+    forward, backward = path_walk(arr, path)
+    for value in forward:
+        alpha *= value
+    for value in backward:
+        beta *= value
+    return float(alpha), float(beta)
+
+
+def path_sum(arr: np.ndarray, path) -> float:
+    """Reference for ``path_estimate_additive``: the forward observations of
+    :func:`path_walk`, then its backward ones negated, added left to right
+    in the units of ``additive._scaled``."""
+    forward, backward = path_walk(arr, path)
+    values, shift = _scaled(np.array(forward + [-value for value in backward]))
+    total = 0.0
+    for value in values:
+        total += value
+    return float(_unscaled(total, shift))
+
+
 def scalar_ratio(arr: np.ndarray, path_set: PathSet) -> float:
     """Reference for the gathered rank-1 ratio: the per-path loop over
-    ``_path_products``, terms added left to right, ``beta ** 2`` as the
+    :func:`path_products`, terms added left to right, ``beta ** 2`` as the
     scalar power; ``nan`` where the set is empty or degenerate."""
     numerator = denominator = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for path in path_set.paths:
-            alpha, beta = _path_products(arr, path)
+            alpha, beta = path_products(arr, path)
             numerator += alpha * beta
             try:
                 denominator += beta ** 2

@@ -790,6 +790,25 @@ def test_generate_pattern_rejects_non_positive_groups(tmp_path, capsys, groups):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("rows, cols", [("5", "3"), ("3", "5")])
+def test_generate_pattern_rejects_more_staircase_groups_than_rows_or_columns(
+        tmp_path, capsys, rows, cols):
+    out_dir = tmp_path / "pattern"
+    assert main(["generate-pattern", "--pattern", "staircase", "--rows", rows,
+                 "--cols", cols, "--groups", "4", "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "at most min(n_rows, n_cols)" in err
+    assert "Traceback" not in err and not out_dir.exists()
+    config = _write(tmp_path / "sim.cfg",
+                    "pattern = staircase\nmodel = panel\nn_rows = 3\n"
+                    "n_cols = 3\ngroups = 5\nnoise_sigma = 0.1\ntrials = 3\n"
+                    "seed = 1\n")
+    assert main(["simulate", "--config", config,
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert "at most min(n_rows, n_cols)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_rejects_target_outside_grid(tmp_path, capsys):
     # targets are 1-based on the command line, so 0 lies outside
     config = _write(tmp_path / "sim.cfg",

@@ -6,6 +6,7 @@ from flowcomplete import (
     InvalidPathError,
     ObservationMask,
     connected_components,
+    max_disjoint_paths,
     path_alpha_beta,
     path_estimate_additive,
     validate_path,
@@ -17,6 +18,8 @@ from helpers import (
     cells,
     incidence_matrix,
     laplacian,
+    path_products,
+    path_sum,
     random_mask,
 )
 
@@ -151,7 +154,10 @@ def test_vec_omega_dimension_mismatch():
 
 
 def test_validate_path_accepts_figure_path():
-    validate_path((0, 1, 1, 2, 2, 0), PATH_MASK)
+    # the edge ids of its steps, in walk order: cells (0, 1), (1, 1), (1, 2),
+    # (2, 2) and (2, 0), which are edges 0, 1, 2, 4 and 3 in row-major order
+    run = validate_path((0, 1, 1, 2, 2, 0), PATH_MASK)
+    assert run.tolist() == [0, 1, 2, 4, 3]
 
 
 def test_validate_path_rejects_bad_paths():
@@ -183,6 +189,33 @@ def test_validate_path_takes_integer_indices_only():
         indices = np.array([0, 1, 1, 2, 2, 0], dtype=dtype)
         validate_path(indices, PATH_MASK)
         validate_path(tuple(indices), PATH_MASK)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_single_path_estimators_match_the_grid_walk_bit_for_bit(seed):
+    # alpha, beta, length and the additive estimate read y_Ω at the run that
+    # validate_path returns; the grid walk reads the cells by the path's
+    # indices.  Scaled to the ends of the double range, products overflow to
+    # inf (nan at inf * 0) or underflow, and sums are taken scaled
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+    mask = random_mask(rng, n, m, float(rng.uniform(0.3, 0.9)))
+    base = rng.choice([-1.0, 1.0], (n, m)) * rng.uniform(0.5, 2.0, (n, m))
+    base[rng.random((n, m)) < 0.1] = 0.0
+    paths = [path for i, j in np.ndindex(n, m)
+             for path in max_disjoint_paths(mask, i, j).paths]
+    for scale in (1.0, 1e154, 1e-160, 1e300):
+        data = base * scale
+        for path in paths:
+            stats = path_alpha_beta(path, data, mask)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = path_products(data, path)
+            assert (np.array([stats.alpha, stats.beta]).tobytes()
+                    == np.array(want).tobytes())
+            assert stats.length == len(path) - 1
+            assert (np.float64(path_estimate_additive(path, data, mask)).tobytes()
+                    == np.float64(path_sum(data, path)).tobytes())
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), m=st.integers(1, 8))

@@ -36,6 +36,7 @@ from helpers import (
     is_observed,
     path_set_plan,
     random_mask,
+    tuple_path_cells,
 )
 
 
@@ -203,8 +204,12 @@ def test_path_check_matches_the_per_path_loop(seed):
     if failure is None:
         path_set = PathSet(paths, source, sink, mask)
         assert path_set.k == len(paths)
-        for path in paths:
-            validate_path(path, mask)
+        # each path's checked run of edge ids, joined in path order: the run
+        # of the set's plan
+        run = np.concatenate([np.empty(0, np.intc),
+                              *(validate_path(path, mask) for path in paths)])
+        want = tuple_path_cells([path_set], mask)[4]
+        assert run.dtype == want.dtype and np.array_equal(run, want)
         return
     index, check = failure
     with pytest.raises(InvalidPathError) as raised:

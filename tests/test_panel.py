@@ -19,7 +19,7 @@ from flowcomplete import (
     split_masks,
     staggered_exposure_certificate,
 )
-from flowcomplete.patterns import staggered_exposure_pattern
+from flowcomplete.patterns import staggered_exposure_pattern, staircase_pattern
 from helpers import did_loop, did_loop_grid
 
 
@@ -186,8 +186,6 @@ def test_did_no_length_three_path_on_staggered_pattern():
 
 
 def test_did_fails_for_most_staircase_entries():
-    from flowcomplete.patterns import staircase_pattern
-
     rng = np.random.default_rng(8)
     observed, treatment = staircase_pattern(30, 30, 10, rng)
     panel = PanelData(outcomes=np.zeros((30, 30)), treatment=treatment,
@@ -342,6 +340,16 @@ def test_staggered_pattern_rejects_non_positive_groups(groups):
         staggered_exposure_pattern(8, groups)
     with pytest.raises(ValueError, match="n_groups must be positive"):
         staggered_exposure_certificate(8, groups)
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 5), (5, 3, 4), (3, 5, 4)])
+def test_staircase_pattern_rejects_more_groups_than_rows_or_columns(shape):
+    # a group with no row or no column has no spine to keep
+    with pytest.raises(ValueError, match=re.escape("at most min(n_rows, n_cols)")):
+        staircase_pattern(*shape, np.random.default_rng(0))
+    observed, treatment = staircase_pattern(*shape[:2], min(shape[:2]),
+                                            np.random.default_rng(0))
+    assert treatment.shape == observed.shape == shape[:2]
 
 
 def test_panel_rejects_non_finite_observed_outcomes():

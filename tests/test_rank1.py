@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,15 @@ def test_path_alpha_beta_length1():
     stats = path_alpha_beta((0, 0), [[4.5]], mask)
     assert stats.alpha == 4.5
     assert stats.beta == 1.0
+
+
+def test_path_alpha_beta_overflows_to_inf_with_no_warning():
+    # the products are taken in Python floats, where numpy scalars would warn
+    mask = ObservationMask.from_dense(np.ones((2, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = path_alpha_beta((0, 1, 1, 0), np.full((2, 2), 1e200), mask)
+    assert (stats.alpha, stats.beta, stats.length) == (math.inf, 1e200, 3)
 
 
 def test_path_alpha_beta_rejects_grid_of_another_shape():
@@ -159,7 +169,7 @@ def _scalar_estimates(mask, data):
 
 def test_gathered_ratio_matches_scalar_route_bitwise():
     # products, sums, squares and the degenerate tests of the gathered
-    # ratio round exactly as the per-path loop over _path_products
+    # ratio round exactly as the per-path loop over helpers.path_products
     pair = ObservationMask.from_pairs(2, 2, [(0, 1), (1, 1), (1, 0)])
     cases = [(pair, np.array([[0.0, 1e154], [1e154, 1e-6]])),    # quotient overflows
              (pair, np.array([[0.0, 2.0], [3.0, 0.0]])),          # denominator 0

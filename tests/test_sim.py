@@ -22,7 +22,7 @@ from flowcomplete import (
     split_masks,
 )
 from flowcomplete import sim
-from flowcomplete.rank1 import DENOMINATOR_FLOOR, _path_products
+from flowcomplete.rank1 import DENOMINATOR_FLOOR
 from flowcomplete.spectral import build_core
 from flowcomplete.patterns import (
     extreme_sparsity_mask,
@@ -30,7 +30,7 @@ from flowcomplete.patterns import (
     staircase_pattern,
     uniform_bernoulli_mask,
 )
-from helpers import assert_no_child_left, forked_parts, is_observed
+from helpers import assert_no_child_left, forked_parts, is_observed, path_products
 
 
 def test_extreme_sparsity_count():
@@ -232,7 +232,7 @@ def _per_trial_rank1_mse(config):
             numerator = denominator = 0.0  # summed left to right
             with np.errstate(over="ignore", invalid="ignore"):
                 for path in path_set.paths:
-                    alpha, beta = _path_products(data, path)
+                    alpha, beta = path_products(data, path)
                     numerator += alpha * beta
                     denominator += beta ** 2
             numerator, denominator = numerator / path_set.k, denominator / path_set.k
