@@ -9,13 +9,13 @@ length-3 donor path exists for a difference-in-differences contrast.
 """
 
 import argparse
+import math
 
 import numpy as np
 
 from flowcomplete import (
-    NO_LENGTH_THREE_PATH,
     PanelData,
-    did_estimate,
+    did_grid,
     estimate_effects,
     staggered_exposure_certificate,
 )
@@ -32,16 +32,16 @@ def main() -> None:
     for case in args.cases:
         n_units, groups = (int(x) for x in case.split(":"))
         certificate = staggered_exposure_certificate(n_units, groups)
-        observed, treatment = staggered_exposure_pattern(n_units, groups)
+        treatment = staggered_exposure_pattern(n_units, groups)
         panel = PanelData(outcomes=np.zeros((n_units, n_units)),
-                          treatment=treatment, observed=observed)
-        did = did_estimate(panel, 0, n_units - 1)
+                          treatment=treatment)
+        did = float(did_grid(panel)[0, n_units - 1])
         report = estimate_effects(panel)
         print(f"N={n_units} G={groups}")
         print(f"  R1 exact {certificate.r1_exact:.5f}  bound {certificate.r1_bound:.5f}")
         print(f"  R0 exact {certificate.r0_exact:.5f}  bound {certificate.r0_bound:.5f}")
         print(f"  DiD at (1, T): "
-              f"{'no length-3 path' if did is NO_LENGTH_THREE_PATH else did}")
+              f"{'no length-3 path' if math.isnan(did) else did}")
         print(f"  flow estimator identifies (1, T): "
               f"{bool(report.identifiable[0, n_units - 1])}")
 

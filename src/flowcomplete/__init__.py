@@ -42,7 +42,6 @@ from .errors import (
     InvalidFlowError,
     InvalidPathError,
     NoPathError,
-    TargetNotObservedError,
 )
 from .graph import (
     ComponentLabeling,
@@ -53,11 +52,9 @@ from .graph import (
 )
 from .maxflow import CutCertificate, PathSet, max_disjoint_paths, min_cut
 from .panel import (
-    NO_LENGTH_THREE_PATH,
     CausalReport,
     PanelData,
     StaggeredExposureCertificate,
-    did_estimate,
     did_grid,
     estimate_effects,
     split_masks,

@@ -25,7 +25,3 @@ class NoPathError(FlowCompleteError):
 
 class DegenerateDenominatorError(FlowCompleteError):
     """The stabilized ratio denominator collapsed below the safe threshold."""
-
-
-class TargetNotObservedError(FlowCompleteError):
-    """The target cell is not observed, so no anchored contrast exists."""

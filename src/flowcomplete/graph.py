@@ -84,20 +84,23 @@ class ObservationMask:
     def from_pairs(cls, n_rows: int, n_cols: int,
                    pairs: Iterable[tuple[int, int]]) -> "ObservationMask":
         """Build a mask from (row, col) pairs; duplicates collapse to one."""
-        rows, cols = np.array(list(pairs) or np.empty((0, 2), np.intp)).T
-        return cls(n_rows, n_cols, rows, cols)
+        pairs = np.array(list(pairs) or np.empty((0, 2), np.intp))
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"pair {pairs[0].tolist()} is not (row, col)")
+        return cls(n_rows, n_cols, *pairs.T)
 
     @classmethod
     def from_dense(cls, pattern) -> "ObservationMask":
         """Build a mask from a binary matrix (nonzero means observed)."""
         arr = np.asarray(pattern)
-        return cls(arr.shape[0], arr.shape[1], *np.nonzero(arr))
+        if arr.ndim != 2:
+            raise ValueError(f"a mask pattern must be 2-D, not of shape {arr.shape}")
+        return cls(*arr.shape, *np.nonzero(arr))
 
     @classmethod
     def from_data(cls, data) -> "ObservationMask":
         """Infer a mask from a data matrix: finite cells are observed."""
-        arr = np.asarray(data, dtype=float)
-        return cls(arr.shape[0], arr.shape[1], *np.nonzero(np.isfinite(arr)))
+        return cls.from_dense(np.isfinite(np.asarray(data, dtype=float)))
 
     @property
     def n_observed(self) -> int:

@@ -15,32 +15,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .additive import efe_full
-from .errors import TargetNotObservedError
 from .graph import ObservationMask, check_noise
 from .patterns import staggered_exposure_pattern
 from .spectral import build_core
-
-
-class NoLengthThreePath:
-    """Marker value: no length-3 donor path exists for the requested entry."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - repr only
-        return "NoLengthThreePath"
-
-
-NO_LENGTH_THREE_PATH = NoLengthThreePath()
 
 
 @dataclass(frozen=True)
 class PanelData:
     """Outcomes with binary treatment and observation indicators.
 
-    ``observed`` must be binary everywhere; treatment must be binary and
-    outcomes finite at every observed cell.  A ``ValueError`` names the
-    first cell that breaks a rule; other values at unobserved cells are
-    ignored, and treatment is stored as 0 there.
+    The grids are 2-D and of one shape; ``observed`` must be binary
+    everywhere; treatment must be binary and outcomes finite at every
+    observed cell.  A ``ValueError`` names the first cell that breaks a
+    rule; other values at unobserved cells are ignored, and treatment is
+    stored as 0 there.
     """
 
     outcomes: np.ndarray
@@ -55,6 +43,8 @@ class PanelData:
                     else np.asarray(self.observed))
         if treatment.shape != outcomes.shape or observed.shape != outcomes.shape:
             raise ValueError("outcomes, treatment and observed shapes differ")
+        if outcomes.ndim != 2:
+            raise ValueError(f"panel grids must be 2-D, not of shape {outcomes.shape}")
         checks = (("observed is not binary at cell", ~np.isin(observed, (0, 1))),
                   ("treatment is not binary at observed cell",
                    (observed != 0) & ~np.isin(treatment, (0, 1))),
@@ -166,11 +156,15 @@ def _did_period(outcomes: np.ndarray, donor: np.ndarray, t: int,
 
 
 def did_grid(panel: PanelData) -> np.ndarray:
-    """Difference-in-differences estimate of every cell, as :func:`did_estimate`.
+    """Difference-in-differences estimate of the effect at every cell.
 
-    NaN where the cell is unobserved or has no length-3 donor path.  The
-    arms are split once and each period's donors are found for all of its
-    targets at a time, in O(N*T) memory.
+    The observed arm of cell ``(i, t)`` anchors the contrast; the other arm
+    is predicted through a length-3 path ``u_i -> v_t' -> u_j -> v_t`` in
+    that arm's graph, with the lexicographically smallest donor ``(t', j)``.
+    The sign makes every value a treated-minus-control effect.  NaN where
+    the cell is unobserved or has no length-3 donor path.  The arms are
+    split once and each period's donors are found for all of its targets
+    at a time, in O(N*T) memory.
     """
     control, treated = _arms(panel)
     grid = np.full(panel.outcomes.shape, np.nan)
@@ -184,30 +178,6 @@ def did_grid(panel: PanelData) -> np.ndarray:
     return grid
 
 
-def did_estimate(panel: PanelData, i: int, t: int):
-    """Difference-in-differences estimate of the effect at ``(i, t)``.
-
-    The observed arm of the target anchors the contrast; the other arm is
-    predicted through a length-3 path ``u_i -> v_t' -> u_j -> v_t`` in that
-    arm's graph, choosing the lexicographically smallest ``(t', j)`` donor.
-    Returns :data:`NO_LENGTH_THREE_PATH` when no such donor exists; raises
-    :class:`TargetNotObservedError` when the target cell is unobserved and
-    a ``ValueError`` when it lies outside the panel.
-    """
-    if not (0 <= i < panel.n_units and 0 <= t < panel.n_periods):
-        raise ValueError(f"cell {(i, t)} is outside the "
-                         f"{panel.n_units}x{panel.n_periods} panel")
-    if panel.observed[i, t] == 0:
-        raise TargetNotObservedError(f"cell {(i, t)} is not observed")
-    control, treated = _arms(panel)
-    anchored_on_treated = treated[i, t]
-    donor = control if anchored_on_treated else treated
-    units, contrast = _did_period(panel.outcomes, donor, t, np.array([i]))
-    if not units.size:
-        return NO_LENGTH_THREE_PATH
-    return float(contrast[0] if anchored_on_treated else -contrast[0])
-
-
 def staggered_exposure_certificate(n_units: int, n_groups: int) -> StaggeredExposureCertificate:
     """Exact (1, T) resistances of the staggered pattern against their bounds.
 
@@ -217,9 +187,8 @@ def staggered_exposure_certificate(n_units: int, n_groups: int) -> StaggeredExpo
     With fewer than three groups the control side is empty or disconnects
     the pair, so the certificate is returned as degenerate (no bound check).
     """
-    observed, treatment = staggered_exposure_pattern(n_units, n_groups)
-    panel = PanelData(outcomes=np.zeros_like(observed, dtype=float),
-                      treatment=treatment, observed=observed)
+    treatment = staggered_exposure_pattern(n_units, n_groups)
+    panel = PanelData(outcomes=np.zeros(treatment.shape), treatment=treatment)
     control_mask, treated_mask = split_masks(panel)
     target = (0, n_units - 1)
     r1_exact, r0_exact = (

@@ -53,15 +53,15 @@ def uniform_bernoulli_mask(n_rows: int, n_cols: int, p: float,
     return ObservationMask.from_dense(dense)
 
 
-def staggered_exposure_pattern(n_units: int, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fully observed panel with a staggered, fixed-length exposure window.
+def staggered_exposure_pattern(n_units: int, n_groups: int) -> np.ndarray:
+    """Treatment of a fully observed panel: a staggered, fixed-length window.
 
     Units and time periods are split into ``n_groups`` equal groups; units
     in group g are treated during time groups g and g+1.  The window is
     truncated at the end of the panel (the last unit group is treated only
     in its own time group), so the treatment graph is a chain of complete
     bipartite blocks with no shortcut back to the early time groups.
-    Returns ``(observed, treatment)`` as 0/1 matrices of shape (N, N).
+    Returns the treatment as a 0/1 matrix of shape (N, N).
     """
     if n_groups < 1:
         raise ValueError("n_groups must be positive")
@@ -73,14 +73,13 @@ def staggered_exposure_pattern(n_units: int, n_groups: int) -> tuple[np.ndarray,
         rows = slice(g * group_size, (g + 1) * group_size)
         cols_end = min((g + 2) * group_size, n_units)
         treatment[rows, g * group_size:cols_end] = 1
-    observed = np.ones((n_units, n_units), dtype=np.int8)
-    return observed, treatment
+    return treatment
 
 
 def staircase_pattern(n_rows: int, n_cols: int, n_groups: int,
                       rng: np.random.Generator, base_density: float = 1.0,
-                      thinning: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
-    """Fully observed panel with a staircase treatment, sparser block by block.
+                      thinning: float = 0.5) -> np.ndarray:
+    """Staircase treatment of a fully observed panel, sparser block by block.
 
     Row and column groups form a chain of blocks along the diagonal (each
     row group is treated in its own and the following column group).  Cells
@@ -88,8 +87,8 @@ def staircase_pattern(n_rows: int, n_cols: int, n_groups: int,
     a deterministic spine (first column of each window for every row, every
     window column for the first row of the group) is always kept so the
     treatment graph stays connected.  Every group needs a row and a column,
-    so ``n_groups`` is at most ``min(n_rows, n_cols)``.  Returns
-    ``(observed, treatment)``.
+    so ``n_groups`` is at most ``min(n_rows, n_cols)``.  Returns the
+    treatment as a 0/1 matrix.
     """
     if not 0 < thinning <= 1 or not 0 < base_density <= 1:
         raise ValueError("densities must lie in (0, 1]")
@@ -113,5 +112,4 @@ def staircase_pattern(n_rows: int, n_cols: int, n_groups: int,
         for cols in windows:
             treatment[rows, cols[0]] = 1
             treatment[rows[0], cols] = 1
-    observed = np.ones((n_rows, n_cols), dtype=np.int8)
-    return observed, treatment
+    return treatment

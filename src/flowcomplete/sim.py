@@ -147,20 +147,20 @@ def generate_pattern(config: SimConfig) -> GeneratedPattern:
             raise ValueError("staggered_exposure needs groups")
         if config.n_rows != config.n_cols:
             raise ValueError("staggered_exposure is a square pattern")
-        observed, treatment = patterns.staggered_exposure_pattern(
+        treatment = patterns.staggered_exposure_pattern(
             config.n_rows, config.groups)
         meta.update(groups=config.groups)
     else:  # staircase
         if config.groups is None:
             raise ValueError("staircase needs groups")
-        observed, treatment = patterns.staircase_pattern(
+        treatment = patterns.staircase_pattern(
             config.n_rows, config.n_cols, config.groups, pattern_rng,
             base_density=config.base_density, thinning=config.thinning)
         meta.update(groups=config.groups, base_density=config.base_density,
                     thinning=config.thinning)
     if treatment is not None:
         meta["treated_cells"] = int(np.sum(treatment))
-        mask = ObservationMask.from_dense(observed)
+        mask = ObservationMask.from_dense(np.ones_like(treatment))
     meta["observed_cells"] = mask.n_observed
     return GeneratedPattern(mask=mask, treatment=treatment, metadata=meta)
 
@@ -216,8 +216,7 @@ def _run_additive(config, realized):
 
 def _run_panel(config, realized):
     base_panel = PanelData(outcomes=np.zeros((config.n_rows, config.n_cols)),
-                           treatment=realized.treatment,
-                           observed=realized.mask.grid.astype(np.int8))
+                           treatment=realized.treatment)
     control_mask, treated_mask = split_masks(base_panel)
     # the effect estimate is the treated fit minus the control fit
     arms = [(build_core(control_mask), -1.0), (build_core(treated_mask), 1.0)]

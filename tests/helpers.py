@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from flowcomplete import (
-    NO_LENGTH_THREE_PATH,
     CutCertificate,
     ObservationMask,
     PanelData,
@@ -122,8 +121,9 @@ def chain_mask(n_cols: int) -> ObservationMask:
 def did_loop(panel: PanelData, i: int, t: int):
     """Difference-in-differences by scanning ``(t', j)`` over the split masks.
 
-    The per-cell reference for ``did_estimate``/``did_grid``: both arms are
-    built as masks and donors are tried in lexicographic order.
+    The per-cell reference for ``did_grid``: both arms are built as masks
+    and donors are tried in lexicographic order.  ``None`` where no donor
+    exists.
     """
     anchored_on_treated = panel.treatment[i, t] == 1
     control, treated = split_masks(panel)
@@ -142,7 +142,7 @@ def did_loop(panel: PanelData, i: int, t: int):
                 contrast = ((outcomes[i, t] - outcomes[j, t])
                             - (outcomes[i, t_prime] - outcomes[j, t_prime]))
                 return float(contrast if anchored_on_treated else -contrast)
-    return NO_LENGTH_THREE_PATH
+    return None
 
 
 def did_loop_grid(panel: PanelData) -> np.ndarray:
@@ -152,7 +152,7 @@ def did_loop_grid(panel: PanelData) -> np.ndarray:
         for t in range(panel.n_periods):
             if panel.observed[i, t] != 0:
                 value = did_loop(panel, i, t)
-                if value is not NO_LENGTH_THREE_PATH:
+                if value is not None:
                     grid[i, t] = value
     return grid
 

@@ -11,14 +11,13 @@ import numpy as np
 from scipy import stats
 
 from flowcomplete import (
-    NO_LENGTH_THREE_PATH,
     AdditiveModel,
     ObservationMask,
     PanelData,
     RankOneModel,
     SimConfig,
     build_core,
-    did_estimate,
+    did_grid,
     efe_full,
     estimate_effects,
     hard_instance_additive,
@@ -225,10 +224,10 @@ def test_criterion_7_staggered_exposure():
         details.append(f"N={n_units},G={groups}: "
                        f"R1 {certificate.r1_exact:.4f}<={certificate.r1_bound:.4f}, "
                        f"R0 {certificate.r0_exact:.4f}<={certificate.r0_bound:.4f}")
-        observed, treatment = staggered_exposure_pattern(n_units, groups)
+        treatment = staggered_exposure_pattern(n_units, groups)
         panel = PanelData(outcomes=np.zeros((n_units, n_units)),
-                          treatment=treatment, observed=observed)
-        ok &= did_estimate(panel, 0, n_units - 1) is NO_LENGTH_THREE_PATH
+                          treatment=treatment)
+        ok &= bool(np.isnan(did_grid(panel)[0, n_units - 1]))
         report = estimate_effects(panel)
         ok &= bool(report.identifiable[0, n_units - 1])
         ok &= bool(np.isfinite(report.beta_hat[0, n_units - 1]))

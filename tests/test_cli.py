@@ -485,7 +485,7 @@ def test_estimate_rank1_overflowing_bound_is_null(tmp_path):
 def test_panel_with_did(tmp_path):
     from flowcomplete.patterns import staggered_exposure_pattern
 
-    observed, treatment = staggered_exposure_pattern(16, 4)
+    treatment = staggered_exposure_pattern(16, 4)
     rng = np.random.default_rng(1)
     outcomes = rng.normal(size=(16, 16))
     outcomes_path = tmp_path / "outcomes.csv"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,6 +72,21 @@ def test_mask_rejects_non_integer_indices():
         ObservationMask(2, 2, np.array([0.0]), np.array([1.0]))
     with pytest.raises(ValueError, match="integers"):
         ObservationMask(2, 2, np.array([True]), np.array([1]))
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)])
+def test_mask_from_a_grid_that_is_not_2d_names_its_shape(shape):
+    # a 1-D grid used to raise IndexError, a 3-D one TypeError
+    for build in (ObservationMask.from_dense, ObservationMask.from_data):
+        with pytest.raises(ValueError, match=re.escape(f"not of shape {shape}")):
+            build(np.ones(shape))
+
+
+@pytest.mark.parametrize("pairs, named", [([(0, 0, 1)], "[0, 0, 1]"),
+                                          ([0, 1], "0")])
+def test_mask_from_pairs_names_a_pair_that_is_not_row_col(pairs, named):
+    with pytest.raises(ValueError, match=re.escape(f"pair {named} is not (row, col)")):
+        ObservationMask.from_pairs(2, 2, pairs)
 
 
 @given(data=st.data())

@@ -9,18 +9,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from flowcomplete import (
     connected_components,
-    NO_LENGTH_THREE_PATH,
     PanelData,
-    TargetNotObservedError,
     build_core,
-    did_estimate,
     did_grid,
     estimate_effects,
     split_masks,
     staggered_exposure_certificate,
 )
 from flowcomplete.patterns import staggered_exposure_pattern, staircase_pattern
-from helpers import did_loop, did_loop_grid
+from helpers import did_loop_grid
 
 
 def _random_panel(rng, n_units, n_periods, sigma=0.0):
@@ -138,19 +135,20 @@ def test_did_worked_instance():
     treatment = np.array([[0, 1], [0, 0]])
     panel = PanelData(outcomes=outcomes, treatment=treatment)
     expected = (outcomes[0, 1] - outcomes[1, 1]) - (outcomes[0, 0] - outcomes[1, 0])
-    assert abs(did_estimate(panel, 0, 1) - expected) < 1e-12
+    assert abs(did_grid(panel)[0, 1] - expected) < 1e-12
 
 
 def test_did_noiseless_matches_beta():
     rng = np.random.default_rng(3)
     panel, beta = _random_panel(rng, 5, 5)
+    grid = did_grid(panel)
     found = 0
     for i in range(5):
         for t in range(5):
             if panel.treatment[i, t] != 1:
                 continue
-            value = did_estimate(panel, i, t)
-            if value is NO_LENGTH_THREE_PATH:
+            value = grid[i, t]
+            if np.isnan(value):
                 continue
             assert abs(value - beta[i, t]) < 1e-9
             found += 1
@@ -160,13 +158,14 @@ def test_did_noiseless_matches_beta():
 def test_did_control_anchor_uses_treatment_graph():
     rng = np.random.default_rng(4)
     panel, beta = _random_panel(rng, 5, 5)
+    grid = did_grid(panel)
     fitted = 0
     for i in range(5):
         for t in range(5):
             if panel.treatment[i, t] != 0:
                 continue
-            value = did_estimate(panel, i, t)
-            if value is NO_LENGTH_THREE_PATH:
+            value = grid[i, t]
+            if np.isnan(value):
                 continue
             assert abs(value - beta[i, t]) < 1e-9
             fitted += 1
@@ -174,12 +173,11 @@ def test_did_control_anchor_uses_treatment_graph():
 
 
 def test_did_no_length_three_path_on_staggered_pattern():
-    observed, treatment = staggered_exposure_pattern(16, 4)
-    panel = PanelData(outcomes=np.zeros((16, 16)), treatment=treatment,
-                      observed=observed)
+    panel = PanelData(outcomes=np.zeros((16, 16)),
+                      treatment=staggered_exposure_pattern(16, 4))
     # (0, 15) is observed under control; its treated counterpart has no
     # length-3 donor path, while the flow estimator still identifies it
-    assert did_estimate(panel, 0, 15) is NO_LENGTH_THREE_PATH
+    assert np.isnan(did_grid(panel)[0, 15])
     report = estimate_effects(panel)
     assert report.identifiable[0, 15]
     assert np.isfinite(report.beta_hat[0, 15])
@@ -187,26 +185,10 @@ def test_did_no_length_three_path_on_staggered_pattern():
 
 def test_did_fails_for_most_staircase_entries():
     rng = np.random.default_rng(8)
-    observed, treatment = staircase_pattern(30, 30, 10, rng)
-    panel = PanelData(outcomes=np.zeros((30, 30)), treatment=treatment,
-                      observed=observed)
-    blocked = sum(did_estimate(panel, i, t) is NO_LENGTH_THREE_PATH
-                  for i in range(30) for t in range(30))
+    panel = PanelData(outcomes=np.zeros((30, 30)),
+                      treatment=staircase_pattern(30, 30, 10, rng))
+    blocked = np.isnan(did_grid(panel)).sum()
     assert blocked > 30 * 30 / 2
-
-
-def test_did_unobserved_target_raises():
-    panel = PanelData(outcomes=np.zeros((2, 2)), treatment=np.zeros((2, 2), int),
-                      observed=np.array([[0, 1], [1, 1]]))
-    with pytest.raises(TargetNotObservedError):
-        did_estimate(panel, 0, 0)
-
-
-def test_did_rejects_cells_outside_the_panel():
-    panel = PanelData(outcomes=np.zeros((3, 2)), treatment=np.zeros((3, 2), int))
-    for i, t in ((-1, 0), (3, 0), (0, -1), (0, 2)):
-        with pytest.raises(ValueError, match=re.escape(f"cell {(i, t)}")):
-            did_estimate(panel, i, t)
 
 
 @given(seed=st.integers(0, 2**32 - 1), n_units=st.integers(1, 7),
@@ -228,12 +210,31 @@ def test_did_grid_equals_cell_loop_bitwise(seed, n_units, n_periods,
     outcomes[observed == 0] = np.nan  # never read
     panel = PanelData(outcomes=outcomes, treatment=treatment, observed=observed)
     assert did_grid(panel).tobytes() == did_loop_grid(panel).tobytes()
-    for i, t in zip(*np.nonzero(observed)):
-        got, want = did_estimate(panel, i, t), did_loop(panel, i, t)
-        if want is NO_LENGTH_THREE_PATH:
-            assert got is NO_LENGTH_THREE_PATH
-        else:
-            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_estimate_effects_commutes_with_unit_and_period_permutations(seed):
+    # did_grid is left out: it takes the lexicographically smallest donor
+    # (t', j), so a permutation can move a cell onto another donor
+    rng = np.random.default_rng(seed)
+    shape = (int(rng.integers(1, 8)), int(rng.integers(1, 8)))
+    observed = (rng.random(shape) < 0.8).astype(int)  # may disconnect an arm
+    outcomes = rng.normal(size=shape)
+    outcomes[observed == 0] = np.nan  # never read
+    panel = PanelData(outcomes=outcomes, observed=observed,
+                      treatment=(rng.random(shape) < 0.5).astype(int))
+    p, q = rng.permutation(shape[0]), rng.permutation(shape[1])
+    perm = np.ix_(p, q)
+    base = estimate_effects(panel)
+    moved = estimate_effects(PanelData(outcomes=panel.outcomes[perm],
+                                       treatment=panel.treatment[perm],
+                                       observed=panel.observed[perm]))
+    assert np.array_equal(moved.identifiable, base.identifiable[perm])
+    for field in ("resistance_sum", "beta_hat"):
+        np.testing.assert_allclose(getattr(moved, field),
+                                   getattr(base, field)[perm],
+                                   rtol=0, atol=1e-10, err_msg=field)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -253,12 +254,10 @@ def test_twfe_agrees_with_did_noiseless():
     rng = np.random.default_rng(5)
     panel, beta = _random_panel(rng, 5, 5)
     flow_beta = estimate_effects(panel).beta_hat
-    for i in range(5):
-        for t in range(5):
-            value = did_estimate(panel, i, t)
-            if value is NO_LENGTH_THREE_PATH:
-                continue
-            assert abs(flow_beta[i, t] - value) < 1e-8
+    did = did_grid(panel)
+    assert np.isfinite(did).any()
+    for i, t in np.argwhere(np.isfinite(did)):
+        assert abs(flow_beta[i, t] - did[i, t]) < 1e-8
 
 
 def test_variance_matches_resistance_sum():
@@ -283,16 +282,8 @@ def test_variance_matches_resistance_sum():
 def test_did_variance_dominates_flow_variance():
     rng = np.random.default_rng(7)
     base_panel, beta = _random_panel(rng, 5, 5)
-    target = None
-    for i in range(5):
-        for t in range(5):
-            if base_panel.treatment[i, t] == 1 and \
-                    did_estimate(base_panel, i, t) is not NO_LENGTH_THREE_PATH:
-                target = (i, t)
-                break
-        if target:
-            break
-    i, t = target
+    i, t = np.argwhere((base_panel.treatment == 1)
+                       & np.isfinite(did_grid(base_panel)))[0]
     control, treated = split_masks(base_panel)
     r_sum = (build_core(control).resistance(i, t)
              + build_core(treated).resistance(i, t))
@@ -302,7 +293,7 @@ def test_did_variance_dominates_flow_variance():
         noisy = PanelData(
             outcomes=base_panel.outcomes + rng.normal(0.0, sigma, (5, 5)),
             treatment=base_panel.treatment)
-        did_draws[trial] = did_estimate(noisy, i, t)
+        did_draws[trial] = did_grid(noisy)[i, t]
     se = did_draws.std(ddof=1) / math.sqrt(trials)
     assert abs(did_draws.mean() - beta[i, t]) < 4 * se
     did_variance = did_draws.var(ddof=1)
@@ -347,9 +338,9 @@ def test_staircase_pattern_rejects_more_groups_than_rows_or_columns(shape):
     # a group with no row or no column has no spine to keep
     with pytest.raises(ValueError, match=re.escape("at most min(n_rows, n_cols)")):
         staircase_pattern(*shape, np.random.default_rng(0))
-    observed, treatment = staircase_pattern(*shape[:2], min(shape[:2]),
-                                            np.random.default_rng(0))
-    assert treatment.shape == observed.shape == shape[:2]
+    treatment = staircase_pattern(*shape[:2], min(shape[:2]),
+                                  np.random.default_rng(0))
+    assert treatment.shape == shape[:2]
 
 
 def test_panel_rejects_non_finite_observed_outcomes():
@@ -386,7 +377,8 @@ def test_panel_rejects_non_binary_grids():
 def test_treatment_at_unobserved_cells_is_ignored_and_stored_as_zero(value, dtype):
     # an int8 cast of the whole grid used to warn (NaN, 1e10) or wrap
     # (257 to 1) at unobserved cells
-    observed, treatment = staggered_exposure_pattern(8, 4)
+    treatment = staggered_exposure_pattern(8, 4)
+    observed = np.ones_like(treatment)
     observed[2, 5] = observed[6, 1] = 0  # one treated cell, one control cell
     outcomes = np.random.default_rng(3).normal(size=observed.shape)
     want = PanelData(outcomes=outcomes, treatment=treatment, observed=observed)
@@ -427,9 +419,17 @@ def test_did_beyond_the_double_maximum_is_inf_without_a_warning():
                       treatment=np.array([[0, 0], [0, 1]]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        grid, value = did_grid(panel), did_estimate(panel, 1, 1)
-    assert value == grid[1, 1] == math.inf
+        grid = did_grid(panel)
+    assert grid[1, 1] == math.inf
     assert np.isnan(grid).tolist() == [[True, True], [True, False]]
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)])
+def test_panel_rejects_grids_that_are_not_2d(shape):
+    # such a panel used to build, and estimate_effects then raised
+    # IndexError (1-D) or TypeError (3-D)
+    with pytest.raises(ValueError, match=re.escape(f"not of shape {shape}")):
+        PanelData(outcomes=np.zeros(shape), treatment=np.zeros(shape, int))
 
 
 def test_panel_validation():

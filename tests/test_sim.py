@@ -44,8 +44,8 @@ def test_extreme_sparsity_count():
 
 
 def test_staggered_exposure_counts():
-    observed, treatment = staggered_exposure_pattern(8, 2)
-    assert observed.sum() == 64
+    treatment = staggered_exposure_pattern(8, 2)
+    assert treatment.shape == (8, 8)
     # truncated window: every group but the last is treated in two column
     # groups, the last in one, giving H^2 * (2G - 1) treated cells
     assert treatment.sum() == 16 * 3
@@ -55,7 +55,7 @@ def test_staggered_exposure_counts():
 
 
 def test_staggered_exposure_full_treatment_edge_case():
-    _, treatment = staggered_exposure_pattern(4, 1)
+    treatment = staggered_exposure_pattern(4, 1)
     assert treatment.sum() == 16
 
 
@@ -68,7 +68,7 @@ def test_uniform_bernoulli_extremes():
 def test_staircase_treatment_graph_connected():
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
-        _, treatment = staircase_pattern(30, 30, 6, rng)
+        treatment = staircase_pattern(30, 30, 6, rng)
         mask = ObservationMask.from_dense(treatment)
         assert connected_components(mask).component_count == 1
 
